@@ -13,11 +13,13 @@ the metric base they are points of a generalized metric space.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import maxplus
 from .quantale import (
     CarrierMismatch,
     Kind,
@@ -65,9 +67,13 @@ class VCategory:
         return len(self.objects)
 
     def index(self, label: str) -> int:
+        pos = self.__dict__.get("_pos")
+        if pos is None:
+            pos = {o: i for i, o in enumerate(self.objects)}
+            object.__setattr__(self, "_pos", pos)
         try:
-            return self.objects.index(label)
-        except ValueError:
+            return pos[label]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown object {label!r}") from None
 
     def hom_between(self, a: str, b: str) -> QVal:
@@ -113,44 +119,66 @@ _FLOAT_PATH_MIN_OBJECTS = 16
 def validate_category(c: VCategory, *, method: str = "auto") -> CategoryReport:
     """Check the unit and composition laws, listing every violation.
 
-    ``method`` is "auto", "exact" or "float"; "float" is a vectorized
-    path for causal-base categories that have opted into a tolerance
-    (their finite values are float-representable by construction) and
-    is selected automatically for large such categories.
+    Composition violations are listed in lexicographic (X, Y, Z) order
+    with the scalar composite.  At tolerance 0 the composition law is
+    checked exactly on the max-plus encoding of the homs (see
+    :mod:`qcat.maxplus`), one array sweep per middle object; when the
+    scaled values exceed the kernel's exactness bound the scalar loop
+    runs instead.  ``method`` is "auto", "exact" or "float"; "float" is
+    a vectorized float64 path for causal-base categories that have
+    opted into a tolerance (their finite values are float-representable
+    by construction) and is selected automatically for large such
+    categories.  Other categories with a tolerance use the scalar loop.
     """
     if method not in ("auto", "exact", "float"):
         raise ValueError(f"unknown method {method!r}")
+    q = c.quantale
     use_float = (
-        c.quantale.kind is Kind.RBOT
-        and c.quantale.tolerance > 0
+        q.kind is Kind.RBOT
+        and q.tolerance > 0
         and (method == "float" or (method == "auto" and len(c) >= _FLOAT_PATH_MIN_OBJECTS))
     )
     if method == "float" and not use_float:
         raise ValueError("float validation requires the causal base with a tolerance")
     if use_float:
         return _validate_rbot_float(c)
+    if q.tolerance == 0:
+        enc = maxplus.encode(q, (c.hom, len(c)))
+        if enc is not None:
+            (a,), _ = enc
+            return _report(c, maxplus.violating_triples(a, a))
     return _validate_exact(c)
 
 
-def _validate_exact(c: VCategory) -> CategoryReport:
+def _report(c: VCategory, triples: Iterable[tuple[int, int, int]]) -> CategoryReport:
+    """The unit violations of ``c`` and the composition violations at the
+    given (i, j, k) positions, with their scalar composites."""
     q = c.quantale
     u = unit(q)
+    hom, obj = c.hom, c.objects
+    unit_v = tuple((obj[i], hom[i][i]) for i in range(len(c)) if not leq(q, u, hom[i][i]))
+    comp_v = tuple(
+        (obj[i], obj[j], obj[k], tensor(q, hom[i][j], hom[j][k]), hom[i][k])
+        for i, j, k in triples
+    )
+    return CategoryReport(unit_v, comp_v)
+
+
+def _validate_exact(c: VCategory) -> CategoryReport:
+    """The scalar loop over all triples, with the tolerance of ``c``."""
+    q = c.quantale
     n = len(c)
     hom = c.hom
-    unit_v = [
-        (c.objects[i], hom[i][i]) for i in range(n) if not leq(q, u, hom[i][i])
-    ]
-    comp_v = []
-    for i in range(n):
-        for j in range(n):
-            vij = hom[i][j]
-            for k in range(n):
-                composite = tensor(q, vij, hom[j][k])
-                if not leq(q, composite, hom[i][k]):
-                    comp_v.append(
-                        (c.objects[i], c.objects[j], c.objects[k], composite, hom[i][k])
-                    )
-    return CategoryReport(tuple(unit_v), tuple(comp_v))
+    return _report(
+        c,
+        (
+            (i, j, k)
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+            if not leq(q, tensor(q, hom[i][j], hom[j][k]), hom[i][k])
+        ),
+    )
 
 
 def _rbot_float_matrix(c: VCategory) -> np.ndarray:
@@ -164,38 +192,12 @@ def _rbot_float_matrix(c: VCategory) -> np.ndarray:
                 a[i, j] = np.inf
             else:
                 a[i, j] = float(v.value)
-    return a
+    return a.reshape(n, n, 1)
 
 
 def _validate_rbot_float(c: VCategory) -> CategoryReport:
-    n = len(c)
-    tol = c.quantale.tolerance
     a = _rbot_float_matrix(c)
-    unit_v = [
-        (c.objects[i], c.hom[i][i]) for i in range(n) if not (a[i, i] >= -tol)
-    ]
-    bound = a + tol
-    triples: list[tuple[int, int, int]] = []
-    for j in range(n):
-        with np.errstate(invalid="ignore"):
-            s = a[:, j : j + 1] + a[j : j + 1, :]
-        # nan only arises as (-inf) + inf, where bot absorbs
-        s[np.isnan(s)] = -np.inf
-        bad = np.argwhere(s > bound)
-        triples.extend((int(i), j, int(k)) for i, k in bad)
-    triples.sort()
-    q = c.quantale
-    comp_v = tuple(
-        (
-            c.objects[i],
-            c.objects[j],
-            c.objects[k],
-            tensor(q, c.hom[i][j], c.hom[j][k]),
-            c.hom[i][k],
-        )
-        for i, j, k in triples
-    )
-    return CategoryReport(tuple(unit_v), comp_v)
+    return _report(c, maxplus.violating_triples(a, a + c.quantale.tolerance))
 
 
 def opposite(c: VCategory) -> VCategory:
@@ -454,8 +456,13 @@ def category_from_json(data: object, *, where: str = "category") -> VCategory:
         if field not in data:
             raise ValueError(f"{where}: missing field {field!r}")
     tolerance = data.get("tolerance", 0.0)
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool):
-        raise ValueError(f"{where}.tolerance: expected a number")
+    # NaN fails the comparison; an int too large for a float is rejected too
+    if (
+        not isinstance(tolerance, (int, float))
+        or isinstance(tolerance, bool)
+        or not abs(tolerance) <= sys.float_info.max
+    ):
+        raise ValueError(f"{where}.tolerance: expected a finite number")
     try:
         q = descriptor_from_json(data["quantale"], float(tolerance))
     except ValueError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .category import VCategory
@@ -91,53 +92,56 @@ def dag_from_json(data: object, *, where: str = "dag") -> CausalDag:
 
 
 def _find_cycle(dag: CausalDag) -> tuple[str, ...]:
+    """A cycle ``a -> ... -> a`` of the graph, by depth-first search with
+    an explicit stack, so that long cycles do not exhaust the recursion
+    limit."""
     succ: dict[str, list[str]] = {v: [] for v in dag.vertices}
     for a, b in dag.edges:
         succ[a].append(b)
-    color: dict[str, int] = {v: 0 for v in dag.vertices}  # 0 new, 1 on stack, 2 done
-    stack: list[str] = []
-
-    def dfs(v: str) -> tuple[str, ...] | None:
-        color[v] = 1
-        stack.append(v)
-        for w in succ[v]:
-            if color[w] == 1:
-                i = stack.index(w)
-                return tuple(stack[i:] + [w])
-            if color[w] == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        stack.pop()
-        color[v] = 2
-        return None
-
-    for v in dag.vertices:
-        if color[v] == 0:
-            found = dfs(v)
-            if found:
-                return found
-    raise AssertionError("no cycle found in a graph that failed toposort")
+    color: dict[str, int] = {v: 0 for v in dag.vertices}  # 0 new, 1 on path, 2 done
+    for root in dag.vertices:
+        if color[root]:
+            continue
+        color[root] = 1
+        path = [root]
+        todo = [iter(succ[root])]
+        while todo:
+            w = next(todo[-1], None)
+            if w is None:
+                todo.pop()
+                color[path.pop()] = 2
+            elif color[w] == 1:
+                return tuple(path[path.index(w) :] + [w])
+            elif color[w] == 0:
+                color[w] = 1
+                path.append(w)
+                todo.append(iter(succ[w]))
+    raise AssertionError("no cycle found in a graph that toposort could not order")
 
 
 def toposort(dag: CausalDag) -> list[str]:
-    """Kahn's algorithm; raises :class:`CycleError` with a witness."""
+    """Kahn's algorithm: the vertices in an order that respects every edge.
+
+    On a graph with a cycle the order stops short: it leaves out every
+    vertex on a cycle or reachable from one.  It does not raise, so a
+    caller can time or inspect it on any graph;
+    :func:`causal_space_from_dag` checks the length and raises
+    :class:`CycleError` with a witness.
+    """
     indeg = {v: 0 for v in dag.vertices}
     succ: dict[str, list[str]] = {v: [] for v in dag.vertices}
     for a, b in dag.edges:
         succ[a].append(b)
         indeg[b] += 1
-    queue = [v for v in dag.vertices if indeg[v] == 0]
+    queue = deque(v for v in dag.vertices if indeg[v] == 0)
     order: list[str] = []
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         order.append(v)
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    if len(order) != len(dag.vertices):
-        raise CycleError(_find_cycle(dag))
     return order
 
 
@@ -148,9 +152,12 @@ def causal_space_from_dag(dag: CausalDag) -> VCategory:
 
     Longest paths over a topological order make composition hold: a
     path through an intermediate vertex is never longer than the
-    longest direct one.
+    longest direct one.  Raises :class:`CycleError`, with a cycle of
+    the graph as witness, when the graph is not acyclic.
     """
     order = toposort(dag)
+    if len(order) != len(dag.vertices):
+        raise CycleError(_find_cycle(dag))
     pos = {v: i for i, v in enumerate(order)}
     succ: dict[str, list[str]] = {v: [] for v in dag.vertices}
     for a, b in dag.edges:

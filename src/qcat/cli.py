@@ -75,15 +75,21 @@ def _dump(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _loads(text: str, path: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _read_json(path: str) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
+    return _loads(text, path)
 
 
 def _write(path: str, text: str) -> None:
@@ -225,13 +231,7 @@ def _cmd_from_dag(args) -> CommandResult:
         raise ValueError(f"{args.edges}: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{args.edges}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-            ) from None
-        dag = dag_from_json(data, where=args.edges)
+        dag = dag_from_json(_loads(text, args.edges), where=args.edges)
     else:
         try:
             dag = dag_from_text(text)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from . import maxplus
 from .category import (
     VCategory,
     category_from_json,
@@ -133,16 +134,24 @@ def compose(m: VModule, n: VModule) -> VModule:
     """Composite m . n of m: D -/-> E with n: C -/-> D.
 
     Entry (X, P) is the join over middle objects A of
-    M(X, A) tensor N(A, P).
+    M(X, A) tensor N(A, P); an empty middle gives bottom.  It is
+    computed as the max-plus product max_A M[X, A] + N[A, P] of the
+    encoded matrices (see :mod:`qcat.maxplus`), exactly; when the scaled
+    values exceed the kernel's exactness bound, entry by entry with the
+    scalar ``tensor`` and ``join``.  Neither depends on the tolerance.
     """
     if m.source != n.target:
         raise ValueError("modules are not composable: source of the first must be the target of the second")
     q = m.quantale
-    mid = len(m.source)
+    mid, cols = len(m.source), len(n.source)
+    enc = maxplus.encode(q, (m.mat, mid), (n.mat, cols))
+    if enc is not None:
+        (ma, na), scale = enc
+        return VModule(n.source, m.target, maxplus.decode(q, maxplus.product(ma, na), scale))
     rows = []
     for x in range(len(m.target)):
         row = []
-        for p in range(len(n.source)):
+        for p in range(cols):
             row.append(
                 join(q, [tensor(q, m.mat[x][a], n.mat[a][p]) for a in range(mid)])
             )

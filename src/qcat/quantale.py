@@ -35,6 +35,7 @@ loosens comparisons, never the arithmetic itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -161,6 +162,8 @@ class QuantaleDescriptor:
     factors: tuple["QuantaleDescriptor", ...] = ()
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
         if self.kind is Kind.PRODUCT:
@@ -511,6 +514,11 @@ def qval_sort_key(v: QVal):
 # exact fraction strings, "true"/"false".
 # ---------------------------------------------------------------------------
 
+# deepest nesting accepted in a tuple literal (parentheses) and in a
+# product quantale (lists): far beyond any real base, and well inside
+# the recursion limit
+MAX_NESTING = 32
+
 
 def split_top_level(text: str, sep: str = ",") -> list[str]:
     """Split on ``sep`` at paren depth zero."""
@@ -520,6 +528,8 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
     for ch in text:
         if ch == "(":
             depth += 1
+            if depth > MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING} levels")
         elif ch == ")":
             depth -= 1
             if depth < 0:
@@ -544,6 +554,8 @@ def parse_value(raw: str | int | float | bool) -> QVal:
             raise ValueError(f"negative value {raw} is not in any carrier")
         return finite(Fraction(raw))
     if isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise ValueError(f"{raw} is not a finite number")
         try:
             frac = Fraction(str(raw))
         except ValueError:
@@ -598,17 +610,21 @@ def descriptor_to_json(q: QuantaleDescriptor) -> str | list:
 
 
 def descriptor_from_json(data: str | list, tolerance: float = 0.0) -> QuantaleDescriptor:
-    if isinstance(data, str):
-        low = data.strip().lower()
-        for kind in (Kind.RBOT, Kind.LAWVERE, Kind.BOOL):
-            if low == kind.value:
-                return QuantaleDescriptor(kind, tolerance)
+    def build(data, tolerance: float, depth: int) -> QuantaleDescriptor:
+        if isinstance(data, str):
+            low = data.strip().lower()
+            for kind in (Kind.RBOT, Kind.LAWVERE, Kind.BOOL):
+                if low == kind.value:
+                    return QuantaleDescriptor(kind, tolerance)
+        elif isinstance(data, list) and data:
+            if depth == MAX_NESTING:
+                raise ValueError(f"product quantale nested deeper than {MAX_NESTING} levels")
+            return QuantaleDescriptor(
+                Kind.PRODUCT, tolerance, tuple(build(f, 0.0, depth + 1) for f in data)
+            )
         raise ValueError(f"unknown quantale {data!r}")
-    if isinstance(data, list) and data:
-        return QuantaleDescriptor(
-            Kind.PRODUCT, tolerance, tuple(descriptor_from_json(f) for f in data)
-        )
-    raise ValueError(f"unknown quantale {data!r}")
+
+    return build(data, tolerance, 0)
 
 
 def parse_quantale_name(text: str, tolerance: float = 0.0) -> QuantaleDescriptor:

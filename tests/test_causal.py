@@ -23,6 +23,8 @@ from qcat import (
     validate_category,
 )
 
+from qcat.cli import run
+
 from randgen import random_dag, reflexive_transitive_closure
 
 
@@ -104,6 +106,24 @@ class TestDagIngestion:
         edges = set(dag.edges)
         for u, v in zip(cycle, cycle[1:]):
             assert (u, v) in edges
+
+    def test_toposort_stops_short_on_a_cycle(self):
+        dag = CausalDag(("x", "a", "b", "y"), (("x", "a"), ("a", "b"), ("b", "a"), ("b", "y")))
+        assert toposort(dag) == ["x"]
+
+    def test_long_cycle_exits_two_with_witness(self, tmp_path):
+        # far longer than the default recursion limit
+        n = 5000
+        names = [f"k{i}" for i in range(n)]
+        edges = {(names[i], names[(i + 1) % n]) for i in range(n)}
+        src = tmp_path / "cycle.txt"
+        src.write_text("".join(f"{a} {b}\n" for a, b in sorted(edges)))
+        result = run(["from-dag", str(src), "-o", str(tmp_path / "out.json")])
+        assert result.exit_code == 2
+        cycle = result.payload["error"].split("cycle: ", 1)[1].split(" -> ")
+        assert cycle[0] == cycle[-1] and len(cycle) == n + 1
+        assert all(e in edges for e in zip(cycle, cycle[1:]))
+        assert not (tmp_path / "out.json").exists()
 
     def test_toposort_respects_edges(self):
         rng = random.Random(79)

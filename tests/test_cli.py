@@ -77,6 +77,40 @@ class TestExitCodes:
         assert "hom[0][0]" in result.payload["error"]
         assert "badval.json" in result.payload["error"]
 
+    @pytest.mark.parametrize(
+        "field,value,fragment",
+        [
+            ("hom", [[float("inf")]], "hom[0][0]"),
+            ("tolerance", float("inf"), "tolerance"),
+            ("tolerance", float("nan"), "tolerance"),
+            ("hom", [["(" * 5000 + "0" + ")" * 5000]], "hom[0][0]"),
+        ],
+        ids=["infinity-hom", "infinity-tolerance", "nan-tolerance", "deep-tuple"],
+    )
+    def test_nonfinite_and_deep_input_is_two(self, tmp_path, field, value, fragment):
+        data = {"quantale": "rbot", "objects": ["a"], "hom": [["0"]], field: value}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))  # writes Infinity and NaN literals
+        result = run(["validate", str(path)])
+        assert result.exit_code == 2
+        assert f"c.json.{fragment}:" in result.payload["error"]
+
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ('{"quantale": ' + "[" * 500 + '"rbot"' + "]" * 500 + ', "objects": [], "hom": []}',
+             "c.json.quantale:"),
+            ("[" * 100000 + "]" * 100000, "c.json: JSON nested too deeply"),
+        ],
+        ids=["deep-quantale", "deep-json"],
+    )
+    def test_deeply_nested_json_is_two(self, tmp_path, text, fragment):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        result = run(["validate", str(path)])
+        assert result.exit_code == 2
+        assert fragment in result.payload["error"]
+
     def test_unknown_command_is_two(self):
         assert run(["frobnicate"]).exit_code == 2
 
