@@ -26,7 +26,7 @@ from .quantale import (
     QuantaleDescriptor,
     QVal,
     Tag,
-    carrier_check,
+    check_matrix,
     descriptor_from_json,
     descriptor_to_json,
     eq,
@@ -36,6 +36,7 @@ from .quantale import (
     parse_value,
     tensor,
     unit,
+    unit_leq,
 )
 
 
@@ -57,11 +58,9 @@ class VCategory:
             raise ValueError("object labels must be strings")
         if len(self.hom) != n:
             raise ValueError(f"hom matrix has {len(self.hom)} rows for {n} objects")
-        for i, row in enumerate(self.hom):
-            if len(row) != n:
-                raise ValueError(f"hom row {i} has {len(row)} entries for {n} objects")
-            for v in row:
-                carrier_check(self.quantale, v)
+        check_matrix(
+            self.quantale, self.hom, n, lambda i, k: f"hom row {i} has {k} entries for {n} objects"
+        )
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -116,7 +115,7 @@ class CategoryReport:
 _FLOAT_PATH_MIN_OBJECTS = 16
 
 
-def validate_category(c: VCategory, *, method: str = "auto") -> CategoryReport:
+def validate_category(c: VCategory) -> CategoryReport:
     """Check the unit and composition laws, listing every violation.
 
     Composition violations are listed in lexicographic (X, Y, Z) order
@@ -124,23 +123,13 @@ def validate_category(c: VCategory, *, method: str = "auto") -> CategoryReport:
     checked exactly on the max-plus encoding of the homs (see
     :mod:`qcat.maxplus`), one array sweep per middle object; when the
     scaled values exceed the kernel's exactness bound the scalar loop
-    runs instead.  ``method`` is "auto", "exact" or "float"; "float" is
-    a vectorized float64 path for causal-base categories that have
-    opted into a tolerance (their finite values are float-representable
-    by construction) and is selected automatically for large such
-    categories.  Other categories with a tolerance use the scalar loop.
+    runs instead.  Causal-base categories with a tolerance and at least
+    ``_FLOAT_PATH_MIN_OBJECTS`` objects are swept in float64 (their
+    finite values are float-representable by construction); other
+    categories with a tolerance use the scalar loop.
     """
-    if method not in ("auto", "exact", "float"):
-        raise ValueError(f"unknown method {method!r}")
     q = c.quantale
-    use_float = (
-        q.kind is Kind.RBOT
-        and q.tolerance > 0
-        and (method == "float" or (method == "auto" and len(c) >= _FLOAT_PATH_MIN_OBJECTS))
-    )
-    if method == "float" and not use_float:
-        raise ValueError("float validation requires the causal base with a tolerance")
-    if use_float:
+    if q.kind is Kind.RBOT and q.tolerance > 0 and len(c) >= _FLOAT_PATH_MIN_OBJECTS:
         return _validate_rbot_float(c)
     if q.tolerance == 0:
         enc = maxplus.encode(q, (c.hom, len(c)))
@@ -296,14 +285,10 @@ def underlying_preorder(c: VCategory) -> frozenset[tuple[str, str]]:
     For a valid category the result is reflexive and transitive: the
     underlying preorder (the causal set of a causal space).
     """
-    q = c.quantale
-    u = unit(q)
-    n = len(c)
+    above = unit_leq(c.quantale)
+    obj = c.objects
     return frozenset(
-        (c.objects[i], c.objects[j])
-        for i in range(n)
-        for j in range(n)
-        if leq(q, u, c.hom[i][j])
+        (obj[i], obj[j]) for i, row in enumerate(c.hom) for j, v in enumerate(row) if above(v)
     )
 
 
@@ -378,16 +363,24 @@ class EndohomReport:
 
 def classify_endohoms(c: VCategory) -> EndohomReport:
     """Label each object regular (endohom 0) or irregular (endohom inf)
-    and verify the endohom laws of causal spaces."""
+    and verify the endohom laws of causal spaces.
+
+    x tensor 0 = x exactly for every x, so an object whose endohom is
+    exactly 0 acts as the identity on its row and column and only the
+    other objects run the scalar action checks; only irregular objects
+    scan for finite homs, and only pairs of regular objects with no bot
+    hom between them are compared with 0.  Violations come in the order
+    of the plain all-pairs loops.
+    """
     if c.quantale.kind is not Kind.RBOT:
         raise CarrierMismatch("endohom classification requires the causal base")
     q = c.quantale
     u = unit(q)
-    n = len(c)
     hom = c.hom
+    obj = c.objects
     classes: list[tuple[str, str]] = []
     violations: list[tuple[str, str]] = []
-    for i, o in enumerate(c.objects):
+    for i, o in enumerate(obj):
         endo = hom[i][i]
         if not eq(q, tensor(q, endo, endo), endo):
             violations.append(
@@ -402,20 +395,22 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
             violations.append(
                 ("endohom-value", f"E({o},{o}) = {format_value(endo)} is neither 0 nor inf")
             )
-    kind = dict(classes)
-    for i, x in enumerate(c.objects):
-        for j, y in enumerate(c.objects):
-            if not eq(q, tensor(q, hom[j][i], hom[i][i]), hom[j][i]):
+    for i, x in enumerate(obj):
+        endo = hom[i][i]
+        if endo.tag is Tag.FINITE and endo.value == 0:
+            continue
+        for j, y in enumerate(obj):
+            if not eq(q, tensor(q, hom[j][i], endo), hom[j][i]):
                 violations.append(
                     ("endohom-action", f"E({y},{x}) tensor E({x},{x}) != E({y},{x})")
                 )
-            if not eq(q, tensor(q, hom[i][i], hom[i][j]), hom[i][j]):
+            if not eq(q, tensor(q, endo, hom[i][j]), hom[i][j]):
                 violations.append(
                     ("endohom-action", f"E({x},{x}) tensor E({x},{y}) != E({x},{y})")
                 )
-    for i, x in enumerate(c.objects):
-        if kind[x] == IRREGULAR:
-            for j, y in enumerate(c.objects):
+    for i, (x, cls) in enumerate(classes):
+        if cls == IRREGULAR:
+            for j, y in enumerate(obj):
                 for v in (hom[j][i], hom[i][j]):
                     if v.tag is Tag.FINITE:
                         violations.append(
@@ -424,19 +419,20 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
                                 f"irregular {x} has finite hom {format_value(v)} with {y}",
                             )
                         )
-    for i, x in enumerate(c.objects):
-        for j, y in enumerate(c.objects):
-            if i < j and kind[x] == REGULAR and kind[y] == REGULAR:
-                fwd, back = hom[i][j], hom[j][i]
-                if fwd.tag is not Tag.BOT and back.tag is not Tag.BOT:
-                    if not (eq(q, fwd, u) and eq(q, back, u)):
-                        violations.append(
-                            (
-                                "regular-pair",
-                                f"regular {x}, {y} have homs {format_value(fwd)}, "
-                                f"{format_value(back)}: neither both 0 nor one bot",
-                            )
+    regular = [i for i, (_, cls) in enumerate(classes) if cls == REGULAR]
+    for a, i in enumerate(regular):
+        row = hom[i]
+        for j in regular[a + 1 :]:
+            fwd, back = row[j], hom[j][i]
+            if fwd.tag is not Tag.BOT and back.tag is not Tag.BOT:
+                if not (eq(q, fwd, u) and eq(q, back, u)):
+                    violations.append(
+                        (
+                            "regular-pair",
+                            f"regular {obj[i]}, {obj[j]} have homs {format_value(fwd)}, "
+                            f"{format_value(back)}: neither both 0 nor one bot",
                         )
+                    )
     return EndohomReport(tuple(classes), tuple(violations))
 
 

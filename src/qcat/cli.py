@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,7 +94,20 @@ def _read_json(path: str) -> object:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    """Write ``text`` to ``path`` whole or not at all: into a new file
+    beside it, then renamed over it, so a failed write leaves an
+    existing file as it was and no partial file behind."""
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_grid(text: str):

@@ -32,6 +32,7 @@ from .quantale import (
     QVal,
     bottom,
     carrier_check,
+    check_matrix,
     eq,
     format_value,
     join,
@@ -62,11 +63,12 @@ class VModule:
         rows, cols = len(self.target.objects), len(self.source.objects)
         if len(self.mat) != rows:
             raise ValueError(f"module matrix has {len(self.mat)} rows for {rows} target objects")
-        for i, row in enumerate(self.mat):
-            if len(row) != cols:
-                raise ValueError(f"module row {i} has {len(row)} entries for {cols} source objects")
-            for v in row:
-                carrier_check(self.source.quantale, v)
+        check_matrix(
+            self.quantale,
+            self.mat,
+            cols,
+            lambda i, k: f"module row {i} has {k} entries for {cols} source objects",
+        )
 
     @property
     def quantale(self):

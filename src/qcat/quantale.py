@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class Tag(Enum):
@@ -209,6 +209,38 @@ def carrier_check(q: QuantaleDescriptor, v: QVal) -> None:
             carrier_check(f, p)
 
 
+# the tags each plain base admits; carrier_check on these bases tests
+# nothing else
+_CARRIER_TAGS = {
+    Kind.RBOT: frozenset((Tag.BOT, Tag.FINITE, Tag.INF)),
+    Kind.LAWVERE: frozenset((Tag.FINITE, Tag.INF)),
+    Kind.BOOL: frozenset((Tag.BOOL,)),
+}
+
+
+def check_matrix(
+    q: QuantaleDescriptor,
+    rows: Sequence[Sequence[QVal]],
+    ncols: int,
+    row_error: Callable[[int, int], str],
+) -> None:
+    """Check a value matrix row by row: raise ``ValueError(row_error(i,
+    len(row)))`` at the first row ``i`` without ``ncols`` entries, and
+    :class:`CarrierMismatch` at the first entry outside ``q``'s carrier.
+
+    On a plain base a row whose set of tags the carrier admits needs no
+    per-entry check; only a failing row, or a product base, runs
+    :func:`carrier_check` on each entry, so the first error is the same.
+    """
+    tags = _CARRIER_TAGS.get(q.kind)
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ValueError(row_error(i, len(row)))
+        if tags is None or not tags.issuperset({v.tag for v in row}):
+            for v in row:
+                carrier_check(q, v)
+
+
 def leq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
     """Whether an arrow a -> b exists in ``q``'s order.
 
@@ -311,6 +343,25 @@ def unit(q: QuantaleDescriptor) -> QVal:
     if q.kind is Kind.BOOL:
         return TRUE
     return QVal(Tag.TUPLE, tuple(unit(f) for f in q.factors))
+
+
+def unit_leq(q: QuantaleDescriptor) -> Callable[[QVal], bool]:
+    """The predicate ``v -> leq(q, unit(q), v)`` for values already in
+    ``q``'s carrier, decided on the tag and payload alone.
+
+    Over rbot every value but bot is at least 0; over lawvere a finite
+    value within the tolerance of 0; over bool the value itself; over a
+    product every factor, each with its own tolerance (as :func:`leq`).
+    """
+    if q.kind is Kind.RBOT:
+        return lambda v: v.tag is not Tag.BOT
+    if q.kind is Kind.LAWVERE:
+        tol = _tol_fraction(q.tolerance)
+        return lambda v: v.tag is Tag.FINITE and v.value <= tol
+    if q.kind is Kind.BOOL:
+        return lambda v: v.value
+    parts = tuple(unit_leq(f) for f in q.factors)
+    return lambda v: all(p(x) for p, x in zip(parts, v.value))
 
 
 def bottom(q: QuantaleDescriptor) -> QVal:

@@ -218,6 +218,25 @@ class TestMinkowski:
         assert validate_category(cat).ok
 
 
+class TestCrossGenerator:
+    """Sprinkle, take the causal set with ``underlying_preorder``, rebuild
+    its causal space with ``causal_space_from_dag``: the rebuilt space
+    has the same causal set, and its longest chain (largest finite hom
+    plus one) grows like sqrt(2n) in the unit square (Brightwell and
+    Gregory, PRL 66, 1991; Logan-Shepp and Vershik-Kerov, 1977)."""
+
+    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_longest_chain_scales_as_sqrt_2n(self, n, seed):
+        cat, _ = minkowski_sample(n, seed)
+        edges = underlying_preorder(cat)
+        dag = CausalDag(cat.objects, tuple(sorted(e for e in edges if e[0] != e[1])))
+        rebuilt = causal_space_from_dag(dag)
+        assert underlying_preorder(rebuilt) == edges
+        chain = 1 + max(v.value for row in rebuilt.hom for v in row if v.is_finite)
+        assert 0.7 * math.sqrt(2 * n) <= chain <= 1.3 * math.sqrt(2 * n)
+
+
 class TestMixedSignature:
     def test_exact_record(self):
         rec = mixed_signature_check()

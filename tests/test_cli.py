@@ -309,6 +309,41 @@ class TestGenerators:
         assert result.payload["violation"] is True
 
 
+class TestAtomicWrite:
+    def _fail_replace(self, monkeypatch):
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("qcat.cli.os.replace", fail)
+
+    @pytest.mark.parametrize("failure", ["unencodable", "rename"])
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch, failure):
+        src = tmp_path / "dag-in.json"
+        label = "\ud800" if failure == "unencodable" else "b"  # a lone surrogate
+        src.write_text(json.dumps({"vertices": ["a", label], "edges": [["a", label]]}))
+        out = tmp_path / "out.json"
+        out.write_text("previous\n")
+        if failure == "rename":
+            self._fail_replace(monkeypatch)
+        result = run(["from-dag", str(src), "-o", str(out)])
+        assert result.exit_code == 2
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dag-in.json", "out.json"]
+
+    def test_unwritable_directory_is_input_error(self, tmp_path, chain_file):
+        out = tmp_path / "missing" / "g.dot"
+        result = run(["underlying", chain_file, "--dot", str(out)])
+        assert result.exit_code == 2
+        assert str(out) in result.payload["error"]
+
+    def test_replaces_existing_file(self, tmp_path, chain_file):
+        out = tmp_path / "g.dot"
+        out.write_text("stale, and longer than the new graph " * 20)
+        assert run(["underlying", chain_file, "--dot", str(out)]).exit_code == 0
+        assert out.read_text().startswith("digraph preorder {")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.json", "g.dot"]
+
+
 class TestDeterminism:
     def test_byte_identical_payloads(self, tmp_path, chain_file, rep_module_file):
         invocations = [

@@ -1,0 +1,342 @@
+"""Differential tests of the exact shortcuts in ``classify_endohoms``,
+``underlying_preorder`` and the ``VCategory``/``VModule`` carrier check.
+
+Each shortcut is compared with a slow reference kept here: the
+all-pairs ``classify_endohoms`` loop as it was before the shortcuts,
+``{(a, b) | leq(q, unit(q), hom[a][b])}``, and the per-entry
+constructor check.  Results, message order and first errors must be
+equal, not just equivalent.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcat import (
+    BOOL,
+    BOT,
+    INF,
+    LAWVERE,
+    RBOT,
+    CarrierMismatch,
+    EndohomReport,
+    Kind,
+    QuantaleDescriptor,
+    VCategory,
+    VModule,
+    boolean,
+    carrier_check,
+    classify_endohoms,
+    eq,
+    finite,
+    format_value,
+    leq,
+    product,
+    rbot,
+    tensor,
+    tuple_val,
+    underlying_preorder,
+    unit,
+)
+from qcat.category import IRREGULAR, REGULAR
+from qcat.quantale import Tag, unit_leq
+
+from randgen import random_rbot_category
+
+TOLERANCES = (0.0, 1e-9, 0.5)
+
+
+def reference_classify_endohoms(c: VCategory) -> EndohomReport:
+    """``classify_endohoms`` before the shortcuts: every law on every pair."""
+    if c.quantale.kind is not Kind.RBOT:
+        raise CarrierMismatch("endohom classification requires the causal base")
+    q = c.quantale
+    u = unit(q)
+    n = len(c)
+    hom = c.hom
+    classes: list[tuple[str, str]] = []
+    violations: list[tuple[str, str]] = []
+    for i, o in enumerate(c.objects):
+        endo = hom[i][i]
+        if not eq(q, tensor(q, endo, endo), endo):
+            violations.append(
+                ("endohom-idempotent", f"E({o},{o}) = {format_value(endo)} is not idempotent")
+            )
+        if endo.tag is Tag.INF:
+            classes.append((o, IRREGULAR))
+        elif eq(q, endo, u):
+            classes.append((o, REGULAR))
+        else:
+            classes.append((o, "invalid"))
+            violations.append(
+                ("endohom-value", f"E({o},{o}) = {format_value(endo)} is neither 0 nor inf")
+            )
+    kind = dict(classes)
+    for i, x in enumerate(c.objects):
+        for j, y in enumerate(c.objects):
+            if not eq(q, tensor(q, hom[j][i], hom[i][i]), hom[j][i]):
+                violations.append(
+                    ("endohom-action", f"E({y},{x}) tensor E({x},{x}) != E({y},{x})")
+                )
+            if not eq(q, tensor(q, hom[i][i], hom[i][j]), hom[i][j]):
+                violations.append(
+                    ("endohom-action", f"E({x},{x}) tensor E({x},{y}) != E({x},{y})")
+                )
+    for i, x in enumerate(c.objects):
+        if kind[x] == IRREGULAR:
+            for j, y in enumerate(c.objects):
+                for v in (hom[j][i], hom[i][j]):
+                    if v.tag is Tag.FINITE:
+                        violations.append(
+                            (
+                                "irregular-homs",
+                                f"irregular {x} has finite hom {format_value(v)} with {y}",
+                            )
+                        )
+    for i, x in enumerate(c.objects):
+        for j, y in enumerate(c.objects):
+            if i < j and kind[x] == REGULAR and kind[y] == REGULAR:
+                fwd, back = hom[i][j], hom[j][i]
+                if fwd.tag is not Tag.BOT and back.tag is not Tag.BOT:
+                    if not (eq(q, fwd, u) and eq(q, back, u)):
+                        violations.append(
+                            (
+                                "regular-pair",
+                                f"regular {x}, {y} have homs {format_value(fwd)}, "
+                                f"{format_value(back)}: neither both 0 nor one bot",
+                            )
+                        )
+    return EndohomReport(tuple(classes), tuple(violations))
+
+
+def reference_underlying(c: VCategory) -> frozenset[tuple[str, str]]:
+    q = c.quantale
+    return frozenset(
+        (a, b)
+        for i, a in enumerate(c.objects)
+        for j, b in enumerate(c.objects)
+        if leq(q, unit(q), c.hom[i][j])
+    )
+
+
+def reference_matrix_error(q, rows, ncols, row_error):
+    """The first error of the per-entry constructor loop, as (type, message)."""
+    try:
+        for i, row in enumerate(rows):
+            if len(row) != ncols:
+                raise ValueError(row_error(i, len(row)))
+            for v in row:
+                carrier_check(q, v)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def raised(build):
+    try:
+        build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# --- classify_endohoms ----------------------------------------------------
+
+ENDOHOMS = (finite(0), finite(Fraction("1e-10")), finite(5), INF, BOT)
+OFF_DIAGONAL = (BOT, BOT, finite(0), finite(Fraction("1e-10")), finite(1), finite("5/2"), INF)
+
+
+@st.composite
+def rbot_categories(draw):
+    n = draw(st.integers(0, 6))
+    tol = draw(st.sampled_from(TOLERANCES))
+    hom = [[draw(st.sampled_from(OFF_DIAGONAL)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        hom[i][i] = draw(st.sampled_from(ENDOHOMS))
+    return VCategory(rbot(tol), tuple(f"o{i}" for i in range(n)), hom)
+
+
+class TestClassifyEndohoms:
+    @settings(max_examples=400, deadline=None)
+    @given(rbot_categories())
+    def test_matches_reference(self, c):
+        assert classify_endohoms(c) == reference_classify_endohoms(c)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_valid_random_categories_match_reference(self, seed):
+        c = random_rbot_category(random.Random(seed), 7)
+        assert classify_endohoms(c) == reference_classify_endohoms(c)
+
+    def test_endohom_within_tolerance_still_checks_its_row(self):
+        # 1e-10 is regular at tolerance 1e-9, but x + 1e-10 != x exactly;
+        # at that tolerance the action law still holds
+        c = VCategory(
+            rbot(1e-9),
+            ("a", "b"),
+            ((finite(Fraction("1e-10")), finite(1)), (BOT, finite(0))),
+        )
+        assert classify_endohoms(c) == reference_classify_endohoms(c)
+        assert classify_endohoms(c).ok
+        exact = VCategory(RBOT, c.objects, c.hom)
+        report = classify_endohoms(exact)
+        assert report == reference_classify_endohoms(exact)
+        assert [law for law, _ in report.violations] == [
+            "endohom-idempotent",
+            "endohom-value",
+            "endohom-action",
+            "endohom-action",
+            "endohom-action",
+        ]
+
+
+# --- underlying_preorder --------------------------------------------------
+
+
+def lawvere_values(tol):
+    at = Fraction(tol)
+    return (finite(0), finite(at), finite(at + Fraction(1, 10**12)), finite(Fraction("1e-9")),
+            finite(Fraction(1, 2)), finite(3), INF)
+
+
+RBOT_VALUES = (BOT, finite(0), finite(Fraction("1e-10")), finite(2), INF)
+BOOL_VALUES = (boolean(False), boolean(True))
+
+
+def leaf_values(q: QuantaleDescriptor):
+    if q.kind is Kind.RBOT:
+        return st.sampled_from(RBOT_VALUES)
+    if q.kind is Kind.LAWVERE:
+        return st.sampled_from(lawvere_values(q.tolerance))
+    if q.kind is Kind.BOOL:
+        return st.sampled_from(BOOL_VALUES)
+    return st.tuples(*(leaf_values(f) for f in q.factors)).map(tuple_val)
+
+
+def plain_bases():
+    return st.builds(
+        QuantaleDescriptor,
+        st.sampled_from((Kind.RBOT, Kind.LAWVERE, Kind.BOOL)),
+        st.sampled_from(TOLERANCES),
+    )
+
+
+# products whose factors, and the product itself, carry tolerances
+bases = st.one_of(
+    plain_bases(),
+    st.builds(
+        lambda fs, tol: product(*fs, tolerance=tol),
+        st.lists(plain_bases(), min_size=1, max_size=3),
+        st.sampled_from(TOLERANCES),
+    ),
+)
+
+
+@st.composite
+def categories(draw):
+    q = draw(bases)
+    n = draw(st.integers(0, 5))
+    vals = leaf_values(q)
+    hom = [[draw(vals) for _ in range(n)] for _ in range(n)]
+    return VCategory(q, tuple(f"o{i}" for i in range(n)), hom)
+
+
+class TestUnderlying:
+    @settings(max_examples=400, deadline=None)
+    @given(categories())
+    def test_matches_reference(self, c):
+        assert underlying_preorder(c) == reference_underlying(c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_unit_leq_is_leq_from_unit(self, data):
+        q = data.draw(bases)
+        v = data.draw(leaf_values(q))
+        assert unit_leq(q)(v) == leq(q, unit(q), v)
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_lawvere_value_exactly_at_tolerance(self, tol):
+        q = QuantaleDescriptor(Kind.LAWVERE, tol)
+        at = finite(Fraction(tol))
+        above = finite(Fraction(tol) + Fraction(1, 10**12))
+        assert unit_leq(q)(at) is True and leq(q, unit(q), at)
+        assert unit_leq(q)(above) is False and not leq(q, unit(q), above)
+
+    def test_product_uses_each_factor_tolerance(self):
+        lw = QuantaleDescriptor(Kind.LAWVERE, 0.5)
+        q = product(lw, BOOL, tolerance=0.25)
+        half = tuple_val((finite(Fraction(1, 2)), boolean(True)))
+        over = tuple_val((finite(Fraction(3, 4)), boolean(True)))
+        assert unit_leq(q)(half) and leq(q, unit(q), half)
+        assert not unit_leq(q)(over) and not leq(q, unit(q), over)
+
+
+# --- constructor carrier checks -------------------------------------------
+
+# a value outside each base's carrier, and one inside it
+BAD = {"rbot": boolean(True), "lawvere": BOT, "bool": finite(1),
+       "product": tuple_val((finite(1),))}
+GOOD = {"rbot": finite(1), "lawvere": INF, "bool": boolean(False),
+        "product": tuple_val((finite(1), boolean(True)))}
+BASE = {"rbot": RBOT, "lawvere": LAWVERE, "bool": BOOL, "product": product(RBOT, BOOL)}
+
+
+def planted_rows(base, n, bad_row, short_row, bad_col=0):
+    rows = [[GOOD[base]] * n for _ in range(n)]
+    if bad_row is not None:
+        rows[bad_row][bad_col] = BAD[base]
+    if short_row is not None:
+        rows[short_row] = rows[short_row][:-1]
+    return rows
+
+
+ORDERS = [(0, 2), (2, 0), (1, 1), (None, 1), (1, None), (None, None)]
+
+
+class TestConstructorErrors:
+    @pytest.mark.parametrize("base", sorted(BASE))
+    @pytest.mark.parametrize("bad_row,short_row", ORDERS)
+    def test_category_first_error(self, base, bad_row, short_row):
+        n = 3
+        q = BASE[base]
+        rows = planted_rows(base, n, bad_row, short_row, bad_col=n - 1)
+        got = raised(lambda: VCategory(q, ("a", "b", "c"), rows))
+        want = reference_matrix_error(
+            q, rows, n, lambda i, k: f"hom row {i} has {k} entries for {n} objects"
+        )
+        assert got == want
+        assert (got is None) == (bad_row is None and short_row is None)
+
+    @pytest.mark.parametrize("base", sorted(BASE))
+    @pytest.mark.parametrize("bad_row,short_row", ORDERS)
+    def test_module_first_error(self, base, bad_row, short_row):
+        q = BASE[base]
+        n = 3
+        cat = VCategory(q, ("a", "b", "c"), [[unit(q)] * n for _ in range(n)])
+        rows = planted_rows(base, n, bad_row, short_row)
+        got = raised(lambda: VModule(cat, cat, rows))
+        want = reference_matrix_error(
+            q, rows, n, lambda i, k: f"module row {i} has {k} entries for {n} source objects"
+        )
+        assert got == want
+        assert (got is None) == (bad_row is None and short_row is None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_matrices(self, data):
+        base = data.draw(st.sampled_from(sorted(BASE)))
+        q = BASE[base]
+        n = data.draw(st.integers(1, 4))
+        pool = st.sampled_from((GOOD[base], BAD[base], unit(q)))
+        rows = [
+            [data.draw(pool) for _ in range(data.draw(st.integers(n - 1, n + 1)))]
+            for _ in range(n)
+        ]
+        labels = tuple(f"o{i}" for i in range(n))
+        got = raised(lambda: VCategory(q, labels, rows))
+        want = reference_matrix_error(
+            q, rows, n, lambda i, k: f"hom row {i} has {k} entries for {n} objects"
+        )
+        assert got == want
