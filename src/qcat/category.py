@@ -13,11 +13,10 @@ the metric base they are points of a generalized metric space.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import maxplus
 from .quantale import (
@@ -112,81 +111,44 @@ class CategoryReport:
         }
 
 
-_FLOAT_PATH_MIN_OBJECTS = 16
-
-
 def validate_category(c: VCategory) -> CategoryReport:
     """Check the unit and composition laws, listing every violation.
 
     Composition violations are listed in lexicographic (X, Y, Z) order
-    with the scalar composite.  At tolerance 0 the composition law is
-    checked exactly on the max-plus encoding of the homs (see
-    :mod:`qcat.maxplus`), one array sweep per middle object; when the
-    scaled values exceed the kernel's exactness bound the scalar loop
-    runs instead.  Causal-base categories with a tolerance and at least
-    ``_FLOAT_PATH_MIN_OBJECTS`` objects are swept in float64 (their
-    finite values are float-representable by construction); other
-    categories with a tolerance use the scalar loop.
+    with the scalar composite.  One array sweep per middle object over
+    the max-plus encoding of the homs (see :func:`qcat.maxplus.law_encode`)
+    finds every triple where the law may fail; the scalar ``leq`` and
+    ``tensor`` decide each of those exactly.
     """
-    q = c.quantale
-    if q.kind is Kind.RBOT and q.tolerance > 0 and len(c) >= _FLOAT_PATH_MIN_OBJECTS:
-        return _validate_rbot_float(c)
-    if q.tolerance == 0:
-        enc = maxplus.encode(q, (c.hom, len(c)))
-        if enc is not None:
-            (a,), _ = enc
-            return _report(c, maxplus.violating_triples(a, a))
-    return _validate_exact(c)
+    (a,), (bound,) = maxplus.law_encode(c.quantale, (c.hom, len(c)))
+    return _report(c, maxplus.candidates(a, a, bound))
 
 
 def _report(c: VCategory, triples: Iterable[tuple[int, int, int]]) -> CategoryReport:
-    """The unit violations of ``c`` and the composition violations at the
-    given (i, j, k) positions, with their scalar composites."""
+    """The unit violations of ``c`` and the composition violations among
+    the given (i, j, k) positions, with their scalar composites."""
     q = c.quantale
     u = unit(q)
     hom, obj = c.hom, c.objects
     unit_v = tuple((obj[i], hom[i][i]) for i in range(len(c)) if not leq(q, u, hom[i][i]))
-    comp_v = tuple(
-        (obj[i], obj[j], obj[k], tensor(q, hom[i][j], hom[j][k]), hom[i][k])
-        for i, j, k in triples
-    )
-    return CategoryReport(unit_v, comp_v)
+    return CategoryReport(unit_v, _law_violations(q, hom, hom, hom, (obj, obj, obj), triples))
+
+
+def _law_violations(q: QuantaleDescriptor, a, b, c, labels, triples) -> tuple:
+    """The (i, j, k) among ``triples`` where a[i][j] tensor b[j][k] <= c[i][k]
+    fails, each as its three labels, the composite and c[i][k]."""
+    li, lj, lk = labels
+    out = []
+    for i, j, k in triples:
+        composite = tensor(q, a[i][j], b[j][k])
+        if not leq(q, composite, c[i][k]):
+            out.append((li[i], lj[j], lk[k], composite, c[i][k]))
+    return tuple(out)
 
 
 def _validate_exact(c: VCategory) -> CategoryReport:
     """The scalar loop over all triples, with the tolerance of ``c``."""
-    q = c.quantale
-    n = len(c)
-    hom = c.hom
-    return _report(
-        c,
-        (
-            (i, j, k)
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            if not leq(q, tensor(q, hom[i][j], hom[j][k]), hom[i][k])
-        ),
-    )
-
-
-def _rbot_float_matrix(c: VCategory) -> np.ndarray:
-    n = len(c)
-    a = np.empty((n, n), dtype=np.float64)
-    for i, row in enumerate(c.hom):
-        for j, v in enumerate(row):
-            if v.tag is Tag.BOT:
-                a[i, j] = -np.inf
-            elif v.tag is Tag.INF:
-                a[i, j] = np.inf
-            else:
-                a[i, j] = float(v.value)
-    return a.reshape(n, n, 1)
-
-
-def _validate_rbot_float(c: VCategory) -> CategoryReport:
-    a = _rbot_float_matrix(c)
-    return _report(c, maxplus.violating_triples(a, a + c.quantale.tolerance))
+    return _report(c, itertools.product(range(len(c)), repeat=3))
 
 
 def opposite(c: VCategory) -> VCategory:
@@ -466,6 +428,8 @@ def category_from_json(data: object, *, where: str = "category") -> VCategory:
     objects = data["objects"]
     if not isinstance(objects, list) or any(not isinstance(o, str) for o in objects):
         raise ValueError(f"{where}.objects: expected a list of strings")
+    for i, o in enumerate(objects):
+        _require_utf8(o, f"{where}.objects[{i}]")
     hom_rows = data["hom"]
     if not isinstance(hom_rows, list):
         raise ValueError(f"{where}.hom: expected a matrix")
@@ -484,3 +448,11 @@ def category_from_json(data: object, *, where: str = "category") -> VCategory:
         return VCategory(q, tuple(objects), tuple(hom))
     except (ValueError, CarrierMismatch) as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+def _require_utf8(label: str, where: str) -> None:
+    """Reject a label that cannot be written out, such as a lone surrogate."""
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{where}: not encodable as UTF-8") from None

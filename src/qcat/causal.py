@@ -14,7 +14,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .category import VCategory
+from .category import VCategory, _require_utf8
 from .quantale import BOT, QVal, finite, rbot
 
 MINKOWSKI_TOLERANCE = 1e-9
@@ -77,6 +77,8 @@ def dag_from_json(data: object, *, where: str = "dag") -> CausalDag:
     vertices = data["vertices"]
     if not isinstance(vertices, list) or any(not isinstance(v, str) for v in vertices):
         raise ValueError(f"{where}.vertices: expected a list of strings")
+    for i, v in enumerate(vertices):
+        _require_utf8(v, f"{where}.vertices[{i}]")
     edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError(f"{where}.edges: expected a list of pairs")

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .category import (
+    _require_utf8,
     category_from_json,
     category_to_json,
     classify_endohoms,
@@ -232,6 +233,7 @@ def _cmd_restrict(args) -> CommandResult:
 def _cmd_adjoin(args) -> CommandResult:
     m = module_from_json(_read_json(args.first), where=args.first)
     n = module_from_json(_read_json(args.second), where=args.second)
+    _require_utf8(args.label, "--label")
     cat = adjoin_point(m, n, label=args.label)
     _write(args.output, _dump(category_to_json(cat)))
     payload = {"status": OK, "output": args.output, "objects": list(cat.objects)}

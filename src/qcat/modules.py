@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 from . import maxplus
 from .category import (
     VCategory,
+    _law_violations,
     category_from_json,
     category_to_json,
     unit_category,
@@ -101,30 +102,23 @@ class ModuleReport:
 
 
 def validate_module(m: VModule) -> ModuleReport:
-    """List every left/right action violation; empty lists mean valid."""
+    """List every left/right action violation, in (Y, X, A) and (X, A, B)
+    order; empty lists mean valid.  Both are swept as composition laws
+    on one encoding of E, D and M, as in ``validate_category``."""
     q = m.quantale
     e, d = m.target, m.source
-    left = []
-    for y in range(len(e)):
-        for x in range(len(e)):
-            exy = e.hom[y][x]
-            for a in range(len(d)):
-                composite = tensor(q, exy, m.mat[x][a])
-                if not leq(q, composite, m.mat[y][a]):
-                    left.append(
-                        (e.objects[y], e.objects[x], d.objects[a], composite, m.mat[y][a])
-                    )
-    right = []
-    for x in range(len(e)):
-        for a in range(len(d)):
-            mxa = m.mat[x][a]
-            for b in range(len(d)):
-                composite = tensor(q, mxa, d.hom[a][b])
-                if not leq(q, composite, m.mat[x][b]):
-                    right.append(
-                        (e.objects[x], d.objects[a], d.objects[b], composite, m.mat[x][b])
-                    )
-    return ModuleReport(tuple(left), tuple(right))
+    (ea, da, ma), (_, _, bound) = maxplus.law_encode(
+        q, (e.hom, len(e)), (d.hom, len(d)), (m.mat, len(d))
+    )
+    left = _law_violations(
+        q, e.hom, m.mat, m.mat, (e.objects, e.objects, d.objects),
+        maxplus.candidates(ea, ma, bound),
+    )
+    right = _law_violations(
+        q, m.mat, d.hom, m.mat, (e.objects, d.objects, d.objects),
+        maxplus.candidates(ma, da, bound),
+    )
+    return ModuleReport(left, right)
 
 
 def identity_module(c: VCategory) -> VModule:

@@ -36,7 +36,8 @@ loosens comparisons, never the arithmetic itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -154,7 +155,9 @@ class QuantaleDescriptor:
 
     ``tolerance`` is 0 for exact carriers; generators producing
     floating-point values opt into a positive tolerance, which loosens
-    ``leq`` between finite values by that amount.
+    ``leq`` between finite values by that amount.  A product passes its
+    tolerance down: each factor compares with the largest tolerance on
+    its path from the root, so a leaf carries the tolerance it uses.
     """
 
     kind: Kind
@@ -169,6 +172,9 @@ class QuantaleDescriptor:
         if self.kind is Kind.PRODUCT:
             if not self.factors:
                 raise ValueError("product quantale needs at least one factor")
+            tol = self.tolerance
+            factors = (f if f.tolerance >= tol else replace(f, tolerance=tol) for f in self.factors)
+            object.__setattr__(self, "factors", tuple(factors))
         elif self.factors:
             raise ValueError(f"{self.kind.value} takes no factors")
 
@@ -632,10 +638,28 @@ def parse_value(raw: str | int | float | bool) -> QVal:
         if any(not p.strip() for p in parts):
             raise ValueError(f"empty tuple component in {raw!r}")
         return tuple_val(parse_value(p) for p in parts)
+    # a decimal point or exponent can give the fraction more digits than
+    # the literal has: hold them to the limit that printing obeys, and
+    # reject an exponent beyond it (with a nonzero mantissa of n
+    # characters, |exponent| > limit + n means too many digits) before
+    # Fraction builds 10**exponent
+    decimal = "." in text or "e" in low
+    if decimal:
+        # (CPython's default limit where none is set, or none is available)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        too_long = ValueError(f"value has more than {limit} digits in its numerator or denominator")
+        mantissa, _, exponent = low.partition("e")
+        exponent = exponent.lstrip("+-")
+        if exponent.isdecimal() and (len(exponent) > 20 or int(exponent) > limit + len(mantissa)):
+            raise too_long
     try:
         frac = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {raw!r} as a value") from exc
+    if decimal:
+        big = max(abs(frac.numerator), frac.denominator)  # 2**(3*limit) < 10**limit
+        if big.bit_length() > 3 * limit and big >= 10**limit:
+            raise too_long
     if frac < 0:
         raise ValueError(f"negative value {raw!r} is not in any carrier")
     return QVal(Tag.FINITE, frac)

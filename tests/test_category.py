@@ -32,7 +32,7 @@ from qcat import (
     unit_category,
     validate_category,
 )
-from qcat.category import _validate_exact, _validate_rbot_float
+from qcat.category import _validate_exact
 
 from randgen import random_rbot_category
 
@@ -72,12 +72,12 @@ class TestValidate:
 
     def test_float_path_matches_exact_path(self):
         cat, _ = minkowski_sample(40, 11)
-        assert _validate_exact(cat) == _validate_rbot_float(cat)
+        assert _validate_exact(cat) == validate_category(cat)
         rows = [list(r) for r in cat.hom]
         rows[3][7] = INF
         rows[5][5] = BOT
         broken = VCategory(cat.quantale, cat.objects, tuple(tuple(r) for r in rows))
-        assert _validate_exact(broken) == _validate_rbot_float(broken)
+        assert _validate_exact(broken) == validate_category(broken)
         assert not validate_category(broken).ok
 
 

@@ -16,7 +16,8 @@ from qcat import (
     representable,
     validate_category,
 )
-from qcat.cli import run, _dump
+from qcat.category import _validate_exact
+from qcat.cli import run, _dump, _write
 
 CHAIN = VCategory(RBOT, ("a", "b"), ((finite(0), finite(3)), (BOT, finite(0))))
 
@@ -377,3 +378,89 @@ class TestDeterminism:
         )
         result = run(["validate", str(path)])
         assert result.exit_code == 0
+
+
+def _two_clusters(big: str) -> dict:
+    """16 events in two clusters at proper time 0 within each, the first
+    cluster seeing the second after ``big``; tolerance 1e-9."""
+    hom = [["0" if (i < 8) == (j < 8) else (big if i < 8 else "bot") for j in range(16)]
+           for i in range(16)]
+    return {"quantale": "rbot", "tolerance": 1e-9, "objects": [f"e{i}" for i in range(16)],
+            "hom": hom}
+
+
+class TestOutOfRangeValues:
+    """A hom value of 1e400 is past float64's range: validation stays exact."""
+
+    def test_validate_and_complete(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(_two_clusters("1e400")))
+        result = run(["validate", str(path)])
+        assert result.exit_code == 0 and result.payload["report"]["ok"]
+        result = run(["complete", str(path)])
+        assert result.exit_code == 0 and result.payload["complete"] is True
+        assert result.payload["cauchy_count"] == 2
+
+    def test_violation_beyond_float_range(self, tmp_path):
+        data = _two_clusters("1e400")
+        data["hom"][0][9] = "1e399"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        result = run(["validate", str(path)])
+        assert result.exit_code == 1
+        expected = _validate_exact(category_from_json(data)).to_json()
+        assert result.payload["report"] == expected
+        assert len(expected["composition_violations"]) == 14
+        result = run(["complete", str(path)])
+        assert result.exit_code == 2 and "valid category" in result.payload["error"]
+
+    @pytest.mark.parametrize("literal", ["1e10000000", "1e5000", "1e4300", "1" * 3000 + "." + "1" * 2000])
+    def test_value_too_long_to_print_is_two(self, tmp_path, literal):
+        data = _two_clusters("1e400")
+        data["hom"][0][9] = literal
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        result = run(["validate", str(path)])
+        assert result.exit_code == 2
+        assert "long.json.hom[0][9]:" in result.payload["error"]
+        assert "digits" in result.payload["error"]
+
+
+class TestUnencodableLabels:
+    """Labels that UTF-8 cannot encode (JSON admits a lone surrogate) are
+    input errors naming the field, not a traceback when printed."""
+
+    def check(self, result, fragment):
+        assert result.exit_code == 2
+        assert fragment in result.payload["error"]
+        _dump(result.payload).encode("utf-8")
+
+    def test_category_object(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"quantale": "rbot", "objects": ["a", "\\ud800"], '
+                        '"hom": [["0", "bot"], ["bot", "0"]]}')
+        for cmd in ("validate", "underlying", "complete"):
+            self.check(run([cmd, str(path)]), "c.json.objects[1]: not encodable as UTF-8")
+
+    def test_dag_vertex(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"vertices": ["a", "\\udfff"], "edges": [["a", "\\udfff"]]}')
+        out = tmp_path / "out.json"
+        self.check(run(["from-dag", str(path), "-o", str(out)]), "d.json.vertices[1]:")
+        assert not out.exists()
+
+    def test_adjoin_label(self, tmp_path, rep_module_file):
+        n_path = tmp_path / "corep.json"
+        n_path.write_text(_dump(module_to_json(corepresentable(CHAIN, "b"))))
+        out = tmp_path / "ext.json"
+        result = run(["adjoin", rep_module_file, str(n_path), "--label", "\ud800", "-o", str(out)])
+        self.check(result, "--label: not encodable as UTF-8")
+        assert not out.exists()
+
+    def test_unencodable_write_keeps_existing_file(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("previous\n")
+        with pytest.raises(ValueError):
+            _write(str(out), "\ud800")
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

@@ -347,6 +347,21 @@ class TestTextSyntax:
         for v in RBOT_GRID + BOOL2_GRID + (finite(Fraction(7, 3)),):
             assert parse_value(format_value(v)) == v
 
+    @pytest.mark.parametrize(
+        "text", ["1e10000000", "1e5000", "1e4300", "1e-4300", "0e99999", "1" * 3000 + "." + "1" * 2000]
+    )
+    def test_values_too_long_to_print_are_rejected(self, text):
+        # without the check, "1e10000000" takes seconds to build and "1e5000"
+        # fails only when printed; the limit is the one str(int) obeys
+        with pytest.raises(ValueError, match="digits"):
+            parse_value(text)
+
+    @pytest.mark.parametrize("text", ["1e4299", "1e-4299", "5e-4300", "2.5e-3", "12.5E+2"])
+    def test_long_values_within_the_limit_print(self, text):
+        v = parse_value(text)
+        assert v == finite(Fraction(text))
+        assert parse_value(format_value(v)) == v
+
     def test_canonical_output(self):
         assert format_value(BOT) == "bot"
         assert format_value(INF) == "inf"
@@ -368,6 +383,36 @@ class TestDescriptors:
         assert parse_quantale_name("bool,bool") == BOOL2
         with pytest.raises(ValueError):
             parse_quantale_name("frobenius")
+
+    def test_product_tolerance_reaches_its_factors(self):
+        # each leaf compares with the largest tolerance on its path
+        q = product(RBOT, RBOT, tolerance=0.5)
+        assert leq(q, tuple_val([finite(1), finite(0)]), tuple_val([finite("4/5"), finite(0)]))
+        assert leq(rbot(0.5), finite(1), finite("4/5"))
+        assert q.factors == (rbot(0.5), rbot(0.5))
+        nested = product(rbot(0.7), product(LAWVERE, BOOL, tolerance=0.1), tolerance=0.5)
+        assert nested.factors[0].tolerance == 0.7
+        assert [f.tolerance for f in nested.factors[1].factors] == [0.5, 0.5]
+
+    def test_tolerant_product_category_json_round_trip(self):
+        import json
+
+        from qcat import VCategory, category_from_json, category_to_json, validate_category
+
+        q = product(RBOT, LAWVERE, tolerance=0.5)
+        def pair(d):
+            return tuple_val([finite(0), d])
+
+        zero, far = pair(finite(0)), pair(INF)
+        hom = ((zero, pair(finite(1)), pair(finite(3))),
+               (far, zero, pair(finite("7/4"))),
+               (far, far, zero))
+        c = VCategory(q, ("a", "b", "c"), hom)
+        back = category_from_json(json.loads(json.dumps(category_to_json(c))))
+        assert back == c and back.quantale.factors == (rbot(0.5), QuantaleDescriptor(LAWVERE.kind, 0.5))
+        # d(a, c) = 3 is within 1/2 of d(a, b) + d(b, c) = 11/4, not within 0
+        assert validate_category(back).ok and validate_category(c).ok
+        assert not validate_category(VCategory(product(RBOT, LAWVERE), c.objects, hom)).ok
 
     def test_invalid_descriptors(self):
         with pytest.raises(ValueError):
