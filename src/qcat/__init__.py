@@ -7,6 +7,8 @@ completeness checking, collage constructions, and causal-set and
 flat-spacetime generators.
 """
 
+from types import ModuleType as _ModuleType
+
 from .category import (
     CategoryReport,
     EndohomReport,
@@ -17,7 +19,6 @@ from .category import (
     classify_endohoms,
     functor_check,
     functor_hom,
-    idempotent_split_check,
     nat_trans_exists,
     opposite,
     preorder_dot,
@@ -35,7 +36,6 @@ from .causal import (
     dag_from_json,
     dag_from_text,
     interval_2d,
-    longest_path_oracle,
     minkowski_sample,
     mixed_signature_check,
     toposort,
@@ -111,5 +111,5 @@ from .quantale import (
     unit,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)]
 __version__ = "0.1.0"

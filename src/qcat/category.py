@@ -271,28 +271,6 @@ def preorder_dot(objects: Sequence[str], edges: Iterable[tuple[str, str]]) -> st
     return "\n".join(lines) + "\n"
 
 
-def idempotent_split_check(edges: Iterable[tuple[str, str]]) -> bool:
-    """Idempotents in a preorder always split (the only endo-arrow on an
-    object is its identity), so this returns True for every preorder.
-
-    The input must actually be one; a non-reflexive or non-transitive
-    edge set is rejected.
-    """
-    es = set(tuple(e) for e in edges)
-    verts = {v for e in es for v in e}
-    for v in verts:
-        if (v, v) not in es:
-            raise ValueError(f"edge set is not reflexive at {v!r}")
-    succ: dict[str, set[str]] = {v: set() for v in verts}
-    for a, b in es:
-        succ[a].add(b)
-    for a, b in es:
-        for cdest in succ[b]:
-            if (a, cdest) not in es:
-                raise ValueError(f"edge set is not transitive: {a!r} -> {b!r} -> {cdest!r}")
-    return True
-
-
 REGULAR = "regular"
 IRREGULAR = "irregular"
 
@@ -399,15 +377,36 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
 
 
 def category_to_json(c: VCategory) -> dict:
+    return _category_to_json(c, {})
+
+
+def _category_to_json(c: VCategory, memo: dict[int, str]) -> dict:
     return {
         "quantale": descriptor_to_json(c.quantale),
         "tolerance": c.quantale.tolerance,
         "objects": list(c.objects),
-        "hom": [[format_value(v) for v in row] for row in c.hom],
+        "hom": _format_rows(c.hom, memo),
     }
 
 
+def _format_rows(rows: Sequence[Sequence[QVal]], memo: dict[int, str]) -> list[list[str]]:
+    """The text of each entry, formatting each distinct value object once.
+
+    ``memo`` is keyed by ``id(v)``, not by value (hashing a value hashes
+    its ``Fraction``), so it must not outlive the values it has seen.
+    """
+    for row in rows:
+        for v in row:
+            if id(v) not in memo:
+                memo[id(v)] = format_value(v)
+    return [[memo[id(v)] for v in row] for row in rows]
+
+
 def category_from_json(data: object, *, where: str = "category") -> VCategory:
+    return _category_from_json(data, where, {})
+
+
+def _category_from_json(data: object, where: str, memo: dict[str, QVal]) -> VCategory:
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object")
     for field in ("quantale", "objects", "hom"):
@@ -430,24 +429,42 @@ def category_from_json(data: object, *, where: str = "category") -> VCategory:
         raise ValueError(f"{where}.objects: expected a list of strings")
     for i, o in enumerate(objects):
         _require_utf8(o, f"{where}.objects[{i}]")
-    hom_rows = data["hom"]
-    if not isinstance(hom_rows, list):
-        raise ValueError(f"{where}.hom: expected a matrix")
-    hom: list[tuple[QVal, ...]] = []
-    for i, row in enumerate(hom_rows):
-        if not isinstance(row, list):
-            raise ValueError(f"{where}.hom[{i}]: expected a row")
-        vals = []
-        for j, raw in enumerate(row):
-            try:
-                vals.append(parse_value(raw))
-            except ValueError as exc:
-                raise ValueError(f"{where}.hom[{i}][{j}]: {exc}") from None
-        hom.append(tuple(vals))
+    hom = _parse_rows(data["hom"], f"{where}.hom", memo)
     try:
-        return VCategory(q, tuple(objects), tuple(hom))
+        return VCategory(q, tuple(objects), hom)
     except (ValueError, CarrierMismatch) as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+def _parse_rows(rows: object, where: str, memo: dict[str, QVal]) -> tuple[tuple[QVal, ...], ...]:
+    """Parse a JSON matrix of values; a bad entry raises naming ``where[i][j]``.
+
+    ``memo`` maps each string parsed so far in the file to its value, so
+    a string that repeats is parsed once.  Only strings are keys, because
+    JSON ``true``, ``1`` and ``1.0`` are equal keys that parse to
+    different values, and only successful parses are kept, so the first
+    bad entry in row-major order raises with its own position.
+    """
+    if not isinstance(rows, list):
+        raise ValueError(f"{where}: expected a matrix")
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"{where}[{i}]: expected a row")
+        vals = []
+        for j, raw in enumerate(row):
+            key = raw if isinstance(raw, str) else None
+            v = memo.get(key)
+            if v is None:
+                try:
+                    v = parse_value(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
+                if key is not None:
+                    memo[key] = v
+            vals.append(v)
+        out.append(tuple(vals))
+    return tuple(out)
 
 
 def _require_utf8(label: str, where: str) -> None:

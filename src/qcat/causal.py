@@ -175,60 +175,15 @@ def causal_space_from_dag(dag: CausalDag) -> VCategory:
                 if dist.get(w, -1) < dv + 1:
                     dist[w] = dv + 1
         longest[src] = dist
+    # one value per path length, shared by every entry that has it;
+    # dist[src] is 0, the diagonal
+    k_max = max((d for dist in longest.values() for d in dist.values()), default=0)
+    length = [finite(k) for k in range(k_max + 1)]
     rows = []
     for a in dag.vertices:
-        row: list[QVal] = []
         dist = longest[a]
-        for b in dag.vertices:
-            if a == b:
-                row.append(finite(0))
-            elif b in dist:
-                row.append(finite(dist[b]))
-            else:
-                row.append(BOT)
-        rows.append(tuple(row))
+        rows.append(tuple(length[dist[b]] if b in dist else BOT for b in dag.vertices))
     return VCategory(rbot(), dag.vertices, tuple(rows))
-
-
-def longest_path_oracle(
-    dag: CausalDag, a: str, b: str, max_paths: int = 200_000
-) -> int | None:
-    """Exhaustive path enumeration, for checking the dynamic program.
-
-    Returns the maximal edge count over all directed paths a -> b, 0
-    when a == b, and None when b is unreachable.  Raises when more than
-    ``max_paths`` paths would be walked.
-    """
-    for v in (a, b):
-        if v not in dag.vertices:
-            raise ValueError(f"unknown vertex {v!r}")
-    if a == b:
-        return 0
-    succ: dict[str, list[str]] = {v: [] for v in dag.vertices}
-    for x, y in dag.edges:
-        succ[x].append(y)
-    best: int | None = None
-    walked = 0
-    on_path: set[str] = {a}
-
-    def dfs(v: str, length: int) -> None:
-        nonlocal best, walked
-        if v == b:
-            walked += 1
-            if walked > max_paths:
-                raise ValueError(f"path enumeration exceeded {max_paths} paths")
-            if best is None or length > best:
-                best = length
-            return
-        for w in succ[v]:
-            if w in on_path:
-                raise CycleError((w, v, w))
-            on_path.add(w)
-            dfs(w, length + 1)
-            on_path.discard(w)
-
-    dfs(a, 0)
-    return best
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,11 @@ from typing import Iterable, Iterator
 from . import maxplus
 from .category import (
     VCategory,
+    _category_from_json,
+    _category_to_json,
+    _format_rows,
     _law_violations,
-    category_from_json,
-    category_to_json,
+    _parse_rows,
     unit_category,
     validate_category,
 )
@@ -39,7 +41,6 @@ from .quantale import (
     join,
     leq,
     meet,
-    parse_value,
     qval_sort_key,
     residual,
     tensor,
@@ -474,15 +475,16 @@ def cauchy_completeness_report(
 
 
 def module_to_json(m: VModule) -> dict:
+    memo: dict[int, str] = {}
     src: object
     if m.source == unit_category(m.quantale):
         src = "I"
     else:
-        src = category_to_json(m.source)
+        src = _category_to_json(m.source, memo)
     return {
         "source": src,
-        "target": category_to_json(m.target),
-        "mat": [[format_value(v) for v in row] for row in m.mat],
+        "target": _category_to_json(m.target, memo),
+        "mat": _format_rows(m.mat, memo),
     }
 
 
@@ -492,27 +494,16 @@ def module_from_json(data: object, *, where: str = "module") -> VModule:
     for field in ("source", "target", "mat"):
         if field not in data:
             raise ValueError(f"{where}: missing field {field!r}")
-    target = category_from_json(data["target"], where=f"{where}.target")
+    memo: dict[str, QVal] = {}
+    target = _category_from_json(data["target"], f"{where}.target", memo)
     raw_src = data["source"]
     if raw_src == "I":
         source = unit_category(target.quantale)
     else:
-        source = category_from_json(raw_src, where=f"{where}.source")
-    raw_mat = data["mat"]
-    if not isinstance(raw_mat, list):
-        raise ValueError(f"{where}.mat: expected a matrix")
-    mat: list[tuple[QVal, ...]] = []
-    for i, row in enumerate(raw_mat):
-        if not isinstance(row, list):
-            raise ValueError(f"{where}.mat[{i}]: expected a row")
-        vals = []
-        for j, raw in enumerate(row):
-            try:
-                vals.append(parse_value(raw))
-            except ValueError as exc:
-                raise ValueError(f"{where}.mat[{i}][{j}]: {exc}") from None
-        mat.append(tuple(vals))
+        source = _category_from_json(raw_src, f"{where}.source", memo)
+    mat = _parse_rows(data["mat"], f"{where}.mat", memo)
     try:
-        return VModule(source, target, tuple(mat))
+        return VModule(source, target, mat)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+

@@ -235,14 +235,21 @@ def check_matrix(
     :class:`CarrierMismatch` at the first entry outside ``q``'s carrier.
 
     On a plain base a row whose set of tags the carrier admits needs no
-    per-entry check; only a failing row, or a product base, runs
-    :func:`carrier_check` on each entry, so the first error is the same.
+    per-entry check; only a failing row runs :func:`carrier_check` on
+    each entry.  A product base checks each distinct value object once,
+    keyed by ``id``.  Either way the first error is the same.
     """
     tags = _CARRIER_TAGS.get(q.kind)
+    checked: set[int] = set()
     for i, row in enumerate(rows):
         if len(row) != ncols:
             raise ValueError(row_error(i, len(row)))
-        if tags is None or not tags.issuperset({v.tag for v in row}):
+        if tags is None:
+            for v in row:
+                if id(v) not in checked:
+                    carrier_check(q, v)
+                    checked.add(id(v))
+        elif not tags.issuperset({v.tag for v in row}):
             for v in row:
                 carrier_check(q, v)
 

@@ -46,6 +46,7 @@ from qcat import (
     validate_module,
 )
 
+from oracles import longest_path_oracle
 from randgen import (
     random_black_hole_module,
     random_dag,
@@ -54,7 +55,7 @@ from randgen import (
     random_rbot_module,
     reflexive_transitive_closure,
 )
-from qcat import causal_space_from_dag, longest_path_oracle
+from qcat import causal_space_from_dag
 
 
 def _report(n: int, name: str) -> None:

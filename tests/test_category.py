@@ -19,7 +19,6 @@ from qcat import (
     finite,
     functor_check,
     functor_hom,
-    idempotent_split_check,
     interval_2d,
     leq,
     minkowski_sample,
@@ -34,6 +33,7 @@ from qcat import (
 )
 from qcat.category import _validate_exact
 
+from oracles import idempotent_split_check
 from randgen import random_rbot_category
 
 CHAIN = VCategory(RBOT, ("a", "b"), ((finite(0), finite(3)), (BOT, finite(0))))

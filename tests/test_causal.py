@@ -15,7 +15,6 @@ from qcat import (
     eq,
     finite,
     interval_2d,
-    longest_path_oracle,
     minkowski_sample,
     mixed_signature_check,
     toposort,
@@ -25,6 +24,7 @@ from qcat import (
 
 from qcat.cli import run
 
+from oracles import longest_path_oracle
 from randgen import random_dag, reflexive_transitive_closure
 
 

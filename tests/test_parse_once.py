@@ -1,0 +1,357 @@
+"""Differential tests of the file layer, which parses each distinct string
+of a file once, checks each distinct product value once and formats each
+distinct value object once, against verbatim copies of the per-entry
+loops it replaced.
+
+The matrices mix repeated strings, whitespace and case variants of one
+value, the JSON literals ``1``, ``1.0`` and ``true`` (equal as Python
+keys, different values) with the strings ``"1"`` and ``"true"``, and
+bad entries at varied positions, so the first error must come from the
+same entry with the same message.
+"""
+
+import copy
+import json
+import random
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcat import (
+    CarrierMismatch,
+    Collage,
+    VCategory,
+    VModule,
+    category_from_json,
+    category_to_json,
+    causal_space_from_dag,
+    collage_from_json,
+    descriptor_from_json,
+    descriptor_to_json,
+    format_value,
+    module_from_json,
+    module_to_json,
+    parse_value,
+    unit_category,
+)
+from qcat.category import _require_utf8
+from qcat.collage import LEFT, RIGHT
+
+from randgen import random_dag
+
+
+# ---- the per-entry loops before the file layer memoised them, verbatim
+
+
+def ref_category_from_json(data: object, *, where: str = "category") -> VCategory:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object")
+    for field in ("quantale", "objects", "hom"):
+        if field not in data:
+            raise ValueError(f"{where}: missing field {field!r}")
+    tolerance = data.get("tolerance", 0.0)
+    # NaN fails the comparison; an int too large for a float is rejected too
+    if (
+        not isinstance(tolerance, (int, float))
+        or isinstance(tolerance, bool)
+        or not abs(tolerance) <= sys.float_info.max
+    ):
+        raise ValueError(f"{where}.tolerance: expected a finite number")
+    try:
+        q = descriptor_from_json(data["quantale"], float(tolerance))
+    except ValueError as exc:
+        raise ValueError(f"{where}.quantale: {exc}") from None
+    objects = data["objects"]
+    if not isinstance(objects, list) or any(not isinstance(o, str) for o in objects):
+        raise ValueError(f"{where}.objects: expected a list of strings")
+    for i, o in enumerate(objects):
+        _require_utf8(o, f"{where}.objects[{i}]")
+    hom_rows = data["hom"]
+    if not isinstance(hom_rows, list):
+        raise ValueError(f"{where}.hom: expected a matrix")
+    hom: list[tuple] = []
+    for i, row in enumerate(hom_rows):
+        if not isinstance(row, list):
+            raise ValueError(f"{where}.hom[{i}]: expected a row")
+        vals = []
+        for j, raw in enumerate(row):
+            try:
+                vals.append(parse_value(raw))
+            except ValueError as exc:
+                raise ValueError(f"{where}.hom[{i}][{j}]: {exc}") from None
+        hom.append(tuple(vals))
+    try:
+        return VCategory(q, tuple(objects), tuple(hom))
+    except (ValueError, CarrierMismatch) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def ref_module_from_json(data: object, *, where: str = "module") -> VModule:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object")
+    for field in ("source", "target", "mat"):
+        if field not in data:
+            raise ValueError(f"{where}: missing field {field!r}")
+    target = ref_category_from_json(data["target"], where=f"{where}.target")
+    raw_src = data["source"]
+    if raw_src == "I":
+        source = unit_category(target.quantale)
+    else:
+        source = ref_category_from_json(raw_src, where=f"{where}.source")
+    raw_mat = data["mat"]
+    if not isinstance(raw_mat, list):
+        raise ValueError(f"{where}.mat: expected a matrix")
+    mat: list[tuple] = []
+    for i, row in enumerate(raw_mat):
+        if not isinstance(row, list):
+            raise ValueError(f"{where}.mat[{i}]: expected a row")
+        vals = []
+        for j, raw in enumerate(row):
+            try:
+                vals.append(parse_value(raw))
+            except ValueError as exc:
+                raise ValueError(f"{where}.mat[{i}][{j}]: {exc}") from None
+        mat.append(tuple(vals))
+    try:
+        return VModule(source, target, tuple(mat))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def ref_collage_from_json(data: object, *, where: str = "collage") -> Collage:
+    cat = ref_category_from_json(data, where=where)
+    if "partition" not in data:
+        raise ValueError(f"{where}: missing field 'partition'")
+    partition = data["partition"]
+    if not isinstance(partition, list) or any(p not in (LEFT, RIGHT) for p in partition):
+        raise ValueError(f"{where}.partition: expected a list of 'left'/'right'")
+    try:
+        return Collage(cat, tuple(partition), None)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def ref_category_to_json(c: VCategory) -> dict:
+    return {
+        "quantale": descriptor_to_json(c.quantale),
+        "tolerance": c.quantale.tolerance,
+        "objects": list(c.objects),
+        "hom": [[format_value(v) for v in row] for row in c.hom],
+    }
+
+
+def ref_module_to_json(m: VModule) -> dict:
+    src: object
+    if m.source == unit_category(m.quantale):
+        src = "I"
+    else:
+        src = ref_category_to_json(m.source)
+    return {
+        "source": src,
+        "target": ref_category_to_json(m.target),
+        "mat": [[format_value(v) for v in row] for row in m.mat],
+    }
+
+
+# ---- inputs
+
+QUANTALES = ("rbot", "lawvere", "bool", ["rbot", "bool"], ["lawvere", ["bool", "rbot"]])
+GOOD = {
+    "rbot": ("bot", " BOT", "⊥", "inf", "∞", "0", "1", " 1 ", "1.0", "2.5", "1/3", 1, 1.0, 0, -0.0),
+    "lawvere": ("inf", "INF", "0", "1", "1.0", "0.5", 1, 1.0, 0),
+    "bool": ("true", "TRUE", " true", "false", "False", True, False),
+    "rbot,bool": ("(1,true)", "(bot, false)", "( ⊥ ,TRUE)", "(inf,true)", "(0,false)"),
+    "lawvere,bool,rbot": ("(1,(true,bot))", "(inf,(false, 2))", "(0,(TRUE,0))"),
+}
+ANY = (
+    "x", "-1", -1, None, [1], {"a": 1}, "1e99999999", "(1,)", "()", "1/0", float("inf"),
+    True, 1, 1.0, "1", "true", "bot", "(true,1)", "(1,2,3)", "(1,(true,bot))", "(1,true)",
+)
+LABELS = ("a", "b", "c", "d")
+
+
+def _key(quantale) -> str:
+    return quantale if isinstance(quantale, str) else ",".join(map(_key, quantale))
+
+
+@st.composite
+def matrices(draw, quantale, rows: int, cols: int):
+    good = st.sampled_from(GOOD[_key(quantale)])
+    # now and then an entry is drawn from every kind of raw value
+    entry = st.integers(0, 14).flatmap(lambda r: st.sampled_from(ANY) if r == 0 else good)
+    out = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    shape = draw(st.integers(0, 19))
+    if shape == 0 and out:
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.sampled_from(("x", 1, {"a": 1})))
+    elif shape == 1 and out:
+        out[draw(st.integers(0, len(out) - 1))].append(draw(good))
+    elif shape == 2:
+        return draw(st.sampled_from(("hom", 1, None)))
+    return out
+
+
+@st.composite
+def category_files(draw, quantale=None):
+    if quantale is None:
+        quantale = draw(st.sampled_from(QUANTALES))
+    n = draw(st.integers(0, 4))
+    data = {
+        "quantale": quantale,
+        "objects": list(LABELS[:n]),
+        "hom": draw(matrices(quantale, n, n)),
+    }
+    tolerance = draw(st.sampled_from((None, 0, 0.0, -0.0, 0.5, 1, True, "0")))
+    if tolerance is not None:
+        data["tolerance"] = tolerance
+    if n > 1 and draw(st.integers(0, 19)) == 0:
+        data["objects"][1] = data["objects"][0]
+    return data
+
+
+def _twin(draw, data: dict) -> dict:
+    """A copy of a category file, or one whose fields equal it under ==
+    but read differently: true for 1, 1.0 for 1, -0.0 for 0."""
+    twin = copy.deepcopy(data)
+    how = draw(st.integers(0, 3))
+    swaps = ((True, 1), (1, True), (1.0, 1), (0, False), (False, 0.0), (0.0, -0.0))
+    if how == 1 and isinstance(twin["hom"], list):
+        for row in twin["hom"]:
+            if isinstance(row, list):
+                for j, raw in enumerate(row):
+                    for old, new in swaps:
+                        if type(raw) is type(old) and raw == old:
+                            row[j] = new
+                            return twin
+    if how == 2:
+        twin["tolerance"] = -0.0 if twin.get("tolerance", 0) == 0 else True
+    if how == 3:
+        twin.pop("tolerance", None)
+    return twin
+
+
+@st.composite
+def module_files(draw):
+    quantale = draw(st.sampled_from(QUANTALES))
+    target = draw(category_files(quantale))
+    n = len(target["objects"])
+    kind = draw(st.sampled_from(("I", "twin", "other")))
+    if kind == "I":
+        source, m = "I", 1
+    elif kind == "twin":
+        source, m = _twin(draw, target), n
+    else:
+        source = draw(category_files(draw(st.sampled_from((quantale, quantale, "bool")))))
+        m = len(source["objects"])
+    return {"source": source, "target": target, "mat": draw(matrices(quantale, n, m))}
+
+
+@st.composite
+def collage_files(draw):
+    data = draw(category_files())
+    n = len(data["objects"])
+    data["partition"] = draw(
+        st.lists(st.sampled_from((LEFT, RIGHT, "up")), min_size=n, max_size=n)
+    )
+    return data
+
+
+def outcome(parse, data):
+    try:
+        return "ok", parse(data)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+
+
+def same_text(a: dict, b: dict) -> bool:
+    return json.dumps(a) == json.dumps(b)
+
+
+# ---- tests
+
+
+@settings(max_examples=400, deadline=None)
+@given(category_files())
+def test_category_from_json_matches_per_entry_loop(data):
+    got = outcome(category_from_json, data)
+    assert got == outcome(ref_category_from_json, data)
+    if got[0] == "ok":
+        c = got[1]
+        assert same_text(category_to_json(c), ref_category_to_json(c))
+        assert same_text(category_to_json(c), ref_category_to_json(ref_category_from_json(data)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(module_files())
+def test_module_from_json_matches_per_entry_loop(data):
+    got = outcome(module_from_json, data)
+    assert got == outcome(ref_module_from_json, data)
+    if got[0] == "ok":
+        m = got[1]
+        assert same_text(module_to_json(m), ref_module_to_json(m))
+        assert same_text(module_to_json(m), ref_module_to_json(ref_module_from_json(data)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(collage_files())
+def test_collage_from_json_matches_per_entry_loop(data):
+    got = outcome(collage_from_json, data)
+    assert got == outcome(ref_collage_from_json, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(category_files())
+def test_module_endpoints_share_one_memo(data):
+    module = {"source": copy.deepcopy(data), "target": data, "mat": data.get("hom")}
+    try:
+        m = module_from_json(module)
+    except ValueError:
+        return
+    assert m.source == m.target
+    for raw_row, src_row, tgt_row in zip(data["hom"], m.source.hom, m.target.hom):
+        for raw, s, t in zip(raw_row, src_row, tgt_row):
+            if isinstance(raw, str):
+                assert s is t
+
+
+def test_twins_equal_under_eq_are_read_apart():
+    target = {"quantale": "rbot", "objects": ["a"], "hom": [[1]], "tolerance": 0}
+    for source, expect in (
+        ({**target, "hom": [[True]]}, "module.source: "),  # true is not in rbot's carrier
+        ({**target, "tolerance": False}, "module.source.tolerance"),
+    ):
+        assert source == target
+        module = {"source": source, "target": target, "mat": [["1"]]}
+        assert outcome(module_from_json, module) == outcome(ref_module_from_json, module)
+        assert outcome(module_from_json, module)[2].startswith(expect)
+    # 2^60 as a JSON float prints as 1.152921504606847e+18 and parses as that decimal
+    big = {"quantale": "lawvere", "objects": ["a"], "hom": [[float(2**60)]]}
+    exact = {**big, "hom": [[2**60]]}
+    assert big == exact
+    m = module_from_json({"source": exact, "target": big, "mat": [[0]]})
+    assert m.source != m.target
+    assert m == ref_module_from_json({"source": exact, "target": big, "mat": [[0]]})
+    # an int longer than repr may print is still read
+    huge = {"quantale": "rbot", "objects": ["a"], "hom": [[10**5000]]}
+    module = {"source": huge, "target": copy.deepcopy(huge), "mat": [["0"]]}
+    assert module_from_json(module) == ref_module_from_json(module)
+    # -0.0 prints as -0.0
+    zero = {"quantale": "rbot", "objects": ["a"], "hom": [["0"]], "tolerance": 0}
+    negzero = {**zero, "tolerance": -0.0}
+    module = {"source": negzero, "target": zero, "mat": [["0"]]}
+    assert same_text(
+        module_to_json(module_from_json(module)), ref_module_to_json(ref_module_from_json(module))
+    )
+
+
+def test_from_dag_values_match_fresh_ones():
+    rng = random.Random(5)
+    for _ in range(20):
+        dag = random_dag(rng)
+        c = causal_space_from_dag(dag)
+        assert same_text(category_to_json(c), ref_category_to_json(c))
+        # one value object per path length
+        by_text = {}
+        for row in c.hom:
+            for v in row:
+                assert by_text.setdefault(format_value(v), v) is v
