@@ -256,17 +256,14 @@ def underlying_preorder(c: VCategory) -> frozenset[tuple[str, str]]:
 
 def preorder_dot(objects: Sequence[str], edges: Iterable[tuple[str, str]]) -> str:
     """Render a preorder in DOT: one node per object, one edge per
-    non-identity relation, sorted for byte stability."""
-
-    def quote(s: str) -> str:
-        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
+    non-identity relation, sorted for byte stability.  Each distinct
+    label is quoted once."""
+    edges = sorted(edges)
+    labels = set(objects).union(itertools.chain.from_iterable(edges))
+    q = {s: '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in labels}
     lines = ["digraph preorder {"]
-    for o in objects:
-        lines.append(f"  {quote(o)};")
-    for a, b in sorted(edges):
-        if a != b:
-            lines.append(f"  {quote(a)} -> {quote(b)};")
+    lines += [f"  {q[o]};" for o in objects]
+    lines += [f"  {q[a]} -> {q[b]};" for a, b in edges if a != b]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from qcat import CausalDag, CycleError
 
@@ -68,3 +68,20 @@ def idempotent_split_check(edges: Iterable[tuple[str, str]]) -> bool:
             if (a, cdest) not in es:
                 raise ValueError(f"edge set is not transitive: {a!r} -> {b!r} -> {cdest!r}")
     return True
+
+
+def preorder_dot_oracle(objects: Sequence[str], edges: Iterable[tuple[str, str]]) -> str:
+    """``category.preorder_dot`` as it was before it quoted each label
+    once: one quote per node line and two per edge line."""
+
+    def quote(s: str) -> str:
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["digraph preorder {"]
+    for o in objects:
+        lines.append(f"  {quote(o)};")
+    for a, b in sorted(edges):
+        if a != b:
+            lines.append(f"  {quote(a)} -> {quote(b)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

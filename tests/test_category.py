@@ -33,7 +33,7 @@ from qcat import (
 )
 from qcat.category import _validate_exact
 
-from oracles import idempotent_split_check
+from oracles import idempotent_split_check, preorder_dot_oracle
 from randgen import random_rbot_category
 
 CHAIN = VCategory(RBOT, ("a", "b"), ((finite(0), finite(3)), (BOT, finite(0))))
@@ -314,3 +314,30 @@ def test_preorder_dot_output():
     edges = underlying_preorder(CHAIN)
     dot = preorder_dot(CHAIN.objects, edges)
     assert dot == 'digraph preorder {\n  "a";\n  "b";\n  "a" -> "b";\n}\n'
+
+
+dot_labels = st.text(st.sampled_from(['"', "\\", "a", "b", " ", "é"]), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    objects=st.lists(dot_labels, unique=True, max_size=6),
+    extra=st.lists(dot_labels, max_size=3),
+    picks=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=20),
+    form=st.sampled_from(["frozenset", "unsorted", "sorted", "iterator"]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_preorder_dot_matches_oracle(objects, extra, picks, form, rng):
+    # edges may name labels missing from objects, and may be self-loops
+    pool = objects + extra
+    edges = {(pool[i % len(pool)], pool[j % len(pool)]) for i, j in picks} if pool else set()
+    if form == "frozenset":
+        given_edges = frozenset(edges)
+    elif form == "sorted":
+        given_edges = sorted(edges)
+    else:
+        given_edges = list(edges)
+        rng.shuffle(given_edges)
+        if form == "iterator":
+            given_edges = iter(given_edges)
+    assert preorder_dot(objects, given_edges) == preorder_dot_oracle(objects, sorted(edges))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -17,7 +18,7 @@ from qcat import (
     validate_category,
 )
 from qcat.category import _validate_exact
-from qcat.cli import run, _dump, _write
+from qcat.cli import main, run, _dump, _write
 
 CHAIN = VCategory(RBOT, ("a", "b"), ((finite(0), finite(3)), (BOT, finite(0))))
 
@@ -464,3 +465,214 @@ class TestUnencodableLabels:
             _write(str(out), "\ud800")
         assert out.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+# Exact outputs of small runs, pinned so that a writer change that alters
+# one byte fails a named test.  Paths are relative to the working directory.
+DIAMOND_EDGES = "a b\na c\nb d\nc d\n"
+
+DIAMOND_JSON = """\
+{
+  "hom": [
+    [
+      "0",
+      "1",
+      "1",
+      "2"
+    ],
+    [
+      "bot",
+      "0",
+      "bot",
+      "1"
+    ],
+    [
+      "bot",
+      "bot",
+      "0",
+      "1"
+    ],
+    [
+      "bot",
+      "bot",
+      "bot",
+      "0"
+    ]
+  ],
+  "objects": [
+    "a",
+    "b",
+    "c",
+    "d"
+  ],
+  "quantale": "rbot",
+  "tolerance": 0.0
+}
+"""
+
+DIAMOND_STDOUT = """\
+{
+  "objects": [
+    "a",
+    "b",
+    "c",
+    "d"
+  ],
+  "output": "diamond.json",
+  "status": "ok"
+}
+"""
+
+DIAMOND_DOT = """\
+digraph preorder {
+  "a";
+  "b";
+  "c";
+  "d";
+  "a" -> "b";
+  "a" -> "c";
+  "a" -> "d";
+  "b" -> "d";
+  "c" -> "d";
+}
+"""
+
+UNDERLYING_STDOUT = """\
+{
+  "dot": "diamond.dot",
+  "edges": [
+    [
+      "a",
+      "a"
+    ],
+    [
+      "a",
+      "b"
+    ],
+    [
+      "a",
+      "c"
+    ],
+    [
+      "a",
+      "d"
+    ],
+    [
+      "b",
+      "b"
+    ],
+    [
+      "b",
+      "d"
+    ],
+    [
+      "c",
+      "c"
+    ],
+    [
+      "c",
+      "d"
+    ],
+    [
+      "d",
+      "d"
+    ]
+  ],
+  "status": "ok"
+}
+"""
+
+COMPOSE_STDOUT = """\
+{
+  "output": "out.json",
+  "shape": [
+    2,
+    2
+  ],
+  "status": "ok"
+}
+"""
+
+COMPOSE_JSON = """\
+{
+  "mat": [
+    [
+      "bot",
+      "3"
+    ],
+    [
+      "bot",
+      "0"
+    ]
+  ],
+  "source": {
+    "hom": [
+      [
+        "0",
+        "3"
+      ],
+      [
+        "bot",
+        "0"
+      ]
+    ],
+    "objects": [
+      "a",
+      "b"
+    ],
+    "quantale": "rbot",
+    "tolerance": 0.0
+  },
+  "target": {
+    "hom": [
+      [
+        "0",
+        "3"
+      ],
+      [
+        "bot",
+        "0"
+      ]
+    ],
+    "objects": [
+      "a",
+      "b"
+    ],
+    "quantale": "rbot",
+    "tolerance": 0.0
+  }
+}
+"""
+
+
+class TestGoldenBytes:
+    def _stdout(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(sys, "argv", ["qcat", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert exit_.value.code == 0
+        return capsys.readouterr().out
+
+    def test_from_dag_diamond(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "diamond.txt").write_text(DIAMOND_EDGES)
+        out = self._stdout(monkeypatch, capsys, ["from-dag", "diamond.txt", "-o", "diamond.json"])
+        assert out == DIAMOND_STDOUT
+        assert (tmp_path / "diamond.json").read_text() == DIAMOND_JSON
+
+    def test_underlying_dot_diamond(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "diamond.json").write_text(DIAMOND_JSON)
+        argv = ["underlying", "diamond.json", "--dot", "diamond.dot"]
+        out = self._stdout(monkeypatch, capsys, argv)
+        assert out == UNDERLYING_STDOUT
+        assert (tmp_path / "diamond.dot").read_text() == DIAMOND_DOT
+
+    def test_compose_representable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rep.json").write_text(_dump(module_to_json(representable(CHAIN, "b"))))
+        (tmp_path / "corep.json").write_text(_dump(module_to_json(corepresentable(CHAIN, "b"))))
+        argv = ["compose", "rep.json", "corep.json", "-o", "out.json"]
+        out = self._stdout(monkeypatch, capsys, argv)
+        assert out == COMPOSE_STDOUT
+        assert (tmp_path / "out.json").read_text() == COMPOSE_JSON
