@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from itertools import product as iproduct
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Sequence
@@ -38,29 +39,24 @@ from .causal import (
 )
 from .collage import adjoin_point, collage, collage_from_json, collage_to_json, restrict
 from .modules import (
+    _witness,
     canonical_right_adjoint,
     cauchy_completeness_report,
-    cauchy_witness,
     check_adjunction,
     compose,
-    find_representing,
-    is_cauchy,
     module_from_json,
     module_to_json,
     representing_objects,
 )
 from .quantale import (
-    BOT,
-    FALSE,
-    INF,
-    TRUE,
+    _LEAF_TABLE,
     Kind,
     QuantaleDescriptor,
     check_laws,
-    finite,
     parse_quantale_name,
     parse_value,
     split_top_level,
+    tuple_val,
 )
 
 OK = "ok"
@@ -148,22 +144,13 @@ def _parse_grid(text: str):
     return [parse_value(part.strip()) for part in split_top_level(text)]
 
 
-_DEFAULT_LAW_GRIDS = {
-    Kind.RBOT: (BOT, finite(0), finite(1), finite("5/2"), finite(7), INF),
-    Kind.LAWVERE: (finite(0), finite(1), finite("5/2"), finite(7), INF),
-    Kind.BOOL: (FALSE, TRUE),
-}
-
-
 def _default_law_grid(q: QuantaleDescriptor):
+    """Each base's sample from the leaf table; a product's is their
+    cartesian product."""
     if q.kind is Kind.PRODUCT:
-        from itertools import product as iproduct
-
-        from .quantale import tuple_val
-
         factor_grids = [_default_law_grid(f) for f in q.factors]
         return tuple(tuple_val(parts) for parts in iproduct(*factor_grids))
-    return _DEFAULT_LAW_GRIDS[q.kind]
+    return _LEAF_TABLE[q.kind].sample
 
 
 def _cmd_laws(args) -> CommandResult:
@@ -219,13 +206,14 @@ def _cmd_adjoint(args) -> CommandResult:
 
 def _cmd_cauchy(args) -> CommandResult:
     m = module_from_json(_read_json(args.module), where=args.module)
-    cauchy = is_cauchy(m)
+    representing = representing_objects(m)  # raises unless the source is I
     n = canonical_right_adjoint(m)
+    cauchy = check_adjunction(m, n).ok
     payload: dict = {"status": OK if cauchy else VIOLATIONS, "is_cauchy": cauchy}
     if cauchy:
-        payload["representing"] = find_representing(m)
-        payload["all_representing"] = list(representing_objects(m))
-        payload["witness"] = cauchy_witness(m, n)
+        payload["representing"] = representing[0] if representing else None
+        payload["all_representing"] = list(representing)
+        payload["witness"] = _witness(m, n)
         if payload["representing"] is None:
             payload["status"] = VIOLATIONS
     else:

@@ -1,16 +1,10 @@
 """Max-plus array kernel for the composition laws and for composition.
 
-Every base embeds in the complete max-plus semiring [-inf, +inf]: the
-tensor becomes ``+`` with -inf absorbing, the join becomes ``max`` and
-an arrow a -> b exists iff enc(a) <= enc(b):
-
-=========  ============  ==========  ===========
-base       bottom        finite v    top
-=========  ============  ==========  ===========
-rbot       bot -> -inf   v           inf -> +inf
-lawvere    inf -> -inf   -v          0 -> 0
-bool       false -> -inf             true -> 0
-=========  ============  ==========  ===========
+Every base embeds in the complete max-plus semiring [-inf, +inf] by the
+codes of its row of the leaf table in :mod:`qcat.quantale` (README, "One
+scalar algebra"): the tensor becomes ``+`` with -inf absorbing, the join
+becomes ``max`` and an arrow a -> b exists iff code(a) <= code(b).  The
+scalar operations run on the same codes, one value at a time.
 
 A matrix over a product base gets a trailing factor axis, one entry per
 base factor (length 1 for a plain base); order and join are
@@ -32,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantale import BOT, FALSE, INF, TRUE, Kind, QuantaleDescriptor, QVal, Tag
+from .quantale import _NEG, _POS, Kind, QuantaleDescriptor, QVal, Tag, _build, _decode, _Leaf
 
 EXACT_LIMIT = 2**52
 # float codes and tolerances stay below 2^1020, so that no sum or bound
@@ -47,12 +41,6 @@ _CHUNK = 1 << 14
 
 Matrix = Sequence[Sequence[QVal]]
 Block = tuple[Matrix, int]
-
-
-def _leaf_bases(q: QuantaleDescriptor) -> list[QuantaleDescriptor]:
-    if q.kind is Kind.PRODUCT:
-        return [leaf for f in q.factors for leaf in _leaf_bases(f)]
-    return [q]
 
 
 def _leaves(v: QVal) -> tuple[QVal, ...]:
@@ -70,22 +58,22 @@ def _flat(q: QuantaleDescriptor, mat: Matrix) -> list[QVal]:
 def _arrays(
     q: QuantaleDescriptor, blocks: Sequence[Block], code: Callable[[Fraction], float]
 ) -> list[np.ndarray]:
-    """One (rows, cols, factors) array per block, a finite value ``v``
-    encoded as ``code(v)`` (negated over lawvere)."""
-    kinds = [leaf.kind for leaf in _leaf_bases(q)]
-    nf, poles, fin = len(kinds), {Tag.BOT: -math.inf, Tag.INF: math.inf}, Tag.FINITE
+    """One (rows, cols, factors) array per block, coded by each leaf's
+    table row with ``code(v)`` in place of a finite value ``v``."""
+    leaves = q._leaves
+    nf, fin, neg, pos = len(leaves), Tag.FINITE, -math.inf, math.inf
     out = []
     for mat, cols in blocks:
         flat = _flat(q, mat)
         arr = np.empty(len(flat))
-        for f, kind in enumerate(kinds):
-            vals = flat[f::nf]
-            if kind is Kind.BOOL:
-                arr[f::nf] = [0.0 if v.value else -math.inf for v in vals]
-            elif kind is Kind.LAWVERE:
-                arr[f::nf] = [-code(v.value) if v.tag is fin else -math.inf for v in vals]
+        for f, leaf in enumerate(leaves):
+            vals, low = flat[f::nf], leaf.bottom.tag
+            if leaf.sign is None:
+                arr[f::nf] = [0.0 if v.value else neg for v in vals]
+            elif leaf.sign > 0:
+                arr[f::nf] = [code(v.value) if v.tag is fin else neg if v.tag is low else pos for v in vals]
             else:
-                arr[f::nf] = [code(v.value) if v.tag is fin else poles[v.tag] for v in vals]
+                arr[f::nf] = [-code(v.value) if v.tag is fin else neg if v.tag is low else pos for v in vals]
         out.append(arr.reshape(len(mat), cols, nf))
     return out
 
@@ -119,7 +107,7 @@ def law_encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray],
     (times 2^-shift near the top of float64's range) x + y > z only
     marks where it may fail.
     """
-    tols = [leaf.tolerance for leaf in _leaf_bases(q)]
+    tols = [float(leaf.tolerance) for leaf in q._leaves]
     enc = None if any(tols) else encode(q, *blocks)
     if enc is not None:
         return enc[0], enc[0]
@@ -147,38 +135,24 @@ def law_encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray],
     return arrays, bounds
 
 
-def _decoder(kind: Kind, scale: int):
+def _decoder(leaf: _Leaf, scale: int):
     """Map one encoded factor value back to a ``QVal``, memoised."""
     memo: dict[float, QVal] = {}
 
     def decode(x: float) -> QVal:
         v = memo.get(x)
         if v is None:
-            if x == -math.inf:
-                v = INF if kind is Kind.LAWVERE else FALSE if kind is Kind.BOOL else BOT
-            elif x == math.inf:
-                v = INF
-            elif kind is Kind.BOOL:
-                v = TRUE
-            else:
-                k = int(x)
-                v = QVal(Tag.FINITE, Fraction(-k if kind is Kind.LAWVERE else k, scale))
-            memo[x] = v
+            code = _NEG if x == -math.inf else _POS if x == math.inf else Fraction(int(x), scale)
+            v = memo[x] = _decode(leaf, code)
         return v
 
     return decode
 
 
-def _assemble(q: QuantaleDescriptor, leaves) -> QVal:
-    if q.kind is Kind.PRODUCT:
-        return QVal(Tag.TUPLE, tuple(_assemble(f, leaves) for f in q.factors))
-    return next(leaves)
-
-
 def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> tuple[tuple[QVal, ...], ...]:
     """The ``QVal`` matrix of an encoded (rows, cols, factors) array."""
     rows, cols, nf = arr.shape
-    decoders = [_decoder(leaf.kind, scale) for leaf in _leaf_bases(q)]
+    decoders = [_decoder(leaf, scale) for leaf in q._leaves]
     if nf == 1:
         (dec,) = decoders
         return tuple(tuple(dec(x) for x in row) for row in arr[:, :, 0].tolist())
@@ -186,7 +160,7 @@ def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> tuple[tuple[QV
     for row in arr.tolist():
         out.append(
             tuple(
-                _assemble(q, (d(x) for d, x in zip(decoders, entry))) for entry in row
+                _build(q, (d(x) for d, x in zip(decoders, entry))) for entry in row
             )
         )
     return tuple(out)

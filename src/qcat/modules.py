@@ -18,6 +18,7 @@ representable, i.e. a hom column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iproduct
 from typing import Iterable, Iterator
 
 from . import maxplus
@@ -32,6 +33,7 @@ from .category import (
     validate_category,
 )
 from .quantale import (
+    Kind,
     QVal,
     bottom,
     carrier_check,
@@ -45,6 +47,7 @@ from .quantale import (
     residual,
     tensor,
     top,
+    tuple_val,
     unit,
 )
 
@@ -291,9 +294,13 @@ def cauchy_witness(m: VModule, n: VModule) -> str | None:
     returns None.
     """
     _require_unit_source(m)
-    report = check_adjunction(m, n)
-    if not report.ok:
+    if not check_adjunction(m, n).ok:
         raise ValueError("cauchy_witness requires an adjoint pair")
+    return _witness(m, n)
+
+
+def _witness(m: VModule, n: VModule) -> str | None:
+    """:func:`cauchy_witness` for a pair already known to be adjoint."""
     q = m.quantale
     e = m.target
     u = unit(q)
@@ -307,10 +314,6 @@ _GRID_CAP = 64
 
 
 def _closure_values(q, values: set[QVal], cap: int) -> set[QVal]:
-    from itertools import product as iproduct
-
-    from .quantale import Kind, tuple_val
-
     if q.kind is Kind.PRODUCT:
         factor_sets = []
         for i, f in enumerate(q.factors):
@@ -467,9 +470,7 @@ def cauchy_completeness_report(
         n = canonical_right_adjoint(m)
         if not check_adjunction(m, n).ok:
             continue
-        rep = find_representing(m)
-        wit = cauchy_witness(m, n)
-        findings.append(CauchyFinding(m, rep, wit))
+        findings.append(CauchyFinding(m, find_representing(m), _witness(m, n)))
     findings.sort(key=lambda f: _column_key(f.module))
     return CompletenessReport(c, grid_vals, checked, tuple(findings))
 

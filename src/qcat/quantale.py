@@ -40,8 +40,7 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class Tag(Enum):
@@ -149,6 +148,41 @@ class Kind(Enum):
     PRODUCT = "product"
 
 
+# The poles of the max-plus codes.  A finite code is a Fraction, so an
+# identity test tells a pole apart, and no arithmetic mixes the two (a
+# Fraction beyond float's range cannot become a float).
+_NEG = -math.inf
+_POS = math.inf
+_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    """One plain base's row of the max-plus table (README, "One scalar
+    algebra"), with the tolerance of the descriptor that holds it."""
+
+    tags: tuple[Tag, ...]  # the carrier
+    mismatch: str  # the CarrierMismatch wording outside it
+    sign: int | None  # a finite value's code is sign * value; None on truth values
+    bottom: QVal  # code -inf
+    top: QVal
+    sample: tuple[QVal, ...]  # the default grid of ``qcat laws``
+    tolerance: Fraction = _ZERO
+
+
+_LEAF_TABLE = {
+    Kind.RBOT: _Leaf(
+        (Tag.BOT, Tag.FINITE, Tag.INF), "is not an element of the causal base", 1, BOT, INF,
+        (BOT, finite(0), finite(1), finite("5/2"), finite(7), INF),
+    ),
+    Kind.LAWVERE: _Leaf(
+        (Tag.FINITE, Tag.INF), "is not an element of the metric base", -1, INF, finite(0),
+        (finite(0), finite(1), finite("5/2"), finite(7), INF),
+    ),
+    Kind.BOOL: _Leaf((Tag.BOOL,), "is not a truth value", None, FALSE, TRUE, (FALSE, TRUE)),
+}
+
+
 @dataclass(frozen=True)
 class QuantaleDescriptor:
     """Identifies a built-in quantale instance plus a comparison tolerance.
@@ -175,8 +209,16 @@ class QuantaleDescriptor:
             tol = self.tolerance
             factors = (f if f.tolerance >= tol else replace(f, tolerance=tol) for f in self.factors)
             object.__setattr__(self, "factors", tuple(factors))
+            leaf, leaves = None, tuple(x for f in self.factors for x in f._leaves)
         elif self.factors:
             raise ValueError(f"{self.kind.value} takes no factors")
+        else:
+            leaf = replace(_LEAF_TABLE[self.kind], tolerance=Fraction(self.tolerance))
+            leaves = (leaf,)
+        # what the operations read: a plain base's table row (None on a
+        # product) and the rows of the leaf bases, depth first
+        object.__setattr__(self, "_leaf", leaf)
+        object.__setattr__(self, "_leaves", leaves)
 
 
 RBOT = QuantaleDescriptor(Kind.RBOT)
@@ -192,36 +234,88 @@ def product(*factors: QuantaleDescriptor, tolerance: float = 0.0) -> QuantaleDes
     return QuantaleDescriptor(Kind.PRODUCT, tolerance, tuple(factors))
 
 
-@lru_cache(maxsize=64)
-def _tol_fraction(tolerance: float) -> Fraction:
-    return Fraction(tolerance)
+# ---------------------------------------------------------------------------
+# Operations.  A plain base's value is coded into max-plus [-inf, +inf] by
+# its table row, the operation runs on codes, and the result is clamped
+# back into the carrier; a product runs its leaves side by side.
+# ---------------------------------------------------------------------------
+
+
+def _code(leaf: _Leaf, v: QVal):
+    """``v``'s code: 0 for true, -inf for the bottom, +inf for the other
+    pole, sign * value for a finite value.  Raises
+    :class:`CarrierMismatch` outside the carrier."""
+    if v.tag not in leaf.tags:
+        raise CarrierMismatch(f"{v!r} {leaf.mismatch}")
+    if leaf.sign is None:
+        return _ZERO if v.value else _NEG
+    if v.value is None:
+        return _NEG if v.tag is leaf.bottom.tag else _POS
+    return v.value if leaf.sign > 0 else -v.value
+
+
+def _decode(leaf: _Leaf, x) -> QVal:
+    """The largest value whose code is at most ``x``: a negative code is
+    bot on rbot, a positive one 0 on lawvere, one >= 0 true on bool."""
+    if x is _NEG:
+        return leaf.bottom
+    if x is _POS:
+        return leaf.top
+    if leaf.sign is None:
+        return leaf.top if x >= 0 else leaf.bottom
+    if leaf.sign > 0:
+        return QVal(Tag.FINITE, x) if x >= 0 else leaf.bottom
+    return QVal(Tag.FINITE, -x) if x <= 0 else leaf.top
+
+
+def _le(t: Fraction, x, y) -> bool:
+    """x <= y + t, the poles settled before any Fraction is added."""
+    if x is _NEG or y is _POS:
+        return True
+    if x is _POS or y is _NEG:
+        return False
+    return x <= y + t if t else x <= y
+
+
+def _add(x, y):
+    """x + y, -inf absorbing."""
+    if x is _NEG or y is _NEG:
+        return _NEG
+    if x is _POS or y is _POS:
+        return _POS
+    return x + y
+
+
+def _diff(x, z):
+    """z - x, +inf where x = -inf or z = +inf (the residual's top)."""
+    if x is _NEG or z is _POS:
+        return _POS
+    if z is _NEG or x is _POS:
+        return _NEG
+    return z - x
+
+
+def _codes(q: QuantaleDescriptor, v: QVal) -> list:
+    """The codes of ``v``'s leaves, depth first; a product value's shape
+    is checked before its parts."""
+    leaf = q._leaf
+    if leaf is not None:
+        return [_code(leaf, v)]
+    if v.tag is not Tag.TUPLE or len(v.value) != len(q.factors):
+        raise CarrierMismatch(f"{v!r} does not match the product shape")
+    return [x for f, p in zip(q.factors, v.value) for x in _codes(f, p)]
+
+
+def _build(q: QuantaleDescriptor, leaves: Iterator[QVal]) -> QVal:
+    """The value of ``q`` whose leaves, depth first, are ``leaves``."""
+    if q._leaf is not None:
+        return next(leaves)
+    return QVal(Tag.TUPLE, tuple(_build(f, leaves) for f in q.factors))
 
 
 def carrier_check(q: QuantaleDescriptor, v: QVal) -> None:
     """Raise :class:`CarrierMismatch` unless ``v`` lives in ``q``'s carrier."""
-    if q.kind is Kind.RBOT:
-        if v.tag not in (Tag.BOT, Tag.FINITE, Tag.INF):
-            raise CarrierMismatch(f"{v!r} is not an element of the causal base")
-    elif q.kind is Kind.LAWVERE:
-        if v.tag not in (Tag.FINITE, Tag.INF):
-            raise CarrierMismatch(f"{v!r} is not an element of the metric base")
-    elif q.kind is Kind.BOOL:
-        if v.tag is not Tag.BOOL:
-            raise CarrierMismatch(f"{v!r} is not a truth value")
-    else:
-        if v.tag is not Tag.TUPLE or len(v.value) != len(q.factors):
-            raise CarrierMismatch(f"{v!r} does not match the product shape")
-        for f, p in zip(q.factors, v.value):
-            carrier_check(f, p)
-
-
-# the tags each plain base admits; carrier_check on these bases tests
-# nothing else
-_CARRIER_TAGS = {
-    Kind.RBOT: frozenset((Tag.BOT, Tag.FINITE, Tag.INF)),
-    Kind.LAWVERE: frozenset((Tag.FINITE, Tag.INF)),
-    Kind.BOOL: frozenset((Tag.BOOL,)),
-}
+    _codes(q, v)
 
 
 def check_matrix(
@@ -239,7 +333,7 @@ def check_matrix(
     each entry.  A product base checks each distinct value object once,
     keyed by ``id``.  Either way the first error is the same.
     """
-    tags = _CARRIER_TAGS.get(q.kind)
+    tags = None if q._leaf is None else frozenset(q._leaf.tags)
     checked: set[int] = set()
     for i, row in enumerate(rows):
         if len(row) != ncols:
@@ -255,37 +349,16 @@ def check_matrix(
 
 
 def leq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
-    """Whether an arrow a -> b exists in ``q``'s order.
+    """Whether an arrow a -> b exists in ``q``'s order: code(a) <=
+    code(b) + tolerance, the tolerance loosening finite-vs-finite
+    comparisons only.
 
     Total order for RBOT and LAWVERE, componentwise for products.
-    Finite-vs-finite comparison is loosened by ``q.tolerance``.
     """
-    carrier_check(q, a)
-    carrier_check(q, b)
-    return _leq(q, a, b)
-
-
-def _leq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
-    if q.kind is Kind.RBOT:
-        if a.tag is Tag.BOT or b.tag is Tag.INF:
-            return True
-        if b.tag is Tag.BOT or a.tag is Tag.INF:
-            return False
-        if q.tolerance:
-            return a.value <= b.value + _tol_fraction(q.tolerance)
-        return a.value <= b.value
-    if q.kind is Kind.LAWVERE:
-        # arrow a -> b iff b <= a numerically
-        if a.tag is Tag.INF or (b.tag is Tag.FINITE and b.value == 0):
-            return True
-        if b.tag is Tag.INF:
-            return False
-        if q.tolerance:
-            return b.value <= a.value + _tol_fraction(q.tolerance)
-        return b.value <= a.value
-    if q.kind is Kind.BOOL:
-        return (not a.value) or b.value
-    return all(_leq(f, x, y) for f, x, y in zip(q.factors, a.value, b.value))
+    leaf = q._leaf
+    if leaf is not None:
+        return _le(leaf.tolerance, _code(leaf, a), _code(leaf, b))
+    return all([_le(f.tolerance, x, y) for f, x, y in zip(q._leaves, _codes(q, a), _codes(q, b))])
 
 
 def eq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
@@ -296,25 +369,7 @@ def eq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
 def tensor(q: QuantaleDescriptor, a: QVal, b: QVal) -> QVal:
     """Monoidal tensor: addition (bot absorbing) on the numeric bases,
     conjunction on truth values, componentwise on products."""
-    carrier_check(q, a)
-    carrier_check(q, b)
-    return _tensor(q, a, b)
-
-
-def _tensor(q: QuantaleDescriptor, a: QVal, b: QVal) -> QVal:
-    if q.kind is Kind.RBOT:
-        if a.tag is Tag.BOT or b.tag is Tag.BOT:
-            return BOT
-        if a.tag is Tag.INF or b.tag is Tag.INF:
-            return INF
-        return QVal(Tag.FINITE, a.value + b.value)
-    if q.kind is Kind.LAWVERE:
-        if a.tag is Tag.INF or b.tag is Tag.INF:
-            return INF
-        return QVal(Tag.FINITE, a.value + b.value)
-    if q.kind is Kind.BOOL:
-        return boolean(a.value and b.value)
-    return QVal(Tag.TUPLE, tuple(_tensor(f, x, y) for f, x, y in zip(q.factors, a.value, b.value)))
+    return _pointwise(q, _add, a, b)
 
 
 def residual(q: QuantaleDescriptor, a: QVal, c: QVal) -> QVal:
@@ -325,37 +380,29 @@ def residual(q: QuantaleDescriptor, a: QVal, c: QVal) -> QVal:
     subtract when they can.  On the metric base it is truncated
     subtraction; on truth values, implication.
     """
-    carrier_check(q, a)
-    carrier_check(q, c)
-    return _residual(q, a, c)
+    return _pointwise(q, _diff, a, c)
 
 
-def _residual(q: QuantaleDescriptor, a: QVal, c: QVal) -> QVal:
-    if q.kind is Kind.RBOT:
-        if a.tag is Tag.BOT or c.tag is Tag.INF:
-            return INF
-        if c.tag is Tag.BOT or a.tag is Tag.INF:
-            return BOT
-        if a.value <= c.value:
-            return QVal(Tag.FINITE, c.value - a.value)
-        return BOT
-    if q.kind is Kind.LAWVERE:
-        if a.tag is Tag.INF:
-            return QVal(Tag.FINITE, Fraction(0))
-        if c.tag is Tag.INF:
-            return INF
-        return QVal(Tag.FINITE, max(c.value - a.value, Fraction(0)))
-    if q.kind is Kind.BOOL:
-        return boolean((not a.value) or c.value)
-    return QVal(Tag.TUPLE, tuple(_residual(f, x, y) for f, x, y in zip(q.factors, a.value, c.value)))
+def _pointwise(q: QuantaleDescriptor, op, a: QVal, b: QVal) -> QVal:
+    """The value whose leaves decode ``op`` of the leaf codes of ``a``
+    and ``b``; ``a`` is coded in full before ``b``."""
+    leaf = q._leaf
+    if leaf is not None:
+        return _decode(leaf, op(_code(leaf, a), _code(leaf, b)))
+    codes = zip(q._leaves, _codes(q, a), _codes(q, b))
+    return _build(q, iter([_decode(f, op(x, y)) for f, x, y in codes]))
 
 
 def unit(q: QuantaleDescriptor) -> QVal:
-    if q.kind in (Kind.RBOT, Kind.LAWVERE):
-        return QVal(Tag.FINITE, Fraction(0))
-    if q.kind is Kind.BOOL:
-        return TRUE
-    return QVal(Tag.TUPLE, tuple(unit(f) for f in q.factors))
+    return _build(q, (_decode(f, _ZERO) for f in q._leaves))
+
+
+def bottom(q: QuantaleDescriptor) -> QVal:
+    return _build(q, (f.bottom for f in q._leaves))
+
+
+def top(q: QuantaleDescriptor) -> QVal:
+    return _build(q, (f.top for f in q._leaves))
 
 
 def unit_leq(q: QuantaleDescriptor) -> Callable[[QVal], bool]:
@@ -366,92 +413,41 @@ def unit_leq(q: QuantaleDescriptor) -> Callable[[QVal], bool]:
     value within the tolerance of 0; over bool the value itself; over a
     product every factor, each with its own tolerance (as :func:`leq`).
     """
-    if q.kind is Kind.RBOT:
-        return lambda v: v.tag is not Tag.BOT
-    if q.kind is Kind.LAWVERE:
-        tol = _tol_fraction(q.tolerance)
-        return lambda v: v.tag is Tag.FINITE and v.value <= tol
-    if q.kind is Kind.BOOL:
+    leaf = q._leaf
+    if leaf is None:
+        parts = tuple(unit_leq(f) for f in q.factors)
+        return lambda v: all(p(x) for p, x in zip(parts, v.value))
+    if leaf.sign is None:
         return lambda v: v.value
-    parts = tuple(unit_leq(f) for f in q.factors)
-    return lambda v: all(p(x) for p, x in zip(parts, v.value))
-
-
-def bottom(q: QuantaleDescriptor) -> QVal:
-    if q.kind is Kind.RBOT:
-        return BOT
-    if q.kind is Kind.LAWVERE:
-        return INF
-    if q.kind is Kind.BOOL:
-        return FALSE
-    return QVal(Tag.TUPLE, tuple(bottom(f) for f in q.factors))
-
-
-def top(q: QuantaleDescriptor) -> QVal:
-    if q.kind is Kind.RBOT:
-        return INF
-    if q.kind is Kind.LAWVERE:
-        return QVal(Tag.FINITE, Fraction(0))
-    if q.kind is Kind.BOOL:
-        return TRUE
-    return QVal(Tag.TUPLE, tuple(top(f) for f in q.factors))
-
-
-def _leq_exact(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
-    # lattice selection ignores the tolerance: joins and meets are exact
-    if q.tolerance == 0:
-        return _leq(q, a, b)
-    return _leq(QuantaleDescriptor(q.kind, 0.0, q.factors), a, b)
+    bot = leaf.bottom.tag
+    if leaf.sign > 0:  # 0 <= every code but the bottom's
+        return lambda v: v.tag is not bot
+    tol = leaf.tolerance  # 0 <= -v + tolerance
+    return lambda v: v.tag is not bot and v.value <= tol
 
 
 def join(q: QuantaleDescriptor, family: Iterable[QVal]) -> QVal:
     """Least upper bound of a finite family; the empty join is bottom."""
-    vals = list(family)
-    for v in vals:
-        carrier_check(q, v)
-    return _join(q, vals)
-
-
-def _join(q: QuantaleDescriptor, vals: Sequence[QVal]) -> QVal:
-    if q.kind is Kind.PRODUCT:
-        if not vals:
-            return bottom(q)
-        return QVal(
-            Tag.TUPLE,
-            tuple(_join(f, [v.value[i] for v in vals]) for i, f in enumerate(q.factors)),
-        )
-    if not vals:
-        return bottom(q)
-    best = vals[0]
-    for v in vals[1:]:
-        if _leq_exact(q, best, v):
-            best = v
-    return best
+    return _extreme(q, list(family), max, bottom)
 
 
 def meet(q: QuantaleDescriptor, family: Iterable[QVal]) -> QVal:
     """Greatest lower bound of a finite family; the empty meet is top."""
-    vals = list(family)
-    for v in vals:
-        carrier_check(q, v)
-    return _meet(q, vals)
+    return _extreme(q, list(family), min, top)
 
 
-def _meet(q: QuantaleDescriptor, vals: Sequence[QVal]) -> QVal:
-    if q.kind is Kind.PRODUCT:
-        if not vals:
-            return top(q)
-        return QVal(
-            Tag.TUPLE,
-            tuple(_meet(f, [v.value[i] for v in vals]) for i, f in enumerate(q.factors)),
-        )
+def _extreme(q: QuantaleDescriptor, vals: list[QVal], pick, empty) -> QVal:
+    """The member whose code ``pick`` (max or min) selects, the last one
+    on ties, exactly (the tolerance plays no part); on a product the
+    value of each leaf's pick; ``empty(q)`` for no members."""
     if not vals:
-        return top(q)
-    best = vals[0]
-    for v in vals[1:]:
-        if _leq_exact(q, v, best):
-            best = v
-    return best
+        return empty(q)
+    leaf = q._leaf
+    if leaf is not None:
+        codes = [_code(leaf, v) for v in vals]
+        return vals[pick(range(len(vals) - 1, -1, -1), key=codes.__getitem__)]
+    columns = zip(*[_codes(q, v) for v in vals])
+    return _build(q, iter([_decode(f, pick(col)) for f, col in zip(q._leaves, columns)]))
 
 
 def join_witness(q: QuantaleDescriptor, family: Iterable[QVal]) -> bool:
@@ -464,7 +460,7 @@ def join_witness(q: QuantaleDescriptor, family: Iterable[QVal]) -> bool:
     u = unit(q)
     if not leq(q, u, join(q, vals)):
         return True
-    return any(_leq(q, u, m) for m in vals)
+    return any(leq(q, u, m) for m in vals)
 
 
 @dataclass(frozen=True)
@@ -519,8 +515,8 @@ def check_laws(
     vals = tuple(sample)
     for v in vals:
         carrier_check(q, v)
-    tns = tensor_fn or (lambda a, b: _tensor(q, a, b))
-    rsd = residual_fn or (lambda a, c: _residual(q, a, c))
+    tns = tensor_fn or (lambda a, b: tensor(q, a, b))
+    rsd = residual_fn or (lambda a, c: residual(q, a, c))
     u = unit(q)
     out: list[LawViolation] = []
 
@@ -539,18 +535,18 @@ def check_laws(
             for c in vals:
                 if not eq(q, tns(ab, c), tns(a, tns(b, c))):
                     out.append(LawViolation("associativity", (a, b, c), "tensor not associative"))
-                if _leq(q, ab, c) != _leq(q, b, rsd(a, c)):
+                if leq(q, ab, c) != leq(q, b, rsd(a, c)):
                     out.append(
                         LawViolation(
                             "residuation",
                             (a, b, c),
-                            f"tensor(a, b) <= c is {_leq(q, ab, c)} but "
-                            f"b <= residual(a, c) = {format_value(rsd(a, c))} is {_leq(q, b, rsd(a, c))}",
+                            f"tensor(a, b) <= c is {leq(q, ab, c)} but "
+                            f"b <= residual(a, c) = {format_value(rsd(a, c))} is {leq(q, b, rsd(a, c))}",
                         )
                     )
-                if _leq(q, a, b) and not _leq(q, tns(a, c), tns(b, c)):
+                if leq(q, a, b) and not leq(q, tns(a, c), tns(b, c)):
                     out.append(LawViolation("monotonicity", (a, b, c), "a <= b but tensor(a, c) !<= tensor(b, c)"))
-                if not eq(q, tns(a, _join(q, [b, c])), _join(q, [tns(a, b), tns(a, c)])):
+                if not eq(q, tns(a, join(q, [b, c])), join(q, [tns(a, b), tns(a, c)])):
                     out.append(
                         LawViolation("join_distributivity", (a, b, c), "tensor(a, b v c) != tensor(a, b) v tensor(a, c)")
                     )
@@ -695,7 +691,7 @@ def descriptor_from_json(data: str | list, tolerance: float = 0.0) -> QuantaleDe
     def build(data, tolerance: float, depth: int) -> QuantaleDescriptor:
         if isinstance(data, str):
             low = data.strip().lower()
-            for kind in (Kind.RBOT, Kind.LAWVERE, Kind.BOOL):
+            for kind in _LEAF_TABLE:
                 if low == kind.value:
                     return QuantaleDescriptor(kind, tolerance)
         elif isinstance(data, list) and data:

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from qcat import CausalDag, CycleError
+from qcat.quantale import (
+    BOT,
+    FALSE,
+    INF,
+    TRUE,
+    CarrierMismatch,
+    Kind,
+    QuantaleDescriptor,
+    QVal,
+    Tag,
+    boolean,
+)
 
 
 def longest_path_oracle(
@@ -85,3 +99,214 @@ def preorder_dot_oracle(objects: Sequence[str], edges: Iterable[tuple[str, str]]
             lines.append(f"  {quote(a)} -> {quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The scalar operations as they were written before the max-plus leaf table:
+# one per-kind branch per operation, each with an unchecked copy.  Kept
+# verbatim as the reference for tests/test_scalar_oracle.py.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _tol_fraction(tolerance: float) -> Fraction:
+    return Fraction(tolerance)
+
+
+def carrier_check(q: QuantaleDescriptor, v: QVal) -> None:
+    """Raise :class:`CarrierMismatch` unless ``v`` lives in ``q``'s carrier."""
+    if q.kind is Kind.RBOT:
+        if v.tag not in (Tag.BOT, Tag.FINITE, Tag.INF):
+            raise CarrierMismatch(f"{v!r} is not an element of the causal base")
+    elif q.kind is Kind.LAWVERE:
+        if v.tag not in (Tag.FINITE, Tag.INF):
+            raise CarrierMismatch(f"{v!r} is not an element of the metric base")
+    elif q.kind is Kind.BOOL:
+        if v.tag is not Tag.BOOL:
+            raise CarrierMismatch(f"{v!r} is not a truth value")
+    else:
+        if v.tag is not Tag.TUPLE or len(v.value) != len(q.factors):
+            raise CarrierMismatch(f"{v!r} does not match the product shape")
+        for f, p in zip(q.factors, v.value):
+            carrier_check(f, p)
+
+
+def leq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
+    """Whether an arrow a -> b exists in ``q``'s order.
+
+    Total order for RBOT and LAWVERE, componentwise for products.
+    Finite-vs-finite comparison is loosened by ``q.tolerance``.
+    """
+    carrier_check(q, a)
+    carrier_check(q, b)
+    return _leq(q, a, b)
+
+
+def _leq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
+    if q.kind is Kind.RBOT:
+        if a.tag is Tag.BOT or b.tag is Tag.INF:
+            return True
+        if b.tag is Tag.BOT or a.tag is Tag.INF:
+            return False
+        if q.tolerance:
+            return a.value <= b.value + _tol_fraction(q.tolerance)
+        return a.value <= b.value
+    if q.kind is Kind.LAWVERE:
+        # arrow a -> b iff b <= a numerically
+        if a.tag is Tag.INF or (b.tag is Tag.FINITE and b.value == 0):
+            return True
+        if b.tag is Tag.INF:
+            return False
+        if q.tolerance:
+            return b.value <= a.value + _tol_fraction(q.tolerance)
+        return b.value <= a.value
+    if q.kind is Kind.BOOL:
+        return (not a.value) or b.value
+    return all(_leq(f, x, y) for f, x, y in zip(q.factors, a.value, b.value))
+
+
+def eq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
+    """Equality up to ``q``'s tolerance: mutual ``leq``."""
+    return leq(q, a, b) and leq(q, b, a)
+
+
+def tensor(q: QuantaleDescriptor, a: QVal, b: QVal) -> QVal:
+    """Monoidal tensor: addition (bot absorbing) on the numeric bases,
+    conjunction on truth values, componentwise on products."""
+    carrier_check(q, a)
+    carrier_check(q, b)
+    return _tensor(q, a, b)
+
+
+def _tensor(q: QuantaleDescriptor, a: QVal, b: QVal) -> QVal:
+    if q.kind is Kind.RBOT:
+        if a.tag is Tag.BOT or b.tag is Tag.BOT:
+            return BOT
+        if a.tag is Tag.INF or b.tag is Tag.INF:
+            return INF
+        return QVal(Tag.FINITE, a.value + b.value)
+    if q.kind is Kind.LAWVERE:
+        if a.tag is Tag.INF or b.tag is Tag.INF:
+            return INF
+        return QVal(Tag.FINITE, a.value + b.value)
+    if q.kind is Kind.BOOL:
+        return boolean(a.value and b.value)
+    return QVal(Tag.TUPLE, tuple(_tensor(f, x, y) for f, x, y in zip(q.factors, a.value, b.value)))
+
+
+def residual(q: QuantaleDescriptor, a: QVal, c: QVal) -> QVal:
+    """The largest x with tensor(a, x) <= c (internal hom a -> c).
+
+    On the causal base this is the familiar table: residuating out of
+    bot gives top, residuating into bot gives bot, and finite values
+    subtract when they can.  On the metric base it is truncated
+    subtraction; on truth values, implication.
+    """
+    carrier_check(q, a)
+    carrier_check(q, c)
+    return _residual(q, a, c)
+
+
+def _residual(q: QuantaleDescriptor, a: QVal, c: QVal) -> QVal:
+    if q.kind is Kind.RBOT:
+        if a.tag is Tag.BOT or c.tag is Tag.INF:
+            return INF
+        if c.tag is Tag.BOT or a.tag is Tag.INF:
+            return BOT
+        if a.value <= c.value:
+            return QVal(Tag.FINITE, c.value - a.value)
+        return BOT
+    if q.kind is Kind.LAWVERE:
+        if a.tag is Tag.INF:
+            return QVal(Tag.FINITE, Fraction(0))
+        if c.tag is Tag.INF:
+            return INF
+        return QVal(Tag.FINITE, max(c.value - a.value, Fraction(0)))
+    if q.kind is Kind.BOOL:
+        return boolean((not a.value) or c.value)
+    return QVal(Tag.TUPLE, tuple(_residual(f, x, y) for f, x, y in zip(q.factors, a.value, c.value)))
+
+
+def unit(q: QuantaleDescriptor) -> QVal:
+    if q.kind in (Kind.RBOT, Kind.LAWVERE):
+        return QVal(Tag.FINITE, Fraction(0))
+    if q.kind is Kind.BOOL:
+        return TRUE
+    return QVal(Tag.TUPLE, tuple(unit(f) for f in q.factors))
+
+
+def bottom(q: QuantaleDescriptor) -> QVal:
+    if q.kind is Kind.RBOT:
+        return BOT
+    if q.kind is Kind.LAWVERE:
+        return INF
+    if q.kind is Kind.BOOL:
+        return FALSE
+    return QVal(Tag.TUPLE, tuple(bottom(f) for f in q.factors))
+
+
+def top(q: QuantaleDescriptor) -> QVal:
+    if q.kind is Kind.RBOT:
+        return INF
+    if q.kind is Kind.LAWVERE:
+        return QVal(Tag.FINITE, Fraction(0))
+    if q.kind is Kind.BOOL:
+        return TRUE
+    return QVal(Tag.TUPLE, tuple(top(f) for f in q.factors))
+
+
+def _leq_exact(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
+    # lattice selection ignores the tolerance: joins and meets are exact
+    if q.tolerance == 0:
+        return _leq(q, a, b)
+    return _leq(QuantaleDescriptor(q.kind, 0.0, q.factors), a, b)
+
+
+def join(q: QuantaleDescriptor, family: Iterable[QVal]) -> QVal:
+    """Least upper bound of a finite family; the empty join is bottom."""
+    vals = list(family)
+    for v in vals:
+        carrier_check(q, v)
+    return _join(q, vals)
+
+
+def _join(q: QuantaleDescriptor, vals: Sequence[QVal]) -> QVal:
+    if q.kind is Kind.PRODUCT:
+        if not vals:
+            return bottom(q)
+        return QVal(
+            Tag.TUPLE,
+            tuple(_join(f, [v.value[i] for v in vals]) for i, f in enumerate(q.factors)),
+        )
+    if not vals:
+        return bottom(q)
+    best = vals[0]
+    for v in vals[1:]:
+        if _leq_exact(q, best, v):
+            best = v
+    return best
+
+
+def meet(q: QuantaleDescriptor, family: Iterable[QVal]) -> QVal:
+    """Greatest lower bound of a finite family; the empty meet is top."""
+    vals = list(family)
+    for v in vals:
+        carrier_check(q, v)
+    return _meet(q, vals)
+
+
+def _meet(q: QuantaleDescriptor, vals: Sequence[QVal]) -> QVal:
+    if q.kind is Kind.PRODUCT:
+        if not vals:
+            return top(q)
+        return QVal(
+            Tag.TUPLE,
+            tuple(_meet(f, [v.value[i] for v in vals]) for i, f in enumerate(q.factors)),
+        )
+    if not vals:
+        return top(q)
+    best = vals[0]
+    for v in vals[1:]:
+        if _leq_exact(q, v, best):
+            best = v
+    return best

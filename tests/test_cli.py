@@ -644,6 +644,33 @@ COMPOSE_JSON = """\
 }
 """
 
+LAWS_RBOT_BOOL_STDOUT = """\
+{
+  "ok": true,
+  "quantale": [
+    "rbot",
+    "bool"
+  ],
+  "sample": [
+    "(bot,false)",
+    "(bot,true)",
+    "(0,false)",
+    "(0,true)",
+    "(1,false)",
+    "(1,true)",
+    "(5/2,false)",
+    "(5/2,true)",
+    "(7,false)",
+    "(7,true)",
+    "(inf,false)",
+    "(inf,true)"
+  ],
+  "status": "ok",
+  "tolerance": 0.0,
+  "violations": []
+}
+"""
+
 
 class TestGoldenBytes:
     def _stdout(self, monkeypatch, capsys, argv):
@@ -676,3 +703,7 @@ class TestGoldenBytes:
         out = self._stdout(monkeypatch, capsys, argv)
         assert out == COMPOSE_STDOUT
         assert (tmp_path / "out.json").read_text() == COMPOSE_JSON
+
+    def test_laws_default_product_grid(self, monkeypatch, capsys):
+        out = self._stdout(monkeypatch, capsys, ["laws", "--quantale", "rbot,bool"])
+        assert out == LAWS_RBOT_BOOL_STDOUT

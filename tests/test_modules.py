@@ -1,7 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+
+import qcat.cli
+import qcat.modules
 
 from qcat import (
     BOOL,
@@ -13,6 +17,7 @@ from qcat import (
     VCategory,
     VModule,
     canonical_right_adjoint,
+    category_to_json,
     cauchy_completeness_report,
     cauchy_witness,
     check_adjunction,
@@ -36,6 +41,7 @@ from qcat import (
     unit_category,
     validate_module,
 )
+from qcat.cli import run
 
 from randgen import (
     random_black_hole_module,
@@ -388,6 +394,48 @@ class TestCompletenessReport:
     def test_grid_outside_carrier_rejected(self):
         with pytest.raises(Exception):
             cauchy_completeness_report(CHAIN, [TRUE])
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call is appended to a list."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestAdjunctionDecidedOnce:
+    """Each candidate module's adjunction is checked once: the witness scan
+    after a passed check does not check it again."""
+
+    @pytest.mark.parametrize("cat", [CHAIN, DISC2], ids=["rbot", "bool2"])
+    def test_completeness_report(self, monkeypatch, cat):
+        calls = _counting(monkeypatch, qcat.modules, "check_adjunction")
+        report = cauchy_completeness_report(cat)
+        assert report.findings
+        assert len(calls) == report.modules_checked
+
+    def test_cauchy_witness_still_checks(self, monkeypatch):
+        calls = _counting(monkeypatch, qcat.modules, "check_adjunction")
+        m = representable(CHAIN, "b")
+        assert cauchy_witness(m, canonical_right_adjoint(m)) == "b"
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="adjoint pair"):
+            cauchy_witness(column(CHAIN, BOT, BOT), canonical_right_adjoint(representable(CHAIN, "b")))
+
+    @pytest.mark.parametrize("col", [("3", "0"), ("bot", "bot")], ids=["cauchy", "not_cauchy"])
+    def test_cli_cauchy(self, monkeypatch, tmp_path, col):
+        counts = {
+            name: _counting(monkeypatch, qcat.cli, name)
+            for name in ("check_adjunction", "canonical_right_adjoint", "representing_objects")
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "source": "I", "target": category_to_json(CHAIN), "mat": [[v] for v in col]
+        }))
+        result = run(["cauchy", str(path)])
+        assert result.exit_code == (0 if col[1] == "0" else 1)
+        assert {name: len(c) for name, c in counts.items()} == dict.fromkeys(counts, 1)
 
 
 class TestModuleJson:
