@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def _flat(q: QuantaleDescriptor, mat: Matrix) -> list[QVal]:
 
 
 def _arrays(
-    q: QuantaleDescriptor, blocks: Sequence[Block], code: Callable[[Fraction], float]
+    q: QuantaleDescriptor, blocks: Sequence[Block], code: Callable[[Fraction], float], dtype=float
 ) -> list[np.ndarray]:
     """One (rows, cols, factors) array per block, coded by each leaf's
     table row with ``code(v)`` in place of a finite value ``v``."""
@@ -65,11 +66,11 @@ def _arrays(
     out = []
     for mat, cols in blocks:
         flat = _flat(q, mat)
-        arr = np.empty(len(flat))
+        arr = np.empty(len(flat), dtype)
         for f, leaf in enumerate(leaves):
             vals, low = flat[f::nf], leaf.bottom.tag
             if leaf.sign is None:
-                arr[f::nf] = [0.0 if v.value else neg for v in vals]
+                arr[f::nf] = [0 if v.value else neg for v in vals]
             elif leaf.sign > 0:
                 arr[f::nf] = [code(v.value) if v.tag is fin else neg if v.tag is low else pos for v in vals]
             else:
@@ -199,3 +200,146 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
             triples.extend((int(i), j, int(k)) for i, k in np.argwhere(bad))
     triples.sort()
     return triples
+
+
+# ---------------------------------------------------------------------------
+# Cauchy search over modules I -/-> C on exact codes (README, "How complete
+# runs").  A code array is either encode's integer codes in float64 or, when
+# they or a tolerance offset do not fit in 2^52, the exact Fraction codes in
+# an object array with float +-inf for the poles.  One code path serves both.
+# ---------------------------------------------------------------------------
+
+
+def exact_codes(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray], np.ndarray]:
+    """The blocks' codes, exact, and each leaf's tolerance as an offset on
+    them: code(a) <= code(b) + offset iff ``leq(q, a, b)`` for values
+    whose codes are finite.  With :func:`encode`'s scale L the offset of a
+    tolerance t is floor(t * L), exact because every code difference is an
+    integer; otherwise the codes are the values themselves and the offset
+    is t."""
+    tols = [leaf.tolerance for leaf in q._leaves]
+    enc = encode(q, *blocks)
+    if enc is not None:
+        arrays, scale = enc
+        offsets = [math.floor(t * scale) for t in tols]
+        if max(offsets) <= EXACT_LIMIT:
+            return arrays, np.array(offsets, float)
+    return _arrays(q, blocks, lambda x: x, object), np.array(tols, object)
+
+
+def _poles(x: np.ndarray) -> np.ndarray:
+    """The poles of a code array as float64, 0 at its finite codes."""
+    return np.where(x == _POS, _POS, np.where(x == _NEG, _NEG, 0.0))
+
+
+def _combine(op, x: np.ndarray, y: np.ndarray, nan: float) -> np.ndarray:
+    """``op`` (add or subtract) of two code arrays, broadcast.  IEEE
+    arithmetic settles every pole as the scalar operations do, except
+    the NaN of two opposite poles, which becomes ``nan``.  On object
+    arrays the poles are masked before any arithmetic, so that no
+    Fraction ever meets a float infinity."""
+    with np.errstate(invalid="ignore"):
+        if x.dtype != object and y.dtype != object:
+            out = op(x, y)
+            out[np.isnan(out)] = nan
+            return out
+        px, py = _poles(x), _poles(y)
+        out = op(px, py)
+    out[np.isnan(out)] = nan
+    exact = op(np.where(px == 0, x, 0), np.where(py == 0, y, 0))
+    return np.where((px == 0) & (py == 0), exact, out)
+
+
+def _tensor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y, -inf absorbing."""
+    return _combine(np.add, x, y, _NEG)
+
+
+def _clamp(q: QuantaleDescriptor, x: np.ndarray) -> np.ndarray:
+    """Each leaf's codes clamped into its carrier, as ``quantale._decode``
+    does: below 0 to -inf where the leaf's codes are >= 0 or -inf (rbot,
+    bool), above 0 to 0 where they are <= 0 or -inf (lawvere, bool)."""
+    low = np.array([leaf.sign != -1 for leaf in q._leaves])
+    high = np.array([leaf.sign != 1 for leaf in q._leaves])
+    x = np.where(low & (x < 0), _NEG, x)
+    return np.where(high & (x > 0), 0, x)
+
+
+def module_blocks(e: np.ndarray, g: np.ndarray, tol: np.ndarray) -> Iterator[np.ndarray]:
+    """Every module I -/-> C with entries from a grid, as rows of grid
+    indices, in lexicographic order, in blocks of at most a fixed size.
+
+    ``e`` holds C's hom codes, (n, n, F), ``g`` the grid's, (K, F), and
+    ``tol`` the offsets of :func:`exact_codes`.  A row is a column M with
+    E(y, x) + M(x) <= M(y) + tol for all x, y.  Prefixes are extended one
+    entry at a time by every grid value and filtered at once, through a
+    table per entry i of the pairs (M(j), M(i)), j < i, that pass both
+    actions between j and i.  Pending prefixes wait on a stack of
+    bounded blocks, deepest first, so memory does not grow with the
+    number of modules.
+    """
+    n, k = len(e), len(g)
+    gt = _tensor(g, tol)  # the grid's codes plus the offsets
+
+    # all tables take n * n * k * k / 2 booleans: past a fixed budget only
+    # the last two are kept, which still serves a run of sibling blocks
+    @lru_cache(maxsize=None if n * n * k * k <= _CHUNK << 8 else 2)
+    def table(i: int) -> tuple[np.ndarray, np.ndarray]:
+        # self[v]: E(i, i) + v <= v;  pair[j, w, v]: E(j, i) + v <= w
+        # and E(i, j) + w <= v, for w = M(j) and v = M(i)
+        into = _tensor(e[:i, i, None, None], g[None, None]) <= gt[None, :, None]
+        out = _tensor(e[i, :i, None, None], g[None, :, None]) <= gt[None, None]
+        return (_tensor(e[i, i], g) <= gt).all(axis=-1), (into & out).all(axis=-1)
+
+    step = max(1, _CHUNK // max(1, k * n))
+    stack = [np.zeros((1, 0), np.intp)]
+    while stack:
+        prefix = stack.pop()
+        i = prefix.shape[1]
+        if i == n:
+            yield prefix
+            continue
+        self_ok, pair = table(i)
+        ok = self_ok & pair[np.arange(i), prefix].all(axis=1)
+        rows, vals = np.nonzero(ok)
+        grown = np.concatenate([prefix[rows], vals[:, None]], axis=1)
+        stack.extend(grown[s : s + step] for s in reversed(range(0, len(grown), step)))
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Per row, the first column where ``mask`` holds, or its width."""
+    return np.concatenate([mask, np.ones((len(mask), 1), bool)], axis=1).argmax(axis=1)
+
+
+def cauchy_columns(
+    q: QuantaleDescriptor, e: np.ndarray, m: np.ndarray, tol: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decide which modules M: I -/-> C are Cauchy, from codes.
+
+    ``m`` holds one module per row, (k, n, F); ``e`` and ``tol`` are as
+    in :func:`module_blocks`.  The canonical right adjoint is
+    N(x) = clamp(min over y of E(y, x) - M(y)), the poles settled as
+    ``quantale._diff`` does; the clamp is monotone, so it commutes with
+    the min.  M is Cauchy iff the unit holds, max over z of N(z) + M(z)
+    >= -tol in every factor; the counit holds by construction.  Returns
+    the Cauchy rows, and for each its witness (the first z with
+    N(z) + M(z) >= -tol) and its representing object (the first z with
+    E(-, z) equal to M within the tolerance), n where there is none.
+    """
+    n = m.shape[1]
+    step = max(1, _CHUNK // max(1, n * n * m.shape[2]))
+    rows, witness, rep = [], [], []
+    for k0 in range(0, len(m), step):
+        mk = m[k0 : k0 + step]
+        diff = _combine(np.subtract, e[None], mk[:, :, None], _POS)
+        adj = _clamp(q, np.minimum.reduce(diff, axis=1, initial=_POS))
+        unit = _tensor(adj, mk) >= -tol  # (k, z, F): the join is per factor
+        (cauchy,) = np.nonzero(unit.any(axis=1).all(axis=1))
+        rows.append(cauchy + k0)
+        witness.append(_first(unit[cauchy].all(axis=2)))
+        mc = mk[cauchy][:, :, None]  # (c, y, 1, F) against E(y, z)
+        same = ((mc <= _tensor(e, tol)[None]) & (e[None] <= _tensor(mc, tol))).all(axis=(1, 3))
+        rep.append(_first(same))
+    if not rows:
+        return (np.zeros(0, np.intp),) * 3
+    return np.concatenate(rows), np.concatenate(witness), np.concatenate(rep)

@@ -355,45 +355,35 @@ def default_module_grid(c: VCategory, cap: int = _GRID_CAP) -> tuple[QVal, ...]:
     return tuple(sorted(_closure_values(c.quantale, values, cap), key=qval_sort_key))
 
 
-def enumerate_modules_into(c: VCategory, grid: Iterable[QVal]) -> Iterator[VModule]:
-    """All modules I -/-> C with entries drawn from ``grid``.
-
-    Enumerated column-wise in grid order with constraint propagation:
-    a partial column is abandoned as soon as some pair violates the
-    left action.
-    """
+def _grid_codes(c: VCategory, grid: Iterable[QVal]):
+    """The grid in order, checked against C's carrier, and the exact
+    codes of C's homs and of the grid, (n, n, F) and (K, F), with the
+    tolerance offsets (:func:`qcat.maxplus.exact_codes`)."""
     q = c.quantale
     vals = tuple(sorted(set(grid), key=qval_sort_key))
     for v in vals:
         carrier_check(q, v)
-    n = len(c)
-    hom = c.hom
-    i_cat = unit_category(q)
-    column: list[QVal] = []
+    (e, g), tol = maxplus.exact_codes(q, (c.hom, len(c)), ([(v,) for v in vals], 1))
+    return vals, e, g[:, 0], tol
 
-    def extend(i: int) -> Iterator[tuple[QVal, ...]]:
-        if i == n:
-            yield tuple(column)
-            return
-        for v in vals:
-            if not leq(q, tensor(q, hom[i][i], v), v):
-                continue
-            ok = True
-            for j in range(i):
-                w = column[j]
-                if not leq(q, tensor(q, hom[j][i], v), w):
-                    ok = False
-                    break
-                if not leq(q, tensor(q, hom[i][j], w), v):
-                    ok = False
-                    break
-            if ok:
-                column.append(v)
-                yield from extend(i + 1)
-                column.pop()
 
-    for col in extend(0):
-        yield VModule(i_cat, c, tuple((v,) for v in col))
+def _columns(c: VCategory, vals: tuple[QVal, ...], rows: list[list[int]]) -> list[VModule]:
+    """The modules I -/-> C whose entries are the grid values at ``rows``."""
+    i_cat = unit_category(c.quantale)
+    return [VModule(i_cat, c, tuple((vals[x],) for x in row)) for row in rows]
+
+
+def enumerate_modules_into(c: VCategory, grid: Iterable[QVal]) -> Iterator[VModule]:
+    """All modules I -/-> C with entries drawn from ``grid``, lazily.
+
+    Enumerated column-wise in grid order: the columns come in
+    lexicographic order of their entries' grid positions, and a partial
+    column is abandoned as soon as some pair violates the left action
+    (:func:`qcat.maxplus.module_blocks`).
+    """
+    vals, e, g, tol = _grid_codes(c, grid)
+    for block in maxplus.module_blocks(e, g, tol):
+        yield from _columns(c, vals, block.tolist())
 
 
 @dataclass(frozen=True)
@@ -446,33 +436,30 @@ class CompletenessReport:
         }
 
 
-def _column_key(m: VModule):
-    return tuple(qval_sort_key(v) for (v,) in m.mat)
-
-
 def cauchy_completeness_report(
     c: VCategory, grid: Iterable[QVal] | None = None
 ) -> CompletenessReport:
     """Enumerate grid-valued modules I -/-> C, decide which are Cauchy,
-    and report the Cauchy ones no object represents."""
+    and report the Cauchy ones no object represents.
+
+    Modules are enumerated and decided in blocks on exact codes
+    (:func:`qcat.maxplus.cauchy_columns`); a ``VModule`` is built only
+    for a Cauchy one.  Enumeration order is matrix order, so the
+    findings come sorted.
+    """
     report = validate_category(c)
     if not report.ok:
         raise ValueError("cauchy_completeness_report requires a valid category")
-    grid_vals = (
-        default_module_grid(c) if grid is None else tuple(sorted(set(grid), key=qval_sort_key))
-    )
-    for v in grid_vals:
-        carrier_check(c.quantale, v)
+    vals, e, g, tol = _grid_codes(c, default_module_grid(c) if grid is None else grid)
+    objects = c.objects + (None,)  # index n: no such object
     checked = 0
     findings: list[CauchyFinding] = []
-    for m in enumerate_modules_into(c, grid_vals):
-        checked += 1
-        n = canonical_right_adjoint(m)
-        if not check_adjunction(m, n).ok:
-            continue
-        findings.append(CauchyFinding(m, find_representing(m), _witness(m, n)))
-    findings.sort(key=lambda f: _column_key(f.module))
-    return CompletenessReport(c, grid_vals, checked, tuple(findings))
+    for block in maxplus.module_blocks(e, g, tol):
+        checked += len(block)
+        rows, witness, rep = maxplus.cauchy_columns(c.quantale, e, g[block], tol)
+        for module, z, w in zip(_columns(c, vals, block[rows].tolist()), rep, witness):
+            findings.append(CauchyFinding(module, objects[z], objects[w]))
+    return CompletenessReport(c, vals, checked, tuple(findings))
 
 
 def module_to_json(m: VModule) -> dict:

@@ -310,3 +310,95 @@ def _meet(q: QuantaleDescriptor, vals: Sequence[QVal]) -> QVal:
         if _leq_exact(q, v, best):
             best = v
     return best
+
+
+# ---------------------------------------------------------------------------
+# The Cauchy search as it was before the batched kernel: a recursive
+# depth-first enumeration of grid columns, and one scalar adjunction check
+# per module.  Kept verbatim (on the scalar operations above) as the
+# reference for tests/test_cauchy_batch.py.
+# ---------------------------------------------------------------------------
+
+from typing import Iterator  # noqa: E402
+
+from qcat import VCategory, VModule, unit_category, validate_category  # noqa: E402
+from qcat.modules import (  # noqa: E402
+    CauchyFinding,
+    CompletenessReport,
+    _witness,
+    canonical_right_adjoint,
+    check_adjunction,
+    default_module_grid,
+    find_representing,
+)
+from qcat.quantale import qval_sort_key  # noqa: E402
+
+
+def enumerate_modules_into(c: VCategory, grid: Iterable[QVal]) -> Iterator[VModule]:
+    """All modules I -/-> C with entries drawn from ``grid``.
+
+    Enumerated column-wise in grid order with constraint propagation:
+    a partial column is abandoned as soon as some pair violates the
+    left action.
+    """
+    q = c.quantale
+    vals = tuple(sorted(set(grid), key=qval_sort_key))
+    for v in vals:
+        carrier_check(q, v)
+    n = len(c)
+    hom = c.hom
+    i_cat = unit_category(q)
+    column: list[QVal] = []
+
+    def extend(i: int) -> Iterator[tuple[QVal, ...]]:
+        if i == n:
+            yield tuple(column)
+            return
+        for v in vals:
+            if not leq(q, tensor(q, hom[i][i], v), v):
+                continue
+            ok = True
+            for j in range(i):
+                w = column[j]
+                if not leq(q, tensor(q, hom[j][i], v), w):
+                    ok = False
+                    break
+                if not leq(q, tensor(q, hom[i][j], w), v):
+                    ok = False
+                    break
+            if ok:
+                column.append(v)
+                yield from extend(i + 1)
+                column.pop()
+
+    for col in extend(0):
+        yield VModule(i_cat, c, tuple((v,) for v in col))
+
+
+def _column_key(m: VModule):
+    return tuple(qval_sort_key(v) for (v,) in m.mat)
+
+
+def cauchy_completeness_report(
+    c: VCategory, grid: Iterable[QVal] | None = None
+) -> CompletenessReport:
+    """Enumerate grid-valued modules I -/-> C, decide which are Cauchy,
+    and report the Cauchy ones no object represents."""
+    report = validate_category(c)
+    if not report.ok:
+        raise ValueError("cauchy_completeness_report requires a valid category")
+    grid_vals = (
+        default_module_grid(c) if grid is None else tuple(sorted(set(grid), key=qval_sort_key))
+    )
+    for v in grid_vals:
+        carrier_check(c.quantale, v)
+    checked = 0
+    findings: list[CauchyFinding] = []
+    for m in enumerate_modules_into(c, grid_vals):
+        checked += 1
+        n = canonical_right_adjoint(m)
+        if not check_adjunction(m, n).ok:
+            continue
+        findings.append(CauchyFinding(m, find_representing(m), _witness(m, n)))
+    findings.sort(key=lambda f: _column_key(f.module))
+    return CompletenessReport(c, grid_vals, checked, tuple(findings))

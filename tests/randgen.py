@@ -18,14 +18,18 @@ from qcat import (
     INF,
     RBOT,
     CausalDag,
+    QuantaleDescriptor,
     QVal,
     VCategory,
     VModule,
+    boolean,
     finite,
     join,
     tensor,
+    tuple_val,
     unit_category,
 )
+from qcat.quantale import Kind
 
 EDGE_WEIGHTS = (finite(0), finite(1), finite(2), finite(Fraction(5, 2)))
 
@@ -91,6 +95,46 @@ def random_rbot_category(
     labels = tuple(f"e{i}" for i in range(n))
     rows = tuple(tuple(hom[perm[i]][perm[j]] for j in range(n)) for i in range(n))
     return VCategory(RBOT, labels, rows)
+
+
+def random_category(
+    rng: random.Random,
+    q: QuantaleDescriptor,
+    n: int,
+    *,
+    edge_p: float = 0.45,
+    distances: tuple[Fraction | int, ...] = (1, 2, 3),
+) -> VCategory:
+    """A valid category over ``q`` on objects e0..e(n-1): over rbot one of
+    :func:`random_rbot_category`; over lawvere the shortest-path closure
+    of random ``distances`` (or inf); over bool the reflexive transitive
+    closure of a random relation; over a product one random category per
+    factor, zipped entrywise."""
+    labels = tuple(f"e{i}" for i in range(n))
+    if q.kind is Kind.PRODUCT:
+        parts = [random_category(rng, f, n, edge_p=edge_p, distances=distances) for f in q.factors]
+        rows = [[tuple_val(p.hom[i][j] for p in parts) for j in range(n)] for i in range(n)]
+    elif q.kind is Kind.RBOT:
+        rows = random_rbot_category(rng, n, min_objects=n).hom
+    elif q.kind is Kind.LAWVERE:
+        d = [[0 if i == j else rng.choice(distances) if rng.random() < edge_p else None
+              for j in range(n)] for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    if d[i][k] is not None and d[k][j] is not None:
+                        via = d[i][k] + d[k][j]
+                        if d[i][j] is None or via < d[i][j]:
+                            d[i][j] = via
+        rows = [[INF if x is None else finite(x) for x in row] for row in d]
+    else:
+        r = [[i == j or rng.random() < edge_p / 2 for j in range(n)] for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                if r[i][k]:
+                    r[i] = [a or b for a, b in zip(r[i], r[k])]
+        rows = [[boolean(x) for x in row] for row in r]
+    return VCategory(q, labels, tuple(tuple(row) for row in rows))
 
 
 def subcategory(cat: VCategory, ixs: list[int]) -> VCategory:

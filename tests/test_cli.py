@@ -19,6 +19,9 @@ from qcat import (
 )
 from qcat.category import _validate_exact
 from qcat.cli import main, run, _dump, _write
+from qcat.quantale import parse_value
+
+import oracles
 
 CHAIN = VCategory(RBOT, ("a", "b"), ((finite(0), finite(3)), (BOT, finite(0))))
 
@@ -427,6 +430,24 @@ class TestOutOfRangeValues:
         assert "digits" in result.payload["error"]
 
 
+class TestCompleteHugeGridValues:
+    """Grid values whose common scale defeats the integer codes run on
+    exact Fraction codes: the same report as the per-module search, and
+    never a traceback."""
+
+    @pytest.mark.parametrize(
+        "value",
+        ["9" * 4000, str(2**1024 - 1), str(2**1024), f"1/{2**1024 - 1}", "1" + "0" * 3999 + "/7"],
+        ids=["4000-digits", "below-2^1024", "2^1024", "1/(2^1024-1)", "10^3999/7"],
+    )
+    def test_complete_with_huge_grid_value(self, chain_file, value):
+        grid = f"bot,0,1,3,{value},inf"
+        result = run(["complete", chain_file, "--grid", grid])
+        assert result.exit_code in (0, 1)
+        want = oracles.cauchy_completeness_report(CHAIN, [parse_value(v) for v in grid.split(",")])
+        assert result.payload == {"status": "ok" if want.complete else "violations", **want.to_json()}
+
+
 class TestUnencodableLabels:
     """Labels that UTF-8 cannot encode (JSON admits a lone surrogate) are
     input errors naming the field, not a traceback when printed."""
@@ -672,6 +693,66 @@ LAWS_RBOT_BOOL_STDOUT = """\
 """
 
 
+COMPLETE_DISC_STDOUT = """\
+{
+  "cauchy": [
+    {
+      "column": [
+        "(false,false)",
+        "(true,true)"
+      ],
+      "representing": "y",
+      "witness": "y"
+    },
+    {
+      "column": [
+        "(false,true)",
+        "(true,false)"
+      ],
+      "representing": null,
+      "witness": null
+    },
+    {
+      "column": [
+        "(true,false)",
+        "(false,true)"
+      ],
+      "representing": null,
+      "witness": null
+    },
+    {
+      "column": [
+        "(true,true)",
+        "(false,false)"
+      ],
+      "representing": "x",
+      "witness": "x"
+    }
+  ],
+  "cauchy_count": 4,
+  "complete": false,
+  "counterexamples": [
+    [
+      "(false,true)",
+      "(true,false)"
+    ],
+    [
+      "(true,false)",
+      "(false,true)"
+    ]
+  ],
+  "grid": [
+    "(false,false)",
+    "(false,true)",
+    "(true,false)",
+    "(true,true)"
+  ],
+  "modules_checked": 16,
+  "status": "violations"
+}
+"""
+
+
 class TestGoldenBytes:
     def _stdout(self, monkeypatch, capsys, argv):
         monkeypatch.setattr(sys, "argv", ["qcat", *argv])
@@ -707,3 +788,12 @@ class TestGoldenBytes:
     def test_laws_default_product_grid(self, monkeypatch, capsys):
         out = self._stdout(monkeypatch, capsys, ["laws", "--quantale", "rbot,bool"])
         assert out == LAWS_RBOT_BOOL_STDOUT
+
+    def test_complete_product_counterexamples(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "disc.json").write_text(json.dumps(PRODUCT_DISC))
+        monkeypatch.setattr(sys, "argv", ["qcat", "complete", "disc.json"])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert exit_.value.code == 1
+        assert capsys.readouterr().out == COMPLETE_DISC_STDOUT

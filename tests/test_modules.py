@@ -405,15 +405,18 @@ def _counting(monkeypatch, module, name):
 
 
 class TestAdjunctionDecidedOnce:
-    """Each candidate module's adjunction is checked once: the witness scan
-    after a passed check does not check it again."""
+    """Each candidate module's adjunction is decided once: the report
+    decides every module in the batched kernel, without the scalar
+    adjunction check, and the witness scan after a passed check does not
+    check it again."""
 
     @pytest.mark.parametrize("cat", [CHAIN, DISC2], ids=["rbot", "bool2"])
     def test_completeness_report(self, monkeypatch, cat):
-        calls = _counting(monkeypatch, qcat.modules, "check_adjunction")
+        names = ("check_adjunction", "compose", "canonical_right_adjoint")
+        calls = [_counting(monkeypatch, qcat.modules, name) for name in names]
         report = cauchy_completeness_report(cat)
-        assert report.findings
-        assert len(calls) == report.modules_checked
+        assert report.findings and report.modules_checked > len(report.findings)
+        assert [len(c) for c in calls] == [0, 0, 0]
 
     def test_cauchy_witness_still_checks(self, monkeypatch):
         calls = _counting(monkeypatch, qcat.modules, "check_adjunction")
