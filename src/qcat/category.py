@@ -146,11 +146,6 @@ def _law_violations(q: QuantaleDescriptor, a, b, c, labels, triples) -> tuple:
     return tuple(out)
 
 
-def _validate_exact(c: VCategory) -> CategoryReport:
-    """The scalar loop over all triples, with the tolerance of ``c``."""
-    return _report(c, itertools.product(range(len(c)), repeat=3))
-
-
 def opposite(c: VCategory) -> VCategory:
     """Reverse all homs: E_op(X, Y) = E(Y, X)."""
     n = len(c)

@@ -18,7 +18,7 @@ from itertools import chain
 from itertools import product as iproduct
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .category import (
     _require_utf8,
@@ -320,89 +320,106 @@ def _cmd_counterexample_mixed(args) -> CommandResult:
     return CommandResult(status, payload, 1 if record.violation else 0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Command(NamedTuple):
+    fn: Callable[[argparse.Namespace], CommandResult]
+    help: str
+    args: tuple[tuple[tuple[str, ...], dict], ...] = ()
+
+
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+# Every subcommand, in help order: the one source of the full parser and
+# of each one-subcommand parser.
+_COMMANDS = {
+    "laws": _Command(_cmd_laws, "check the quantale laws over a value grid", (
+        _arg("--quantale", required=True, help="rbot, lawvere, bool, or a comma list for a product"),
+        _arg("--grid", help="comma-separated values (default: a small instance grid)"),
+    )),
+    "validate": _Command(_cmd_validate, "validate a category file (plus endohom classes over rbot)", (
+        _arg("category"),
+    )),
+    "compose": _Command(_cmd_compose, "compose two module files (first . second)", (
+        _arg("first"),
+        _arg("second"),
+        _arg("-o", "--output", required=True),
+    )),
+    "adjoint": _Command(_cmd_adjoint, "canonical right adjoint and adjunction report", (
+        _arg("module"),
+    )),
+    "cauchy": _Command(_cmd_cauchy, "Cauchy test, representing object, unit witness", (
+        _arg("module"),
+    )),
+    "complete": _Command(_cmd_complete, "exhaustive Cauchy-completeness search over a grid", (
+        _arg("category"),
+        _arg("--grid", help="comma-separated values (default: residual closure of the homs)"),
+    )),
+    "collage": _Command(_cmd_collage, "glue a module into one category", (
+        _arg("module"),
+        _arg("-o", "--output", required=True),
+    )),
+    "restrict": _Command(_cmd_restrict, "extract the module of a collage", (
+        _arg("collage"),
+        _arg("-o", "--output"),
+    )),
+    "adjoin": _Command(_cmd_adjoin, "adjoin a point described by a module pair", (
+        _arg("first", help="module I -/-> E (homs into the new point)"),
+        _arg("second", help="module E -/-> I (homs out of the new point)"),
+        _arg("--label", default="*"),
+        _arg("-o", "--output", required=True),
+    )),
+    "from-dag": _Command(_cmd_from_dag, "causal space of a causal set (longest paths)", (
+        _arg("edges", help="edge-list text file ('a b' per line) or JSON"),
+        _arg("-o", "--output", required=True),
+    )),
+    "minkowski": _Command(_cmd_minkowski, "uniform sprinkling into a flat 2D rectangle", (
+        _arg("--n", type=int, required=True),
+        _arg("--seed", type=int, required=True),
+        _arg("--bounds", default="0,1,0,1", help="t0,t1,x0,x1 (default 0,1,0,1)"),
+        _arg("-o", "--output", required=True),
+    )),
+    "underlying": _Command(_cmd_underlying, "underlying preorder, optionally as DOT", (
+        _arg("category"),
+        _arg("--dot", help="write a graphviz file"),
+    )),
+    "counterexample-mixed": _Command(
+        _cmd_counterexample_mixed,
+        "the three-event witness that signed intervals break the triangle inequality",
+    ),
+}
+
+# what argparse prints for the subcommand positional of the full parser
+_CHOICES = "{" + ",".join(_COMMANDS) + "}"
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qcat`` parser with every subcommand, or with ``command``'s
+    alone.  The one-subcommand parser names every choice in its usage
+    line, so it prints the same help and errors for ``command``."""
     parser = argparse.ArgumentParser(
         prog="qcat",
         description="Finite quantale-enriched categories: validation, module algebra, "
         "Cauchy completeness, collages, and causal-space generators.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("laws", help="check the quantale laws over a value grid")
-    p.add_argument("--quantale", required=True, help="rbot, lawvere, bool, or a comma list for a product")
-    p.add_argument("--grid", help="comma-separated values (default: a small instance grid)")
-    p.set_defaults(fn=_cmd_laws)
-
-    p = sub.add_parser("validate", help="validate a category file (plus endohom classes over rbot)")
-    p.add_argument("category")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("compose", help="compose two module files (first . second)")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_compose)
-
-    p = sub.add_parser("adjoint", help="canonical right adjoint and adjunction report")
-    p.add_argument("module")
-    p.set_defaults(fn=_cmd_adjoint)
-
-    p = sub.add_parser("cauchy", help="Cauchy test, representing object, unit witness")
-    p.add_argument("module")
-    p.set_defaults(fn=_cmd_cauchy)
-
-    p = sub.add_parser("complete", help="exhaustive Cauchy-completeness search over a grid")
-    p.add_argument("category")
-    p.add_argument("--grid", help="comma-separated values (default: residual closure of the homs)")
-    p.set_defaults(fn=_cmd_complete)
-
-    p = sub.add_parser("collage", help="glue a module into one category")
-    p.add_argument("module")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_collage)
-
-    p = sub.add_parser("restrict", help="extract the module of a collage")
-    p.add_argument("collage")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_restrict)
-
-    p = sub.add_parser("adjoin", help="adjoin a point described by a module pair")
-    p.add_argument("first", help="module I -/-> E (homs into the new point)")
-    p.add_argument("second", help="module E -/-> I (homs out of the new point)")
-    p.add_argument("--label", default="*")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_adjoin)
-
-    p = sub.add_parser("from-dag", help="causal space of a causal set (longest paths)")
-    p.add_argument("edges", help="edge-list text file ('a b' per line) or JSON")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_from_dag)
-
-    p = sub.add_parser("minkowski", help="uniform sprinkling into a flat 2D rectangle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bounds", default="0,1,0,1", help="t0,t1,x0,x1 (default 0,1,0,1)")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_minkowski)
-
-    p = sub.add_parser("underlying", help="underlying preorder, optionally as DOT")
-    p.add_argument("category")
-    p.add_argument("--dot", help="write a graphviz file")
-    p.set_defaults(fn=_cmd_underlying)
-
-    p = sub.add_parser(
-        "counterexample-mixed",
-        help="the three-event witness that signed intervals break the triangle inequality",
-    )
-    p.set_defaults(fn=_cmd_counterexample_mixed)
-
+    whole = command is None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if whole else _CHOICES)
+    for name in _COMMANDS if whole else (command,):
+        spec = _COMMANDS[name]
+        p = sub.add_parser(name, help=spec.help)
+        for flags, kwargs in spec.args:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=spec.fn)
     return parser
 
 
 def run(argv: Sequence[str]) -> CommandResult:
-    parser = build_parser()
+    argv = list(argv)
+    # one process runs one command, so build only its parser; help, no
+    # command or an unknown one need them all
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         if code == 0:  # --help

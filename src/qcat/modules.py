@@ -417,21 +417,21 @@ class CompletenessReport:
         return not self.counterexamples
 
     def to_json(self) -> dict:
+        # each grid value is formatted once: the search draws every entry
+        # from the grid (format_value never returns "")
+        text = {v: format_value(v) for v in self.grid}
+        columns = [[text.get(v) or format_value(v) for (v,) in f.module.mat] for f in self.findings]
         return {
             "complete": self.complete,
-            "grid": [format_value(v) for v in self.grid],
+            "grid": [text[v] for v in self.grid],
             "modules_checked": self.modules_checked,
             "cauchy_count": len(self.findings),
             "cauchy": [
-                {
-                    "column": [format_value(v) for (v,) in f.module.mat],
-                    "representing": f.representing,
-                    "witness": f.witness,
-                }
-                for f in self.findings
+                {"column": col, "representing": f.representing, "witness": f.witness}
+                for f, col in zip(self.findings, columns)
             ],
             "counterexamples": [
-                [format_value(v) for (v,) in mod.mat] for mod in self.counterexamples
+                list(col) for f, col in zip(self.findings, columns) if f.representing is None
             ],
         }
 

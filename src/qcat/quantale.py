@@ -118,6 +118,17 @@ class QVal:
         return self.tag is Tag.FINITE
 
 
+def _trusted_finite(x: Fraction) -> QVal:
+    """``QVal(Tag.FINITE, x)`` without the payload check, for callers
+    that hold a nonnegative ``Fraction`` already."""
+    v = object.__new__(QVal)
+    # set as the dataclass's __init__ sets them: touching v.__dict__ would
+    # make CPython give each value a dict of its own, two thirds larger
+    object.__setattr__(v, "tag", Tag.FINITE)
+    object.__setattr__(v, "value", x)
+    return v
+
+
 BOT = QVal(Tag.BOT)
 INF = QVal(Tag.INF)
 TRUE = QVal(Tag.BOOL, True)
@@ -264,8 +275,8 @@ def _decode(leaf: _Leaf, x) -> QVal:
     if leaf.sign is None:
         return leaf.top if x >= 0 else leaf.bottom
     if leaf.sign > 0:
-        return QVal(Tag.FINITE, x) if x >= 0 else leaf.bottom
-    return QVal(Tag.FINITE, -x) if x <= 0 else leaf.top
+        return _trusted_finite(x) if x >= 0 else leaf.bottom
+    return _trusted_finite(-x) if x <= 0 else leaf.top
 
 
 def _le(t: Fraction, x, y) -> bool:
@@ -612,7 +623,7 @@ def parse_value(raw: str | int | float | bool) -> QVal:
     if isinstance(raw, int):
         if raw < 0:
             raise ValueError(f"negative value {raw} is not in any carrier")
-        return finite(Fraction(raw))
+        return _trusted_finite(Fraction(raw))
     if isinstance(raw, float):
         if not math.isfinite(raw):
             raise ValueError(f"{raw} is not a finite number")
@@ -622,7 +633,7 @@ def parse_value(raw: str | int | float | bool) -> QVal:
             frac = Fraction(raw)
         if frac < 0:
             raise ValueError(f"negative value {raw} is not in any carrier")
-        return QVal(Tag.FINITE, frac)
+        return _trusted_finite(frac)
     if not isinstance(raw, str):
         raise ValueError(f"cannot parse {raw!r} as a value")
     text = raw.strip()
@@ -665,7 +676,7 @@ def parse_value(raw: str | int | float | bool) -> QVal:
             raise too_long
     if frac < 0:
         raise ValueError(f"negative value {raw!r} is not in any carrier")
-    return QVal(Tag.FINITE, frac)
+    return _trusted_finite(frac)
 
 
 def format_value(v: QVal) -> str:

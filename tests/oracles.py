@@ -402,3 +402,116 @@ def cauchy_completeness_report(
         findings.append(CauchyFinding(m, find_representing(m), _witness(m, n)))
     findings.sort(key=lambda f: _column_key(f.module))
     return CompletenessReport(c, grid_vals, checked, tuple(findings))
+
+
+# ---------------------------------------------------------------------------
+# The CLI front end as it was when every call built the parser of all
+# subcommands, and ``validate_category``'s scalar loop over every triple.
+# Kept verbatim (names qualified by module) as the references for
+# tests/test_cli.py and the validation differentials.
+# ---------------------------------------------------------------------------
+
+import argparse  # noqa: E402
+import itertools  # noqa: E402
+
+from qcat import cli  # noqa: E402
+from qcat.category import CategoryReport, _report  # noqa: E402
+
+
+def validate_exact(c: VCategory) -> CategoryReport:
+    """The scalar loop over all triples, with the tolerance of ``c``."""
+    return _report(c, itertools.product(range(len(c)), repeat=3))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qcat",
+        description="Finite quantale-enriched categories: validation, module algebra, "
+        "Cauchy completeness, collages, and causal-space generators.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("laws", help="check the quantale laws over a value grid")
+    p.add_argument("--quantale", required=True, help="rbot, lawvere, bool, or a comma list for a product")
+    p.add_argument("--grid", help="comma-separated values (default: a small instance grid)")
+    p.set_defaults(fn=cli._cmd_laws)
+
+    p = sub.add_parser("validate", help="validate a category file (plus endohom classes over rbot)")
+    p.add_argument("category")
+    p.set_defaults(fn=cli._cmd_validate)
+
+    p = sub.add_parser("compose", help="compose two module files (first . second)")
+    p.add_argument("first")
+    p.add_argument("second")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(fn=cli._cmd_compose)
+
+    p = sub.add_parser("adjoint", help="canonical right adjoint and adjunction report")
+    p.add_argument("module")
+    p.set_defaults(fn=cli._cmd_adjoint)
+
+    p = sub.add_parser("cauchy", help="Cauchy test, representing object, unit witness")
+    p.add_argument("module")
+    p.set_defaults(fn=cli._cmd_cauchy)
+
+    p = sub.add_parser("complete", help="exhaustive Cauchy-completeness search over a grid")
+    p.add_argument("category")
+    p.add_argument("--grid", help="comma-separated values (default: residual closure of the homs)")
+    p.set_defaults(fn=cli._cmd_complete)
+
+    p = sub.add_parser("collage", help="glue a module into one category")
+    p.add_argument("module")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(fn=cli._cmd_collage)
+
+    p = sub.add_parser("restrict", help="extract the module of a collage")
+    p.add_argument("collage")
+    p.add_argument("-o", "--output")
+    p.set_defaults(fn=cli._cmd_restrict)
+
+    p = sub.add_parser("adjoin", help="adjoin a point described by a module pair")
+    p.add_argument("first", help="module I -/-> E (homs into the new point)")
+    p.add_argument("second", help="module E -/-> I (homs out of the new point)")
+    p.add_argument("--label", default="*")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(fn=cli._cmd_adjoin)
+
+    p = sub.add_parser("from-dag", help="causal space of a causal set (longest paths)")
+    p.add_argument("edges", help="edge-list text file ('a b' per line) or JSON")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(fn=cli._cmd_from_dag)
+
+    p = sub.add_parser("minkowski", help="uniform sprinkling into a flat 2D rectangle")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--bounds", default="0,1,0,1", help="t0,t1,x0,x1 (default 0,1,0,1)")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(fn=cli._cmd_minkowski)
+
+    p = sub.add_parser("underlying", help="underlying preorder, optionally as DOT")
+    p.add_argument("category")
+    p.add_argument("--dot", help="write a graphviz file")
+    p.set_defaults(fn=cli._cmd_underlying)
+
+    p = sub.add_parser(
+        "counterexample-mixed",
+        help="the three-event witness that signed intervals break the triangle inequality",
+    )
+    p.set_defaults(fn=cli._cmd_counterexample_mixed)
+
+    return parser
+
+
+def cli_run(argv: Sequence[str]) -> cli.CommandResult:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(list(argv))
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 2
+        if code == 0:  # --help
+            return cli.CommandResult(cli.OK, {"status": cli.OK}, 0)
+        return cli.CommandResult(cli.ERROR, {"status": cli.ERROR, "error": "invalid arguments"}, 2)
+    try:
+        return args.fn(args)
+    except (ValueError, KeyError) as exc:
+        return cli.CommandResult(cli.ERROR, {"status": cli.ERROR, "error": str(exc)}, 2)

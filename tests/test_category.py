@@ -31,9 +31,8 @@ from qcat import (
     unit_category,
     validate_category,
 )
-from qcat.category import _validate_exact
 
-from oracles import idempotent_split_check, preorder_dot_oracle
+from oracles import idempotent_split_check, preorder_dot_oracle, validate_exact
 from randgen import random_rbot_category
 
 CHAIN = VCategory(RBOT, ("a", "b"), ((finite(0), finite(3)), (BOT, finite(0))))
@@ -72,12 +71,12 @@ class TestValidate:
 
     def test_float_path_matches_exact_path(self):
         cat, _ = minkowski_sample(40, 11)
-        assert _validate_exact(cat) == validate_category(cat)
+        assert validate_exact(cat) == validate_category(cat)
         rows = [list(r) for r in cat.hom]
         rows[3][7] = INF
         rows[5][5] = BOT
         broken = VCategory(cat.quantale, cat.objects, tuple(tuple(r) for r in rows))
-        assert _validate_exact(broken) == validate_category(broken)
+        assert validate_exact(broken) == validate_category(broken)
         assert not validate_category(broken).ok
 
 

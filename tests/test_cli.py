@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 
@@ -17,7 +18,7 @@ from qcat import (
     representable,
     validate_category,
 )
-from qcat.category import _validate_exact
+from qcat import cli
 from qcat.cli import main, run, _dump, _write
 from qcat.quantale import parse_value
 
@@ -412,7 +413,7 @@ class TestOutOfRangeValues:
         path.write_text(json.dumps(data))
         result = run(["validate", str(path)])
         assert result.exit_code == 1
-        expected = _validate_exact(category_from_json(data)).to_json()
+        expected = oracles.validate_exact(category_from_json(data)).to_json()
         assert result.payload["report"] == expected
         assert len(expected["composition_violations"]) == 14
         result = run(["complete", str(path)])
@@ -797,3 +798,70 @@ class TestGoldenBytes:
             main()
         assert exit_.value.code == 1
         assert capsys.readouterr().out == COMPLETE_DISC_STDOUT
+
+
+FRONT_END_ARGV = [
+    *([name, "--help"] for name in cli._COMMANDS),
+    [],
+    ["--help"],
+    ["-h"],
+    ["-h", "validate"],
+    ["bogus"],
+    ["--bogus"],
+    ["validate"],  # a missing positional
+    ["validate", "a.json", "b.json"],  # an extra argument
+    ["compose", "a.json", "b.json"],  # a missing required option
+    ["complete", "c.json", "--grid"],  # --grid with no value
+    ["minkowski", "--n", "x", "--seed", "1", "-o", "o.json"],
+    ["validate", "missing.json"],  # parsed, then a file error
+    ["laws", "--quantale", "rbot"],
+    ["counterexample-mixed"],
+]
+
+
+class TestParserFrontEnd:
+    """``cli.run`` builds only the invoked subcommand's parser; what a
+    user sees must be what the parser of every subcommand printed."""
+
+    @staticmethod
+    def _main(monkeypatch, capsys, argv):
+        monkeypatch.setattr(sys, "argv", ["qcat", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        out, err = capsys.readouterr()
+        return exit_.value.code, out, err
+
+    @pytest.mark.parametrize("columns", [None, "40"])
+    @pytest.mark.parametrize("argv", FRONT_END_ARGV, ids=" ".join)
+    def test_same_bytes_as_the_full_parser(self, argv, columns, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if columns is not None:  # argparse wraps its usage and help to COLUMNS
+            monkeypatch.setenv("COLUMNS", columns)
+        got = self._main(monkeypatch, capsys, argv)
+        monkeypatch.setattr(cli, "run", oracles.cli_run)
+        assert got == self._main(monkeypatch, capsys, argv)
+
+    def _add_parser_calls(self, monkeypatch, argv) -> int:
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        run(argv)
+        return len(calls)
+
+    def test_a_known_command_builds_one_subparser(self, monkeypatch):
+        assert self._add_parser_calls(monkeypatch, ["laws", "--quantale", "rbot"]) == 1
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]], ids=repr)
+    def test_help_and_unknown_commands_build_them_all(self, monkeypatch, argv):
+        assert self._add_parser_calls(monkeypatch, argv) == len(cli._COMMANDS)
+
+    def test_build_parser_without_a_command_is_the_full_parser(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.build_parser().format_help() == oracles.build_parser().format_help()
+        for name in cli._COMMANDS:
+            assert cli.build_parser(name).format_usage() == oracles.build_parser().format_usage()

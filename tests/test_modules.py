@@ -42,6 +42,8 @@ from qcat import (
     validate_module,
 )
 from qcat.cli import run
+from qcat.modules import CauchyFinding, CompletenessReport
+from qcat.quantale import format_value
 
 from randgen import (
     random_black_hole_module,
@@ -385,6 +387,16 @@ class TestCompletenessReport:
         assert r1.to_json() == r2.to_json()
         cols = [[str(v) for (v,) in f.module.mat] for f in r1.findings]
         assert cols == sorted(cols)
+
+    def test_to_json_of_a_report_built_by_hand(self):
+        # its entries need not come from its grid
+        m = representable(CHAIN, "b")
+        report = CompletenessReport(CHAIN, (finite(0),), 1, (CauchyFinding(m, None, None),))
+        column = [format_value(v) for (v,) in m.mat]
+        data = report.to_json()
+        assert data["grid"] == ["0"]
+        assert data["cauchy"] == [{"column": column, "representing": None, "witness": None}]
+        assert data["counterexamples"] == [column]
 
     def test_invalid_category_rejected(self):
         bad = VCategory(RBOT, ("x",), ((finite(5),),))

@@ -36,6 +36,7 @@ from qcat import (
     tuple_val,
     unit,
 )
+from qcat.quantale import _trusted_finite
 
 BOOL2 = product(BOOL, BOOL)
 RBOT_GRID = (BOT, finite(0), finite(1), finite(Fraction(5, 2)), finite(7), INF)
@@ -311,6 +312,23 @@ class TestCarrier:
             QVal(Tag.FINITE, 3)  # must be a Fraction
         with pytest.raises(TypeError):
             QVal(Tag.BOT, Fraction(1))
+        with pytest.raises(ValueError):
+            QVal(Tag.FINITE, Fraction(-1))
+
+    @pytest.mark.parametrize(
+        "x", [Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(7), Fraction(2**70), Fraction(1, 2**60 + 1)]
+    )
+    def test_trusted_finite_is_a_checked_value(self, x):
+        trusted, checked = _trusted_finite(x), QVal(Tag.FINITE, x)
+        assert trusted == checked and checked == trusted
+        assert hash(trusted) == hash(checked)
+        assert len({trusted, checked}) == 1
+        assert repr(trusted) == repr(checked)
+        # the callers that build values without the check
+        text = format_value(checked)
+        for v in (parse_value(text), tensor(RBOT, checked, finite(0)), residual(LAWVERE, finite(0), checked)):
+            assert v == checked and hash(v) == hash(checked)
+            assert v.tag is Tag.FINITE and type(v.value) is Fraction
 
 
 class TestTextSyntax:
