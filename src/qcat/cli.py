@@ -39,14 +39,13 @@ from .causal import (
 )
 from .collage import adjoin_point, collage, collage_from_json, collage_to_json, restrict
 from .modules import (
-    _witness,
+    _cauchy_decision,
     canonical_right_adjoint,
     cauchy_completeness_report,
     check_adjunction,
     compose,
     module_from_json,
     module_to_json,
-    representing_objects,
 )
 from .quantale import (
     _LEAF_TABLE,
@@ -81,7 +80,8 @@ def _dump(data: dict) -> str:
 def _encode(o: object, nl: str) -> str:
     # nl is the newline plus the indent of o's own line.  Dicts keyed by
     # str and lists recurse; lists of str and lists of non-empty rows of
-    # str are joined by C-level encode_basestring.  Everything else goes
+    # str are joined by C-level encode_basestring; None, bools and ints
+    # are written as the stdlib writes them.  Everything else goes
     # to the stdlib, re-indented: JSON escapes every newline inside a
     # string, so each "\n" it writes is structural.
     inner = nl + "  "
@@ -89,6 +89,12 @@ def _encode(o: object, nl: str) -> str:
     t = type(o)
     if t is str:
         return encode_basestring(o)
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    if t is int:  # the stdlib's own call, which raises past the digit limit
+        return int.__repr__(o)
     if t is dict and o and set(map(type, o)) == {str}:
         items = (encode_basestring(k) + ": " + _encode(o[k], inner) for k in sorted(o))
         return "{" + inner + sep.join(items) + nl + "}"
@@ -206,21 +212,18 @@ def _cmd_adjoint(args) -> CommandResult:
 
 def _cmd_cauchy(args) -> CommandResult:
     m = module_from_json(_read_json(args.module), where=args.module)
-    representing = representing_objects(m)  # raises unless the source is I
-    n = canonical_right_adjoint(m)
-    cauchy = check_adjunction(m, n).ok
-    payload: dict = {"status": OK if cauchy else VIOLATIONS, "is_cauchy": cauchy}
-    if cauchy:
-        payload["representing"] = representing[0] if representing else None
-        payload["all_representing"] = list(representing)
-        payload["witness"] = _witness(m, n)
-        if payload["representing"] is None:
-            payload["status"] = VIOLATIONS
-    else:
-        payload["representing"] = None
-        payload["all_representing"] = []
-        payload["witness"] = None
-    return CommandResult(payload["status"], payload, 0 if payload["status"] == OK else 1)
+    cauchy, representing, witness = _cauchy_decision(m)  # raises unless the source is I
+    if not cauchy:
+        representing, witness = (), None
+    status = OK if representing else VIOLATIONS
+    payload = {
+        "status": status,
+        "is_cauchy": cauchy,
+        "representing": representing[0] if representing else None,
+        "all_representing": list(representing),
+        "witness": witness,
+    }
+    return CommandResult(status, payload, 0 if status == OK else 1)
 
 
 def _cmd_complete(args) -> CommandResult:

@@ -140,10 +140,12 @@ def _decoder(leaf: _Leaf, scale: int):
     """Map one encoded factor value back to a ``QVal``, memoised."""
     memo: dict[float, QVal] = {}
 
-    def decode(x: float) -> QVal:
+    def decode(x) -> QVal:
         v = memo.get(x)
         if v is None:
-            code = _NEG if x == -math.inf else _POS if x == math.inf else Fraction(int(x), scale)
+            # a pole, an integer float64 code or an exact code (scale 1)
+            code = _NEG if x == _NEG else _POS if x == _POS else (
+                Fraction(int(x), scale) if type(x) is float else Fraction(x))
             v = memo[x] = _decode(leaf, code)
         return v
 
@@ -151,7 +153,8 @@ def _decoder(leaf: _Leaf, scale: int):
 
 
 def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> tuple[tuple[QVal, ...], ...]:
-    """The ``QVal`` matrix of an encoded (rows, cols, factors) array."""
+    """The ``QVal`` matrix of a (rows, cols, factors) array of
+    :func:`exact_codes`'s codes at ``scale``."""
     rows, cols, nf = arr.shape
     decoders = [_decoder(leaf, scale) for leaf in q._leaves]
     if nf == 1:
@@ -168,19 +171,16 @@ def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> tuple[tuple[QV
 
 
 def product(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Max-plus matrix product: out[x, p] = max over a of m[x, a] + n[a, p].
-
-    The NaN of (-inf) + (+inf) stands for an absorbed bottom, so it is
-    skipped by ``fmax``; an empty middle leaves -inf, the bottom.
-    """
+    """Max-plus matrix product: out[x, p] = max over a of m[x, a] + n[a, p],
+    -inf absorbing, on float64 or exact codes alike; an empty middle
+    leaves -inf, the bottom."""
     rows, mid, nf = m.shape
     cols = n.shape[1]
-    out = np.full((rows, cols, nf), -np.inf)
+    out = np.full((rows, cols, nf), _NEG, np.result_type(m, n))
     step = max(1, _CHUNK // max(1, rows * cols * nf))
-    with np.errstate(invalid="ignore"):
-        for a0 in range(0, mid, step):
-            s = m[:, a0 : a0 + step, None, :] + n[None, a0 : a0 + step, :, :]
-            np.fmax(out, np.fmax.reduce(s, axis=1), out=out)
+    for a0 in range(0, mid, step):
+        s = _tensor(m[:, a0 : a0 + step, None, :], n[None, a0 : a0 + step, :, :])
+        np.maximum(out, np.maximum.reduce(s, axis=1), out=out)
     return out
 
 
@@ -203,28 +203,28 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
 
 
 # ---------------------------------------------------------------------------
-# Cauchy search over modules I -/-> C on exact codes (README, "How complete
+# The module calculus on exact codes (README, "How the module calculus
 # runs").  A code array is either encode's integer codes in float64 or, when
 # they or a tolerance offset do not fit in 2^52, the exact Fraction codes in
 # an object array with float +-inf for the poles.  One code path serves both.
 # ---------------------------------------------------------------------------
 
 
-def exact_codes(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray], np.ndarray]:
-    """The blocks' codes, exact, and each leaf's tolerance as an offset on
-    them: code(a) <= code(b) + offset iff ``leq(q, a, b)`` for values
-    whose codes are finite.  With :func:`encode`'s scale L the offset of a
-    tolerance t is floor(t * L), exact because every code difference is an
-    integer; otherwise the codes are the values themselves and the offset
-    is t."""
+def exact_codes(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray], np.ndarray, int]:
+    """The blocks' codes, exact, each leaf's tolerance as an offset on
+    them, and their scale: code(a) <= code(b) + offset iff ``leq(q, a,
+    b)`` for values whose codes are finite.  With :func:`encode`'s scale
+    L the offset of a tolerance t is floor(t * L), exact because every
+    code difference is an integer; otherwise the codes are the values
+    themselves, the offset is t and the scale 1."""
     tols = [leaf.tolerance for leaf in q._leaves]
     enc = encode(q, *blocks)
     if enc is not None:
         arrays, scale = enc
         offsets = [math.floor(t * scale) for t in tols]
         if max(offsets) <= EXACT_LIMIT:
-            return arrays, np.array(offsets, float)
-    return _arrays(q, blocks, lambda x: x, object), np.array(tols, object)
+            return arrays, np.array(offsets, float), scale
+    return _arrays(q, blocks, lambda x: x, object), np.array(tols, object), 1
 
 
 def _poles(x: np.ndarray) -> np.ndarray:
@@ -236,8 +236,8 @@ def _combine(op, x: np.ndarray, y: np.ndarray, nan: float) -> np.ndarray:
     """``op`` (add or subtract) of two code arrays, broadcast.  IEEE
     arithmetic settles every pole as the scalar operations do, except
     the NaN of two opposite poles, which becomes ``nan``.  On object
-    arrays the poles are masked before any arithmetic, so that no
-    Fraction ever meets a float infinity."""
+    arrays the arithmetic runs only where both codes are finite, so that
+    no Fraction ever meets a float infinity."""
     with np.errstate(invalid="ignore"):
         if x.dtype != object and y.dtype != object:
             out = op(x, y)
@@ -246,8 +246,11 @@ def _combine(op, x: np.ndarray, y: np.ndarray, nan: float) -> np.ndarray:
         px, py = _poles(x), _poles(y)
         out = op(px, py)
     out[np.isnan(out)] = nan
-    exact = op(np.where(px == 0, x, 0), np.where(py == 0, y, 0))
-    return np.where((px == 0) & (py == 0), exact, out)
+    out = out.astype(object)
+    finite = (px == 0) & (py == 0)
+    x, y = np.broadcast_arrays(x, y)
+    out[finite] = op(x[finite], y[finite])
+    return out
 
 
 def _tensor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -311,35 +314,44 @@ def _first(mask: np.ndarray) -> np.ndarray:
     return np.concatenate([mask, np.ones((len(mask), 1), bool)], axis=1).argmax(axis=1)
 
 
+def _by_rows(fn: Callable[[np.ndarray], np.ndarray], m: np.ndarray, width: int) -> np.ndarray:
+    """``fn`` of ``m``, computed on blocks of its rows, each row taking
+    ``width`` elements, so that a block stays within the fixed size."""
+    step = max(1, _CHUNK // max(1, width))
+    return np.concatenate([fn(m[k0 : k0 + step]) for k0 in range(0, len(m), step)] or [fn(m)])
+
+
+def _right_adjoint(q: QuantaleDescriptor, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The canonical right adjoint of each module M: I -/-> C in ``m``,
+    one per row, (k, n, F), against C's hom codes ``e``, (n, n, F):
+    N(x) = clamp(min over y of E(y, x) - M(y)), the poles settled as
+    ``quantale._diff`` does; the clamp is monotone, so it commutes with
+    the min, and the empty min is the top."""
+    return _by_rows(lambda mk: _clamp(q, np.minimum.reduce(
+        _combine(np.subtract, e[None], mk[:, :, None], _POS), axis=1, initial=_POS)), m, e.size)
+
+
+def _represents(e: np.ndarray, m: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """(k, z): whether E(-, z) equals row k of ``m`` within the tolerance."""
+    et = _tensor(e, tol)
+    return _by_rows(lambda mk: ((mk[:, :, None] <= et) & (e <= _tensor(mk[:, :, None], tol)))
+                    .all(axis=(1, 3)), m, e.size)
+
+
 def cauchy_columns(
     q: QuantaleDescriptor, e: np.ndarray, m: np.ndarray, tol: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decide which modules M: I -/-> C are Cauchy, from codes.
 
     ``m`` holds one module per row, (k, n, F); ``e`` and ``tol`` are as
-    in :func:`module_blocks`.  The canonical right adjoint is
-    N(x) = clamp(min over y of E(y, x) - M(y)), the poles settled as
-    ``quantale._diff`` does; the clamp is monotone, so it commutes with
-    the min.  M is Cauchy iff the unit holds, max over z of N(z) + M(z)
-    >= -tol in every factor; the counit holds by construction.  Returns
-    the Cauchy rows, and for each its witness (the first z with
-    N(z) + M(z) >= -tol) and its representing object (the first z with
-    E(-, z) equal to M within the tolerance), n where there is none.
+    in :func:`module_blocks`.  With N the canonical right adjoint
+    (:func:`_right_adjoint`), M is Cauchy iff the unit holds, max over z
+    of N(z) + M(z) >= -tol in every factor; the counit holds by
+    construction.  Returns the Cauchy rows, and for each its witness
+    (the first z with N(z) + M(z) >= -tol) and its representing object
+    (the first z with E(-, z) equal to M within the tolerance), n where
+    there is none.
     """
-    n = m.shape[1]
-    step = max(1, _CHUNK // max(1, n * n * m.shape[2]))
-    rows, witness, rep = [], [], []
-    for k0 in range(0, len(m), step):
-        mk = m[k0 : k0 + step]
-        diff = _combine(np.subtract, e[None], mk[:, :, None], _POS)
-        adj = _clamp(q, np.minimum.reduce(diff, axis=1, initial=_POS))
-        unit = _tensor(adj, mk) >= -tol  # (k, z, F): the join is per factor
-        (cauchy,) = np.nonzero(unit.any(axis=1).all(axis=1))
-        rows.append(cauchy + k0)
-        witness.append(_first(unit[cauchy].all(axis=2)))
-        mc = mk[cauchy][:, :, None]  # (c, y, 1, F) against E(y, z)
-        same = ((mc <= _tensor(e, tol)[None]) & (e[None] <= _tensor(mc, tol))).all(axis=(1, 3))
-        rep.append(_first(same))
-    if not rows:
-        return (np.zeros(0, np.intp),) * 3
-    return np.concatenate(rows), np.concatenate(witness), np.concatenate(rep)
+    unit = _tensor(_right_adjoint(q, e, m), m) >= -tol  # (k, z, F): the join is per factor
+    (cauchy,) = np.nonzero(unit.any(axis=1).all(axis=1))
+    return cauchy, _first(unit[cauchy].all(axis=2)), _first(_represents(e, m[cauchy], tol))

@@ -17,11 +17,15 @@ representable, i.e. a hom column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import maxplus
+from .maxplus import Matrix
 from .category import (
     VCategory,
     _category_from_json,
@@ -33,21 +37,18 @@ from .category import (
     validate_category,
 )
 from .quantale import (
-    Kind,
+    _ZERO,
     QVal,
-    bottom,
+    _build,
+    _code,
+    _decode,
+    _diff,
     carrier_check,
     check_matrix,
     eq,
     format_value,
-    join,
     leq,
-    meet,
     qval_sort_key,
-    residual,
-    tensor,
-    top,
-    tuple_val,
     unit,
 )
 
@@ -135,28 +136,15 @@ def compose(m: VModule, n: VModule) -> VModule:
 
     Entry (X, P) is the join over middle objects A of
     M(X, A) tensor N(A, P); an empty middle gives bottom.  It is
-    computed as the max-plus product max_A M[X, A] + N[A, P] of the
-    encoded matrices (see :mod:`qcat.maxplus`), exactly; when the scaled
-    values exceed the kernel's exactness bound, entry by entry with the
-    scalar ``tensor`` and ``join``.  Neither depends on the tolerance.
+    computed exactly as the max-plus product max_A M[X, A] + N[A, P] of
+    the matrices' exact codes (see :mod:`qcat.maxplus`), and does not
+    depend on the tolerance.
     """
     if m.source != n.target:
         raise ValueError("modules are not composable: source of the first must be the target of the second")
     q = m.quantale
-    mid, cols = len(m.source), len(n.source)
-    enc = maxplus.encode(q, (m.mat, mid), (n.mat, cols))
-    if enc is not None:
-        (ma, na), scale = enc
-        return VModule(n.source, m.target, maxplus.decode(q, maxplus.product(ma, na), scale))
-    rows = []
-    for x in range(len(m.target)):
-        row = []
-        for p in range(cols):
-            row.append(
-                join(q, [tensor(q, m.mat[x][a], n.mat[a][p]) for a in range(mid)])
-            )
-        rows.append(tuple(row))
-    return VModule(n.source, m.target, tuple(rows))
+    (ma, na), _, scale = maxplus.exact_codes(q, (m.mat, len(m.source)), (n.mat, len(n.source)))
+    return VModule(n.source, m.target, maxplus.decode(q, maxplus.product(ma, na), scale))
 
 
 def representable(c: VCategory, label: str) -> VModule:
@@ -179,19 +167,14 @@ def canonical_right_adjoint(m: VModule) -> VModule:
     N(A, X) is the meet over Y in E of the residual of M(Y, A) into
     E(Y, X): entrywise the largest matrix satisfying the counit
     inequality.  Posetal adjoints are unique, so if m has any right
-    adjoint this one works.
+    adjoint this one works.  Each column of M is one module I -/-> E
+    for :func:`qcat.maxplus._right_adjoint`, on exact codes.
     """
     q = m.quantale
     d, e = m.source, m.target
-    rows = []
-    for a in range(len(d)):
-        row = []
-        for x in range(len(e)):
-            row.append(
-                meet(q, [residual(q, m.mat[y][a], e.hom[y][x]) for y in range(len(e))])
-            )
-        rows.append(tuple(row))
-    return VModule(e, d, tuple(rows))
+    (hom, mat), _, scale = maxplus.exact_codes(q, (e.hom, len(e)), (m.mat, len(d)))
+    adj = maxplus._right_adjoint(q, hom, mat.transpose(1, 0, 2))
+    return VModule(e, d, maxplus.decode(q, adj, scale))
 
 
 @dataclass(frozen=True)
@@ -231,27 +214,18 @@ def check_adjunction(m: VModule, n: VModule) -> AdjunctionReport:
     """
     if n.source != m.target or n.target != m.source:
         raise ValueError("adjunction candidates must be composable both ways")
-    q = m.quantale
-    d, e = m.source, m.target
-    nm = compose(n, m)
-    unit_failures = []
-    for a in range(len(d)):
-        for b in range(len(d)):
-            if not leq(q, d.hom[a][b], nm.mat[a][b]):
-                unit_failures.append(
-                    (d.objects[a], d.objects[b], d.hom[a][b], nm.mat[a][b])
-                )
-    mn = compose(m, n)
-    counit_failures = []
-    for x in range(len(e)):
-        for y in range(len(e)):
-            if not leq(q, mn.mat[x][y], e.hom[x][y]):
-                counit_failures.append(
-                    (e.objects[x], e.objects[y], mn.mat[x][y], e.hom[x][y])
-                )
-    return AdjunctionReport(
-        not unit_failures, not counit_failures, tuple(unit_failures), tuple(counit_failures)
-    )
+    q, d, e = m.quantale, m.source, m.target
+    unit_failures = _failures(q, d.objects, d.hom, compose(n, m).mat)
+    counit_failures = _failures(q, e.objects, compose(m, n).mat, e.hom)
+    return AdjunctionReport(not unit_failures, not counit_failures, unit_failures, counit_failures)
+
+
+def _failures(q, objects: tuple[str, ...], low: Matrix, high: Matrix) -> tuple:
+    """(X, Y, low(X, Y), high(X, Y)) wherever low(X, Y) <= high(X, Y)
+    fails, in (X, Y) order."""
+    ix = range(len(objects))
+    return tuple((objects[x], objects[y], low[x][y], high[x][y])
+                 for x in ix for y in ix if not leq(q, low[x][y], high[x][y]))
 
 
 def _require_unit_source(m: VModule) -> None:
@@ -261,22 +235,39 @@ def _require_unit_source(m: VModule) -> None:
         raise ValueError("module source must be the one-object unit category")
 
 
+def _labels(c: VCategory, mask: np.ndarray) -> tuple[str, ...]:
+    """The objects of C where ``mask`` holds, in order."""
+    return tuple(c.objects[z] for z in np.flatnonzero(mask))
+
+
+def _cauchy_decision(m: VModule) -> tuple[bool, tuple[str, ...], str | None]:
+    """Whether a module I -/-> E is Cauchy, every object that represents
+    it, and its first unit witness, decided once on exact codes.
+
+    The unit compares the source's own endohom, which need only be
+    within the tolerance of the unit, with max over z of N(z) + M(z) for
+    the canonical right adjoint N; the counit holds by construction
+    (README, "How the module calculus runs").  The witness is the first
+    z with unit <= N(z) tensor M(z).
+    """
+    _require_unit_source(m)
+    q, e = m.quantale, m.target
+    (hom, col, src), tol, _ = maxplus.exact_codes(q, (e.hom, len(e)), (m.mat, 1), (m.source.hom, 1))
+    col = col.transpose(1, 0, 2)  # the one module as a row, (1, n, F)
+    terms = maxplus._tensor(maxplus._right_adjoint(q, hom, col), col)[0]  # (z, F)
+    cauchy = bool((terms >= src[0, 0] - tol).any(axis=0).all())
+    witness = _labels(e, (terms >= -tol).all(axis=1))
+    return cauchy, _labels(e, maxplus._represents(hom, col, tol)[0]), (witness or (None,))[0]
+
+
 def is_cauchy(m: VModule) -> bool:
     """Whether a module I -/-> E has a right adjoint."""
-    _require_unit_source(m)
-    return check_adjunction(m, canonical_right_adjoint(m)).ok
+    return _cauchy_decision(m)[0]
 
 
 def representing_objects(m: VModule) -> tuple[str, ...]:
     """All objects Z with M(Y) = E(Y, Z) for every Y, in label order."""
-    _require_unit_source(m)
-    e = m.target
-    q = m.quantale
-    out = []
-    for z in range(len(e)):
-        if all(eq(q, m.mat[y][0], e.hom[y][z]) for y in range(len(e))):
-            out.append(e.objects[z])
-    return tuple(out)
+    return _cauchy_decision(m)[1]
 
 
 def find_representing(m: VModule) -> str | None:
@@ -296,47 +287,33 @@ def cauchy_witness(m: VModule, n: VModule) -> str | None:
     _require_unit_source(m)
     if not check_adjunction(m, n).ok:
         raise ValueError("cauchy_witness requires an adjoint pair")
-    return _witness(m, n)
-
-
-def _witness(m: VModule, n: VModule) -> str | None:
-    """:func:`cauchy_witness` for a pair already known to be adjoint."""
-    q = m.quantale
-    e = m.target
-    u = unit(q)
-    for z in range(len(e)):
-        if leq(q, u, tensor(q, n.mat[0][z], m.mat[z][0])):
-            return e.objects[z]
-    return None
+    (col, row), tol, _ = maxplus.exact_codes(m.quantale, (m.mat, 1), (n.mat, len(m.target)))
+    witness = _labels(m.target, (maxplus._tensor(row[0], col[:, 0]) >= -tol).all(axis=1))
+    return (witness or (None,))[0]
 
 
 _GRID_CAP = 64
 
 
 def _closure_values(q, values: set[QVal], cap: int) -> set[QVal]:
-    if q.kind is Kind.PRODUCT:
-        factor_sets = []
-        for i, f in enumerate(q.factors):
-            comps = {v.value[i] for v in values}
-            factor_sets.append(sorted(_closure_values(f, comps, cap), key=qval_sort_key))
-        out = {tuple_val(parts) for parts in iproduct(*factor_sets)}
-        if len(out) > cap:
-            raise ValueError(f"default module grid exceeded {cap} values; pass an explicit grid")
-        return out
-    seen = set(values) | {bottom(q), unit(q), top(q)}
-    while True:
-        fresh = set()
-        for a in seen:
-            for b in seen:
-                r = residual(q, a, b)
-                if r not in seen:
-                    fresh.add(r)
-        if not fresh:
-            break
-        seen.update(fresh)
-        if len(seen) > cap:
-            raise ValueError(f"default module grid exceeded {cap} values; pass an explicit grid")
-    return seen
+    """The values whose leaves lie in each leaf's closure: its values in
+    ``values``, bottom, unit and top, closed under the leaf residual."""
+    too_many = ValueError(f"default module grid exceeded {cap} values; pass an explicit grid")
+    parts = [maxplus._leaves(v) for v in values]
+    closures = []
+    for f, leaf in enumerate(q._leaves):
+        seen = {p[f] for p in parts} | {leaf.bottom, _decode(leaf, _ZERO), leaf.top}
+        while True:
+            fresh = {_decode(leaf, _diff(_code(leaf, a), _code(leaf, b))) for a in seen for b in seen}
+            if fresh <= seen:
+                break
+            seen |= fresh
+            if len(seen) > cap:
+                raise too_many
+        closures.append(seen)
+    if q._leaf is None and math.prod(map(len, closures)) > cap:
+        raise too_many
+    return {_build(q, iter(p)) for p in iproduct(*closures)}
 
 
 def default_module_grid(c: VCategory, cap: int = _GRID_CAP) -> tuple[QVal, ...]:
@@ -363,7 +340,7 @@ def _grid_codes(c: VCategory, grid: Iterable[QVal]):
     vals = tuple(sorted(set(grid), key=qval_sort_key))
     for v in vals:
         carrier_check(q, v)
-    (e, g), tol = maxplus.exact_codes(q, (c.hom, len(c)), ([(v,) for v in vals], 1))
+    (e, g), tol, _ = maxplus.exact_codes(q, (c.hom, len(c)), ([(v,) for v in vals], 1))
     return vals, e, g[:, 0], tol
 
 

@@ -313,25 +313,154 @@ def _meet(q: QuantaleDescriptor, vals: Sequence[QVal]) -> QVal:
 
 
 # ---------------------------------------------------------------------------
-# The Cauchy search as it was before the batched kernel: a recursive
-# depth-first enumeration of grid columns, and one scalar adjunction check
-# per module.  Kept verbatim (on the scalar operations above) as the
-# reference for tests/test_cauchy_batch.py.
+# The module calculus as it was before the shared adjoint kernel: compose as
+# the scalar join of tensors (the loop it fell back to whenever the integer
+# encoding did not fit), the canonical right adjoint as a meet of residuals,
+# each Cauchy decision through two compositions, and the default grid's
+# closure recursing over product factors.  Kept verbatim (on the scalar
+# operations above) as the reference for tests/test_module_kernel.py.
 # ---------------------------------------------------------------------------
 
+from itertools import product as iproduct  # noqa: E402
 from typing import Iterator  # noqa: E402
 
 from qcat import VCategory, VModule, unit_category, validate_category  # noqa: E402
 from qcat.modules import (  # noqa: E402
+    AdjunctionReport,
     CauchyFinding,
     CompletenessReport,
-    _witness,
-    canonical_right_adjoint,
-    check_adjunction,
+    _require_unit_source,
     default_module_grid,
-    find_representing,
 )
-from qcat.quantale import qval_sort_key  # noqa: E402
+from qcat.quantale import qval_sort_key, tuple_val  # noqa: E402
+
+
+def compose(m: VModule, n: VModule) -> VModule:
+    if m.source != n.target:
+        raise ValueError("modules are not composable: source of the first must be the target of the second")
+    q = m.quantale
+    mid, cols = len(m.source), len(n.source)
+    rows = []
+    for x in range(len(m.target)):
+        row = []
+        for p in range(cols):
+            row.append(
+                join(q, [tensor(q, m.mat[x][a], n.mat[a][p]) for a in range(mid)])
+            )
+        rows.append(tuple(row))
+    return VModule(n.source, m.target, tuple(rows))
+
+
+def canonical_right_adjoint(m: VModule) -> VModule:
+    q = m.quantale
+    d, e = m.source, m.target
+    rows = []
+    for a in range(len(d)):
+        row = []
+        for x in range(len(e)):
+            row.append(
+                meet(q, [residual(q, m.mat[y][a], e.hom[y][x]) for y in range(len(e))])
+            )
+        rows.append(tuple(row))
+    return VModule(e, d, tuple(rows))
+
+
+def check_adjunction(m: VModule, n: VModule) -> AdjunctionReport:
+    if n.source != m.target or n.target != m.source:
+        raise ValueError("adjunction candidates must be composable both ways")
+    q = m.quantale
+    d, e = m.source, m.target
+    nm = compose(n, m)
+    unit_failures = []
+    for a in range(len(d)):
+        for b in range(len(d)):
+            if not leq(q, d.hom[a][b], nm.mat[a][b]):
+                unit_failures.append(
+                    (d.objects[a], d.objects[b], d.hom[a][b], nm.mat[a][b])
+                )
+    mn = compose(m, n)
+    counit_failures = []
+    for x in range(len(e)):
+        for y in range(len(e)):
+            if not leq(q, mn.mat[x][y], e.hom[x][y]):
+                counit_failures.append(
+                    (e.objects[x], e.objects[y], mn.mat[x][y], e.hom[x][y])
+                )
+    return AdjunctionReport(
+        not unit_failures, not counit_failures, tuple(unit_failures), tuple(counit_failures)
+    )
+
+
+def is_cauchy(m: VModule) -> bool:
+    _require_unit_source(m)
+    return check_adjunction(m, canonical_right_adjoint(m)).ok
+
+
+def representing_objects(m: VModule) -> tuple[str, ...]:
+    _require_unit_source(m)
+    e = m.target
+    q = m.quantale
+    out = []
+    for z in range(len(e)):
+        if all(eq(q, m.mat[y][0], e.hom[y][z]) for y in range(len(e))):
+            out.append(e.objects[z])
+    return tuple(out)
+
+
+def find_representing(m: VModule) -> str | None:
+    matches = representing_objects(m)
+    return matches[0] if matches else None
+
+
+def cauchy_witness(m: VModule, n: VModule) -> str | None:
+    _require_unit_source(m)
+    if not check_adjunction(m, n).ok:
+        raise ValueError("cauchy_witness requires an adjoint pair")
+    return _witness(m, n)
+
+
+def _witness(m: VModule, n: VModule) -> str | None:
+    q = m.quantale
+    e = m.target
+    u = unit(q)
+    for z in range(len(e)):
+        if leq(q, u, tensor(q, n.mat[0][z], m.mat[z][0])):
+            return e.objects[z]
+    return None
+
+
+def _closure_values(q, values: set[QVal], cap: int) -> set[QVal]:
+    if q.kind is Kind.PRODUCT:
+        factor_sets = []
+        for i, f in enumerate(q.factors):
+            comps = {v.value[i] for v in values}
+            factor_sets.append(sorted(_closure_values(f, comps, cap), key=qval_sort_key))
+        out = {tuple_val(parts) for parts in iproduct(*factor_sets)}
+        if len(out) > cap:
+            raise ValueError(f"default module grid exceeded {cap} values; pass an explicit grid")
+        return out
+    seen = set(values) | {bottom(q), unit(q), top(q)}
+    while True:
+        fresh = set()
+        for a in seen:
+            for b in seen:
+                r = residual(q, a, b)
+                if r not in seen:
+                    fresh.add(r)
+        if not fresh:
+            break
+        seen.update(fresh)
+        if len(seen) > cap:
+            raise ValueError(f"default module grid exceeded {cap} values; pass an explicit grid")
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# The Cauchy search as it was before the batched kernel: a recursive
+# depth-first enumeration of grid columns, and one scalar adjunction check
+# per module.  Kept verbatim (on the scalar operations and the module
+# calculus above) as the reference for tests/test_cauchy_batch.py.
+# ---------------------------------------------------------------------------
 
 
 def enumerate_modules_into(c: VCategory, grid: Iterable[QVal]) -> Iterator[VModule]:
@@ -406,9 +535,10 @@ def cauchy_completeness_report(
 
 # ---------------------------------------------------------------------------
 # The CLI front end as it was when every call built the parser of all
-# subcommands, and ``validate_category``'s scalar loop over every triple.
-# Kept verbatim (names qualified by module) as the references for
-# tests/test_cli.py and the validation differentials.
+# subcommands, with ``qcat cauchy`` on the module calculus above, and
+# ``validate_category``'s scalar loop over every triple.  Kept verbatim
+# (names qualified by module) as the references for tests/test_cli.py,
+# tests/test_module_kernel.py and the validation differentials.
 # ---------------------------------------------------------------------------
 
 import argparse  # noqa: E402
@@ -452,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cauchy", help="Cauchy test, representing object, unit witness")
     p.add_argument("module")
-    p.set_defaults(fn=cli._cmd_cauchy)
+    p.set_defaults(fn=_cmd_cauchy)
 
     p = sub.add_parser("complete", help="exhaustive Cauchy-completeness search over a grid")
     p.add_argument("category")
@@ -500,6 +630,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cli._cmd_counterexample_mixed)
 
     return parser
+
+
+def _cmd_cauchy(args) -> cli.CommandResult:
+    m = cli.module_from_json(cli._read_json(args.module), where=args.module)
+    representing = representing_objects(m)  # raises unless the source is I
+    n = canonical_right_adjoint(m)
+    cauchy = check_adjunction(m, n).ok
+    payload: dict = {"status": cli.OK if cauchy else cli.VIOLATIONS, "is_cauchy": cauchy}
+    if cauchy:
+        payload["representing"] = representing[0] if representing else None
+        payload["all_representing"] = list(representing)
+        payload["witness"] = _witness(m, n)
+        if payload["representing"] is None:
+            payload["status"] = cli.VIOLATIONS
+    else:
+        payload["representing"] = None
+        payload["all_representing"] = []
+        payload["witness"] = None
+    return cli.CommandResult(payload["status"], payload, 0 if payload["status"] == cli.OK else 1)
 
 
 def cli_run(argv: Sequence[str]) -> cli.CommandResult:

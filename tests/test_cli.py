@@ -753,6 +753,24 @@ COMPLETE_DISC_STDOUT = """\
 }
 """
 
+# a source only within the tolerance of the unit: the unit is decided
+# against its endohom 1/2 (Cauchy), the witness against the unit (none)
+NEAR_UNIT_MODULE = {
+    "source": {"quantale": "lawvere", "tolerance": 0.5, "objects": ["i"], "hom": [["1/2"]]},
+    "target": {"quantale": "lawvere", "tolerance": 0.5, "objects": ["a"], "hom": [["0"]]},
+    "mat": [["3/4"]],
+}
+
+CAUCHY_NEAR_UNIT_STDOUT = """\
+{
+  "all_representing": [],
+  "is_cauchy": true,
+  "representing": null,
+  "status": "violations",
+  "witness": null
+}
+"""
+
 
 class TestGoldenBytes:
     def _stdout(self, monkeypatch, capsys, argv):
@@ -798,6 +816,15 @@ class TestGoldenBytes:
             main()
         assert exit_.value.code == 1
         assert capsys.readouterr().out == COMPLETE_DISC_STDOUT
+
+    def test_cauchy_near_unit_source(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "near.json").write_text(json.dumps(NEAR_UNIT_MODULE))
+        monkeypatch.setattr(sys, "argv", ["qcat", "cauchy", "near.json"])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        assert exit_.value.code == 1
+        assert capsys.readouterr().out == CAUCHY_NEAR_UNIT_STDOUT
 
 
 FRONT_END_ARGV = [
