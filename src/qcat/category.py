@@ -18,14 +18,16 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import maxplus
+from .maxplus import check_matrix
 from .quantale import (
     CarrierMismatch,
     Kind,
     QuantaleDescriptor,
     QVal,
     Tag,
-    check_matrix,
     descriptor_from_json,
     descriptor_to_json,
     eq,
@@ -35,13 +37,17 @@ from .quantale import (
     parse_value,
     tensor,
     unit,
-    unit_leq,
 )
 
 
 @dataclass(frozen=True)
 class VCategory:
-    """Object labels plus the square hom matrix over one quantale."""
+    """Object labels plus the square hom matrix over one quantale.
+
+    Construction also indexes the matrix (:func:`qcat.maxplus.check_matrix`):
+    ``_index`` holds its distinct values and each entry's position among
+    them, so that a pass over the entries runs once per distinct value.
+    """
 
     quantale: QuantaleDescriptor
     objects: tuple[str, ...]
@@ -57,9 +63,10 @@ class VCategory:
             raise ValueError("object labels must be strings")
         if len(self.hom) != n:
             raise ValueError(f"hom matrix has {len(self.hom)} rows for {n} objects")
-        check_matrix(
+        index = check_matrix(
             self.quantale, self.hom, n, lambda i, k: f"hom row {i} has {k} entries for {n} objects"
         )
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -120,7 +127,7 @@ def validate_category(c: VCategory) -> CategoryReport:
     finds every triple where the law may fail; the scalar ``leq`` and
     ``tensor`` decide each of those exactly.
     """
-    (a,), (bound,) = maxplus.law_encode(c.quantale, (c.hom, len(c)))
+    (a,), (bound,) = maxplus.law_encode(c.quantale, c._index)
     return _report(c, maxplus.candidates(a, a, bound))
 
 
@@ -242,11 +249,21 @@ def underlying_preorder(c: VCategory) -> frozenset[tuple[str, str]]:
     For a valid category the result is reflexive and transitive: the
     underlying preorder (the causal set of a causal space).
     """
-    above = unit_leq(c.quantale)
-    obj = c.objects
-    return frozenset(
-        (obj[i], obj[j]) for i, row in enumerate(c.hom) for j, v in enumerate(row) if above(v)
-    )
+    return frozenset(_sorted_underlying(c))
+
+
+def _sorted_underlying(c: VCategory) -> list[tuple[str, str]]:
+    """``sorted(underlying_preorder(c))``: ``leq`` runs once per distinct
+    value, and the index pairs are ordered by the ranks of their labels,
+    so that only the objects are sorted as strings."""
+    q, obj = c.quantale, c.objects
+    u = unit(q)
+    values, positions = c._index
+    i, j = np.nonzero(np.array([leq(q, u, v) for v in values], bool)[positions])
+    rank = np.empty(len(obj), np.intp)
+    rank[sorted(range(len(obj)), key=obj.__getitem__)] = np.arange(len(obj))
+    order = np.lexsort((rank[j], rank[i]))
+    return [(obj[a], obj[b]) for a, b in zip(i[order].tolist(), j[order].tolist())]
 
 
 def preorder_dot(objects: Sequence[str], edges: Iterable[tuple[str, str]]) -> str:
@@ -369,29 +386,20 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
 
 
 def category_to_json(c: VCategory) -> dict:
-    return _category_to_json(c, {})
-
-
-def _category_to_json(c: VCategory, memo: dict[int, str]) -> dict:
     return {
         "quantale": descriptor_to_json(c.quantale),
         "tolerance": c.quantale.tolerance,
         "objects": list(c.objects),
-        "hom": _format_rows(c.hom, memo),
+        "hom": _format_rows(c._index),
     }
 
 
-def _format_rows(rows: Sequence[Sequence[QVal]], memo: dict[int, str]) -> list[list[str]]:
-    """The text of each entry, formatting each distinct value object once.
-
-    ``memo`` is keyed by ``id(v)``, not by value (hashing a value hashes
-    its ``Fraction``), so it must not outlive the values it has seen.
-    """
-    for row in rows:
-        for v in row:
-            if id(v) not in memo:
-                memo[id(v)] = format_value(v)
-    return [[memo[id(v)] for v in row] for row in rows]
+def _format_rows(index: tuple[Sequence[QVal], np.ndarray]) -> list[list[str]]:
+    """The text of each entry of an indexed matrix, formatting each
+    distinct value once."""
+    values, positions = index
+    text = [format_value(v) for v in values]
+    return [list(map(text.__getitem__, row.tolist())) for row in positions]
 
 
 def category_from_json(data: object, *, where: str = "category") -> VCategory:

@@ -14,6 +14,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .category import VCategory, _require_utf8
 from .quantale import BOT, QVal, finite, rbot
 
@@ -93,15 +95,21 @@ def dag_from_json(data: object, *, where: str = "dag") -> CausalDag:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _find_cycle(dag: CausalDag) -> tuple[str, ...]:
+def _successors(dag: CausalDag) -> list[list[int]]:
+    """Each vertex's successors, as vertex positions, in edge order."""
+    pos = {v: i for i, v in enumerate(dag.vertices)}
+    succ: list[list[int]] = [[] for _ in dag.vertices]
+    for a, b in dag.edges:
+        succ[pos[a]].append(pos[b])
+    return succ
+
+
+def _find_cycle(vertices: tuple[str, ...], succ: list[list[int]]) -> tuple[str, ...]:
     """A cycle ``a -> ... -> a`` of the graph, by depth-first search with
     an explicit stack, so that long cycles do not exhaust the recursion
     limit."""
-    succ: dict[str, list[str]] = {v: [] for v in dag.vertices}
-    for a, b in dag.edges:
-        succ[a].append(b)
-    color: dict[str, int] = {v: 0 for v in dag.vertices}  # 0 new, 1 on path, 2 done
-    for root in dag.vertices:
+    color = [0] * len(succ)  # 0 new, 1 on path, 2 done
+    for root in range(len(succ)):
         if color[root]:
             continue
         color[root] = 1
@@ -113,12 +121,30 @@ def _find_cycle(dag: CausalDag) -> tuple[str, ...]:
                 todo.pop()
                 color[path.pop()] = 2
             elif color[w] == 1:
-                return tuple(path[path.index(w) :] + [w])
+                return tuple(vertices[x] for x in path[path.index(w) :] + [w])
             elif color[w] == 0:
                 color[w] = 1
                 path.append(w)
                 todo.append(iter(succ[w]))
     raise AssertionError("no cycle found in a graph that toposort could not order")
+
+
+def _order(succ: list[list[int]]) -> list[int]:
+    """Kahn's algorithm on vertex positions; see :func:`toposort`."""
+    indeg = [0] * len(succ)
+    for ws in succ:
+        for w in ws:
+            indeg[w] += 1
+    queue = deque(v for v, d in enumerate(indeg) if d == 0)
+    order: list[int] = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return order
 
 
 def toposort(dag: CausalDag) -> list[str]:
@@ -130,21 +156,7 @@ def toposort(dag: CausalDag) -> list[str]:
     :func:`causal_space_from_dag` checks the length and raises
     :class:`CycleError` with a witness.
     """
-    indeg = {v: 0 for v in dag.vertices}
-    succ: dict[str, list[str]] = {v: [] for v in dag.vertices}
-    for a, b in dag.edges:
-        succ[a].append(b)
-        indeg[b] += 1
-    queue = deque(v for v in dag.vertices if indeg[v] == 0)
-    order: list[str] = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return order
+    return [dag.vertices[v] for v in _order(_successors(dag))]
 
 
 def causal_space_from_dag(dag: CausalDag) -> VCategory:
@@ -157,33 +169,25 @@ def causal_space_from_dag(dag: CausalDag) -> VCategory:
     longest direct one.  Raises :class:`CycleError`, with a cycle of
     the graph as witness, when the graph is not acyclic.
     """
-    order = toposort(dag)
-    if len(order) != len(dag.vertices):
-        raise CycleError(_find_cycle(dag))
-    pos = {v: i for i, v in enumerate(order)}
-    succ: dict[str, list[str]] = {v: [] for v in dag.vertices}
-    for a, b in dag.edges:
-        succ[a].append(b)
-    longest: dict[str, dict[str, int]] = {}
-    for src in dag.vertices:
-        dist: dict[str, int] = {src: 0}
-        for v in order[pos[src]:]:
-            if v not in dist:
-                continue
-            dv = dist[v]
-            for w in succ[v]:
-                if dist.get(w, -1) < dv + 1:
-                    dist[w] = dv + 1
-        longest[src] = dist
-    # one value per path length, shared by every entry that has it;
-    # dist[src] is 0, the diagonal
-    k_max = max((d for dist in longest.values() for d in dist.values()), default=0)
-    length = [finite(k) for k in range(k_max + 1)]
-    rows = []
-    for a in dag.vertices:
-        dist = longest[a]
-        rows.append(tuple(length[dist[b]] if b in dist else BOT for b in dag.vertices))
-    return VCategory(rbot(), dag.vertices, tuple(rows))
+    succ = _successors(dag)
+    order = _order(succ)
+    n = len(succ)
+    if len(order) != n:
+        raise CycleError(_find_cycle(dag.vertices, succ))
+    # dist[v, x]: the longest path from v to x, -1 where there is none,
+    # each row one past the best of its successors' rows, which the
+    # reverse topological order has already filled
+    dist = np.full((n, n), -1, np.int32)
+    for v in reversed(order):
+        if succ[v]:
+            best = dist[succ[v]].max(axis=0)
+            dist[v] = np.where(best >= 0, best + 1, -1)
+        dist[v, v] = 0
+    # one value per path length, shared by every entry that has it, and
+    # bot last, where -1 indexes
+    length = [finite(k) for k in range(int(dist.max(initial=0)) + 1)] + [BOT]
+    rows = tuple(tuple(map(length.__getitem__, row.tolist())) for row in dist)
+    return VCategory(rbot(), dag.vertices, rows)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ from typing import Callable, NamedTuple, Sequence
 
 from .category import (
     _require_utf8,
+    _sorted_underlying,
     category_from_json,
     category_to_json,
     classify_endohoms,
     preorder_dot,
-    underlying_preorder,
     validate_category,
 )
 from .causal import (
@@ -307,7 +307,7 @@ def _cmd_minkowski(args) -> CommandResult:
 
 def _cmd_underlying(args) -> CommandResult:
     cat = category_from_json(_read_json(args.category), where=args.category)
-    edges = sorted(underlying_preorder(cat))
+    edges = _sorted_underlying(cat)
     if args.dot:
         _write(args.dot, preorder_dot(cat.objects, edges))
     payload = {"status": OK, "edges": list(map(list, edges))}

@@ -8,10 +8,12 @@ scalar operations run on the same codes, one value at a time.
 
 A matrix over a product base gets a trailing factor axis, one entry per
 base factor (length 1 for a plain base); order and join are
-componentwise.  :func:`encode` scales finite values by the least common
-multiple L of their denominators, so that every code is an integer; it
-declines (returns None) when some |v*L| exceeds 2^52, so that a sum of
-two codes is still exact.  :func:`law_encode` uses those codes at
+componentwise.  A matrix comes as its constructor indexed it
+(:func:`check_matrix`, :data:`Block`): each distinct value is coded
+once and the codes are gathered at the entries' positions.  :func:`encode` scales finite
+values by the least common multiple L of their denominators, so that
+every code is an integer; it declines (returns None) when some |v*L|
+exceeds 2^52, so that a sum of two codes is still exact.  :func:`law_encode` uses those codes at
 tolerance 0 and otherwise the nearest float64 of each value, with a
 bound that a static rounding-error margin keeps below c + tolerance (a
 floating-point filter, after Shewchuk, "Adaptive precision
@@ -27,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .quantale import _NEG, _POS, Kind, QuantaleDescriptor, QVal, Tag, _build, _decode, _Leaf
+from .quantale import _NEG, _POS, QuantaleDescriptor, QVal, Tag, _build, _decode, _Leaf, carrier_check
 
 EXACT_LIMIT = 2**52
 # float codes and tolerances stay below 2^1020, so that no sum or bound
@@ -40,8 +42,51 @@ _ETA = 2.0**-1074
 # so that a block reuses heap memory instead of raising the peak
 _CHUNK = 1 << 14
 
-Matrix = Sequence[Sequence[QVal]]
-Block = tuple[Matrix, int]
+# a matrix as :func:`check_matrix` indexes it: its distinct values and a
+# (rows, cols) array of each entry's position among them
+Block = tuple[Sequence[QVal], np.ndarray]
+
+
+def check_matrix(
+    q: QuantaleDescriptor,
+    rows: Sequence[Sequence[QVal]],
+    ncols: int,
+    row_error: Callable[[int, int], str],
+) -> Block:
+    """Check a value matrix and index its distinct values in one walk.
+
+    Raises ``ValueError(row_error(i, len(row)))`` at the first row ``i``
+    without ``ncols`` entries, and :class:`qcat.quantale.CarrierMismatch`
+    at the first entry outside ``q``'s carrier, whichever comes first in
+    row-major order.  Returns the distinct value objects, keyed by
+    identity, in order of first appearance, and a (rows, ncols) array of
+    each entry's position among them.  Each distinct value is checked
+    once: on a plain base its tag, and the full ``carrier_check`` only to
+    raise; on a product in full.
+    """
+    values: list[QVal] = []
+    slot: dict[int, int] = {}  # id(v) -> its position in values
+    tags = () if q._leaf is None else q._leaf.tags
+
+    def walk() -> Iterator[int]:
+        for i, row in enumerate(rows):
+            if len(row) != ncols:
+                raise ValueError(row_error(i, len(row)))
+            for v in row:
+                k = slot.get(id(v))
+                if k is None:
+                    if v.tag not in tags:
+                        carrier_check(q, v)
+                    k = slot[id(v)] = len(values)
+                    values.append(v)
+                yield k
+
+    it = walk()
+    positions = np.fromiter(it, np.intp, len(rows) * ncols)
+    # fromiter stops at its count: finish the walk, so that with no
+    # columns every row's length is still checked
+    next(it, None)
+    return values, positions.reshape(len(rows), ncols)
 
 
 def _leaves(v: QVal) -> tuple[QVal, ...]:
@@ -50,22 +95,17 @@ def _leaves(v: QVal) -> tuple[QVal, ...]:
     return (v,)
 
 
-def _flat(q: QuantaleDescriptor, mat: Matrix) -> list[QVal]:
-    """The leaf values of a matrix, row by row, factor by factor."""
-    flat = [v for row in mat for v in row]
-    return [x for v in flat for x in _leaves(v)] if q.kind is Kind.PRODUCT else flat
-
-
 def _arrays(
     q: QuantaleDescriptor, blocks: Sequence[Block], code: Callable[[Fraction], float], dtype=float
 ) -> list[np.ndarray]:
-    """One (rows, cols, factors) array per block, coded by each leaf's
-    table row with ``code(v)`` in place of a finite value ``v``."""
+    """One (rows, cols, factors) array per block: each distinct value's
+    leaves coded by their table rows, with ``code(v)`` in place of a
+    finite value ``v``, and gathered at the block's positions."""
     leaves = q._leaves
     nf, fin, neg, pos = len(leaves), Tag.FINITE, -math.inf, math.inf
     out = []
-    for mat, cols in blocks:
-        flat = _flat(q, mat)
+    for values, positions in blocks:
+        flat = values if q._leaf is not None else [x for v in values for x in _leaves(v)]
         arr = np.empty(len(flat), dtype)
         for f, leaf in enumerate(leaves):
             vals, low = flat[f::nf], leaf.bottom.tag
@@ -75,19 +115,20 @@ def _arrays(
                 arr[f::nf] = [code(v.value) if v.tag is fin else neg if v.tag is low else pos for v in vals]
             else:
                 arr[f::nf] = [-code(v.value) if v.tag is fin else neg if v.tag is low else pos for v in vals]
-        out.append(arr.reshape(len(mat), cols, nf))
+        out.append(arr.reshape(len(values), nf)[positions])
     return out
 
 
 def _finite_values(q: QuantaleDescriptor, blocks: Sequence[Block]) -> list[Fraction]:
-    return [v.value for mat, _ in blocks for v in _flat(q, mat) if v.tag is Tag.FINITE]
+    """The finite leaf values of the blocks' distinct values."""
+    return [x.value for values, _ in blocks for v in values for x in _leaves(v) if x.tag is Tag.FINITE]
 
 
 def encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray], int] | None:
     """Encode matrices over ``q`` with one common scale L.
 
-    Each block is a matrix with its column count (a matrix without rows
-    does not show it).  Returns one float64 array of shape (rows, cols,
+    Each block is a matrix's distinct values and their positions
+    (:data:`Block`).  Returns one float64 array of shape (rows, cols,
     factors) per block, and L; or None when some |v*L| exceeds 2^52.
     The values must already lie in ``q``'s carrier, as the entries of a
     ``VCategory`` or ``VModule`` do.

@@ -20,19 +20,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import maxplus
-from .maxplus import Matrix
+from .maxplus import check_matrix
 from .category import (
     VCategory,
     _category_from_json,
-    _category_to_json,
     _format_rows,
     _law_violations,
     _parse_rows,
+    category_to_json,
     unit_category,
     validate_category,
 )
@@ -43,8 +43,6 @@ from .quantale import (
     _code,
     _decode,
     _diff,
-    carrier_check,
-    check_matrix,
     eq,
     format_value,
     leq,
@@ -69,12 +67,13 @@ class VModule:
         rows, cols = len(self.target.objects), len(self.source.objects)
         if len(self.mat) != rows:
             raise ValueError(f"module matrix has {len(self.mat)} rows for {rows} target objects")
-        check_matrix(
+        index = check_matrix(
             self.quantale,
             self.mat,
             cols,
             lambda i, k: f"module row {i} has {k} entries for {cols} source objects",
         )
+        object.__setattr__(self, "_index", index)
 
     @property
     def quantale(self):
@@ -112,9 +111,7 @@ def validate_module(m: VModule) -> ModuleReport:
     on one encoding of E, D and M, as in ``validate_category``."""
     q = m.quantale
     e, d = m.target, m.source
-    (ea, da, ma), (_, _, bound) = maxplus.law_encode(
-        q, (e.hom, len(e)), (d.hom, len(d)), (m.mat, len(d))
-    )
+    (ea, da, ma), (_, _, bound) = maxplus.law_encode(q, e._index, d._index, m._index)
     left = _law_violations(
         q, e.hom, m.mat, m.mat, (e.objects, e.objects, d.objects),
         maxplus.candidates(ea, ma, bound),
@@ -143,7 +140,7 @@ def compose(m: VModule, n: VModule) -> VModule:
     if m.source != n.target:
         raise ValueError("modules are not composable: source of the first must be the target of the second")
     q = m.quantale
-    (ma, na), _, scale = maxplus.exact_codes(q, (m.mat, len(m.source)), (n.mat, len(n.source)))
+    (ma, na), _, scale = maxplus.exact_codes(q, m._index, n._index)
     return VModule(n.source, m.target, maxplus.decode(q, maxplus.product(ma, na), scale))
 
 
@@ -172,7 +169,7 @@ def canonical_right_adjoint(m: VModule) -> VModule:
     """
     q = m.quantale
     d, e = m.source, m.target
-    (hom, mat), _, scale = maxplus.exact_codes(q, (e.hom, len(e)), (m.mat, len(d)))
+    (hom, mat), _, scale = maxplus.exact_codes(q, e._index, m._index)
     adj = maxplus._right_adjoint(q, hom, mat.transpose(1, 0, 2))
     return VModule(e, d, maxplus.decode(q, adj, scale))
 
@@ -220,7 +217,8 @@ def check_adjunction(m: VModule, n: VModule) -> AdjunctionReport:
     return AdjunctionReport(not unit_failures, not counit_failures, unit_failures, counit_failures)
 
 
-def _failures(q, objects: tuple[str, ...], low: Matrix, high: Matrix) -> tuple:
+def _failures(q, objects: tuple[str, ...], low: Sequence[Sequence[QVal]],
+              high: Sequence[Sequence[QVal]]) -> tuple:
     """(X, Y, low(X, Y), high(X, Y)) wherever low(X, Y) <= high(X, Y)
     fails, in (X, Y) order."""
     ix = range(len(objects))
@@ -252,7 +250,7 @@ def _cauchy_decision(m: VModule) -> tuple[bool, tuple[str, ...], str | None]:
     """
     _require_unit_source(m)
     q, e = m.quantale, m.target
-    (hom, col, src), tol, _ = maxplus.exact_codes(q, (e.hom, len(e)), (m.mat, 1), (m.source.hom, 1))
+    (hom, col, src), tol, _ = maxplus.exact_codes(q, e._index, m._index, m.source._index)
     col = col.transpose(1, 0, 2)  # the one module as a row, (1, n, F)
     terms = maxplus._tensor(maxplus._right_adjoint(q, hom, col), col)[0]  # (z, F)
     cauchy = bool((terms >= src[0, 0] - tol).any(axis=0).all())
@@ -287,7 +285,7 @@ def cauchy_witness(m: VModule, n: VModule) -> str | None:
     _require_unit_source(m)
     if not check_adjunction(m, n).ok:
         raise ValueError("cauchy_witness requires an adjoint pair")
-    (col, row), tol, _ = maxplus.exact_codes(m.quantale, (m.mat, 1), (n.mat, len(m.target)))
+    (col, row), tol, _ = maxplus.exact_codes(m.quantale, m._index, n._index)
     witness = _labels(m.target, (maxplus._tensor(row[0], col[:, 0]) >= -tol).all(axis=1))
     return (witness or (None,))[0]
 
@@ -303,13 +301,13 @@ def _closure_values(q, values: set[QVal], cap: int) -> set[QVal]:
     closures = []
     for f, leaf in enumerate(q._leaves):
         seen = {p[f] for p in parts} | {leaf.bottom, _decode(leaf, _ZERO), leaf.top}
-        while True:
+        while len(seen) <= cap:
             fresh = {_decode(leaf, _diff(_code(leaf, a), _code(leaf, b))) for a in seen for b in seen}
             if fresh <= seen:
                 break
             seen |= fresh
-            if len(seen) > cap:
-                raise too_many
+        if len(seen) > cap:
+            raise too_many
         closures.append(seen)
     if q._leaf is None and math.prod(map(len, closures)) > cap:
         raise too_many
@@ -324,11 +322,7 @@ def default_module_grid(c: VCategory, cap: int = _GRID_CAP) -> tuple[QVal, ...]:
 
     Raises if the closure exceeds ``cap`` distinct values.
     """
-    values: set[QVal] = set()
-    for row in c.hom:
-        values.update(row)
-    if not values:
-        values = {unit(c.quantale)}
+    values = set(c._index[0]) or {unit(c.quantale)}
     return tuple(sorted(_closure_values(c.quantale, values, cap), key=qval_sort_key))
 
 
@@ -338,10 +332,9 @@ def _grid_codes(c: VCategory, grid: Iterable[QVal]):
     tolerance offsets (:func:`qcat.maxplus.exact_codes`)."""
     q = c.quantale
     vals = tuple(sorted(set(grid), key=qval_sort_key))
-    for v in vals:
-        carrier_check(q, v)
-    (e, g), tol, _ = maxplus.exact_codes(q, (c.hom, len(c)), ([(v,) for v in vals], 1))
-    return vals, e, g[:, 0], tol
+    row = check_matrix(q, (vals,), len(vals), lambda i, k: f"grid has {k} values")
+    (e, g), tol, _ = maxplus.exact_codes(q, c._index, row)
+    return vals, e, g[0], tol
 
 
 def _columns(c: VCategory, vals: tuple[QVal, ...], rows: list[list[int]]) -> list[VModule]:
@@ -440,16 +433,11 @@ def cauchy_completeness_report(
 
 
 def module_to_json(m: VModule) -> dict:
-    memo: dict[int, str] = {}
-    src: object
-    if m.source == unit_category(m.quantale):
-        src = "I"
-    else:
-        src = _category_to_json(m.source, memo)
+    src = "I" if m.source == unit_category(m.quantale) else category_to_json(m.source)
     return {
         "source": src,
-        "target": _category_to_json(m.target, memo),
-        "mat": _format_rows(m.mat, memo),
+        "target": category_to_json(m.target),
+        "mat": _format_rows(m._index),
     }
 
 

@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class Tag(Enum):
@@ -329,36 +329,6 @@ def carrier_check(q: QuantaleDescriptor, v: QVal) -> None:
     _codes(q, v)
 
 
-def check_matrix(
-    q: QuantaleDescriptor,
-    rows: Sequence[Sequence[QVal]],
-    ncols: int,
-    row_error: Callable[[int, int], str],
-) -> None:
-    """Check a value matrix row by row: raise ``ValueError(row_error(i,
-    len(row)))`` at the first row ``i`` without ``ncols`` entries, and
-    :class:`CarrierMismatch` at the first entry outside ``q``'s carrier.
-
-    On a plain base a row whose set of tags the carrier admits needs no
-    per-entry check; only a failing row runs :func:`carrier_check` on
-    each entry.  A product base checks each distinct value object once,
-    keyed by ``id``.  Either way the first error is the same.
-    """
-    tags = None if q._leaf is None else frozenset(q._leaf.tags)
-    checked: set[int] = set()
-    for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ValueError(row_error(i, len(row)))
-        if tags is None:
-            for v in row:
-                if id(v) not in checked:
-                    carrier_check(q, v)
-                    checked.add(id(v))
-        elif not tags.issuperset({v.tag for v in row}):
-            for v in row:
-                carrier_check(q, v)
-
-
 def leq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
     """Whether an arrow a -> b exists in ``q``'s order: code(a) <=
     code(b) + tolerance, the tolerance loosening finite-vs-finite
@@ -414,27 +384,6 @@ def bottom(q: QuantaleDescriptor) -> QVal:
 
 def top(q: QuantaleDescriptor) -> QVal:
     return _build(q, (f.top for f in q._leaves))
-
-
-def unit_leq(q: QuantaleDescriptor) -> Callable[[QVal], bool]:
-    """The predicate ``v -> leq(q, unit(q), v)`` for values already in
-    ``q``'s carrier, decided on the tag and payload alone.
-
-    Over rbot every value but bot is at least 0; over lawvere a finite
-    value within the tolerance of 0; over bool the value itself; over a
-    product every factor, each with its own tolerance (as :func:`leq`).
-    """
-    leaf = q._leaf
-    if leaf is None:
-        parts = tuple(unit_leq(f) for f in q.factors)
-        return lambda v: all(p(x) for p, x in zip(parts, v.value))
-    if leaf.sign is None:
-        return lambda v: v.value
-    bot = leaf.bottom.tag
-    if leaf.sign > 0:  # 0 <= every code but the bottom's
-        return lambda v: v.tag is not bot
-    tol = leaf.tolerance  # 0 <= -v + tolerance
-    return lambda v: v.tag is not bot and v.value <= tol
 
 
 def join(q: QuantaleDescriptor, family: Iterable[QVal]) -> QVal:

@@ -15,6 +15,7 @@ from qcat import (
     finite,
     module_from_json,
     module_to_json,
+    preorder_dot,
     representable,
     validate_category,
 )
@@ -100,6 +101,18 @@ class TestExitCodes:
         result = run(["validate", str(path)])
         assert result.exit_code == 2
         assert f"c.json.{fragment}:" in result.payload["error"]
+
+    @pytest.mark.parametrize("command", ["cauchy", "adjoint"])
+    def test_row_for_an_empty_source_is_two(self, tmp_path, command):
+        empty = {"quantale": "rbot", "objects": [], "hom": []}
+        data = {"source": empty, "target": category_to_json(CHAIN), "mat": [[], ["0"]]}
+        with pytest.raises(ValueError, match="module row 1 has 1 entries for 0 source objects"):
+            module_from_json(data)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        result = run([command, str(path)])
+        assert result.exit_code == 2
+        assert "m.json: module row 1 has 1 entries for 0 source objects" in result.payload["error"]
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -305,6 +318,24 @@ class TestGenerators:
         assert result.exit_code == 0
         assert result.payload["edges"] == [["a", "a"], ["a", "b"], ["b", "b"]]
         assert dot.read_text() == 'digraph preorder {\n  "a";\n  "b";\n  "a" -> "b";\n}\n'
+
+    def test_underlying_edges_in_label_order(self, tmp_path):
+        # labels out of object order, with NULs (one label a prefix of
+        # another), a quote and non-ASCII text; a chain in object order
+        # but for the last object, which nothing reaches
+        labels = ["é", 'q"', "a\x00", "a", "a\x00\x00", "Z"]
+        n = len(labels)
+        hom = [[str(j - i) if i <= j < n - 1 or i == j else "bot" for j in range(n)] for i in range(n)]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"quantale": "rbot", "objects": labels, "hom": hom}))
+        dot = tmp_path / "g.dot"
+        result = run(["underlying", str(path), "--dot", str(dot)])
+        assert result.exit_code == 0
+        want = {(labels[i], labels[j]) for i in range(n - 1) for j in range(i, n - 1)}
+        want.add((labels[-1], labels[-1]))
+        assert result.payload["edges"] == sorted(map(list, want))
+        assert result.payload["edges"][:3] == [["Z", "Z"], ["a", "a"], ["a", "a\x00\x00"]]
+        assert dot.read_text(encoding="utf-8") == preorder_dot(labels, want)
 
     def test_counterexample_mixed(self):
         result = run(["counterexample-mixed"])

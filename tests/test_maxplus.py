@@ -29,6 +29,7 @@ from qcat import (
     validate_category,
 )
 from qcat import maxplus
+from qcat.maxplus import check_matrix
 
 BASES = [
     RBOT,
@@ -93,7 +94,8 @@ def reference_compose(m, n):
 
 
 def encodable(q, *mats):
-    return maxplus.encode(q, *((mat, len(mat[0]) if mat else 0) for mat in mats)) is not None
+    blocks = (check_matrix(q, mat, len(mat[0]) if mat else 0, str) for mat in mats)
+    return maxplus.encode(q, *blocks) is not None
 
 
 @st.composite

@@ -1,11 +1,13 @@
 """Differential tests of the exact shortcuts in ``classify_endohoms``,
-``underlying_preorder`` and the ``VCategory``/``VModule`` carrier check.
+``underlying_preorder`` and the ``VCategory``/``VModule`` carrier check
+and index.
 
 Each shortcut is compared with a slow reference kept here: the
 all-pairs ``classify_endohoms`` loop as it was before the shortcuts,
 ``{(a, b) | leq(q, unit(q), hom[a][b])}``, and the per-entry
 constructor check.  Results, message order and first errors must be
-equal, not just equivalent.
+equal, not just equivalent.  The index must rebuild the matrix it was
+made from, object for object.
 """
 
 import random
@@ -25,6 +27,7 @@ from qcat import (
     EndohomReport,
     Kind,
     QuantaleDescriptor,
+    QVal,
     VCategory,
     VModule,
     boolean,
@@ -42,7 +45,7 @@ from qcat import (
     unit,
 )
 from qcat.category import IRREGULAR, REGULAR
-from qcat.quantale import Tag, unit_leq
+from qcat.quantale import Tag
 
 from randgen import random_rbot_category
 
@@ -249,28 +252,35 @@ class TestUnderlying:
     def test_matches_reference(self, c):
         assert underlying_preorder(c) == reference_underlying(c)
 
+    @staticmethod
+    def loop(q, v) -> bool:
+        """Whether the one-object category with endohom ``v`` has its loop."""
+        edges = underlying_preorder(VCategory(q, ("x",), ((v,),)))
+        assert edges <= {("x", "x")}
+        return bool(edges)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_unit_leq_is_leq_from_unit(self, data):
+    def test_one_object_loop_is_leq_from_unit(self, data):
         q = data.draw(bases)
         v = data.draw(leaf_values(q))
-        assert unit_leq(q)(v) == leq(q, unit(q), v)
+        assert self.loop(q, v) == leq(q, unit(q), v)
 
     @pytest.mark.parametrize("tol", TOLERANCES)
     def test_lawvere_value_exactly_at_tolerance(self, tol):
         q = QuantaleDescriptor(Kind.LAWVERE, tol)
         at = finite(Fraction(tol))
         above = finite(Fraction(tol) + Fraction(1, 10**12))
-        assert unit_leq(q)(at) is True and leq(q, unit(q), at)
-        assert unit_leq(q)(above) is False and not leq(q, unit(q), above)
+        assert self.loop(q, at) is True and leq(q, unit(q), at)
+        assert self.loop(q, above) is False and not leq(q, unit(q), above)
 
     def test_product_uses_each_factor_tolerance(self):
         lw = QuantaleDescriptor(Kind.LAWVERE, 0.5)
         q = product(lw, BOOL, tolerance=0.25)
         half = tuple_val((finite(Fraction(1, 2)), boolean(True)))
         over = tuple_val((finite(Fraction(3, 4)), boolean(True)))
-        assert unit_leq(q)(half) and leq(q, unit(q), half)
-        assert not unit_leq(q)(over) and not leq(q, unit(q), over)
+        assert self.loop(q, half) and leq(q, unit(q), half)
+        assert not self.loop(q, over) and not leq(q, unit(q), over)
 
 
 # --- constructor carrier checks -------------------------------------------
@@ -323,6 +333,21 @@ class TestConstructorErrors:
         assert got == want
         assert (got is None) == (bad_row is None and short_row is None)
 
+    @pytest.mark.parametrize("base", sorted(BASE))
+    @pytest.mark.parametrize("table", [GOOD, BAD], ids=["good", "bad"])
+    def test_module_without_source_objects(self, base, table):
+        # with no columns there is no entry to index, but every row's
+        # length is still checked, in order
+        q = BASE[base]
+        empty = VCategory(q, (), ())
+        tgt = VCategory(q, ("a", "b"), [[unit(q)] * 2 for _ in range(2)])
+        rows = [[], [table[base]]]
+        got = raised(lambda: VModule(empty, tgt, rows))
+        assert got == (ValueError, "module row 1 has 1 entries for 0 source objects")
+        assert got == reference_matrix_error(
+            q, rows, 0, lambda i, k: f"module row {i} has {k} entries for 0 source objects"
+        )
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_matrices(self, data):
@@ -340,3 +365,49 @@ class TestConstructorErrors:
             q, rows, n, lambda i, k: f"hom row {i} has {k} entries for {n} objects"
         )
         assert got == want
+
+
+# --- the constructor's index ----------------------------------------------
+
+
+def assert_indexes(index, matrix, ncols):
+    """``values[positions]`` is ``matrix`` object for object, and
+    ``values`` holds each distinct object once, in order of first
+    appearance."""
+    values, positions = index
+    assert positions.shape == (len(matrix), ncols)
+    entries = [v for row in matrix for v in row]
+    first: dict[int, QVal] = {}
+    for v in entries:
+        first.setdefault(id(v), v)
+    assert [id(v) for v in values] == list(first)
+    assert all(values[k] is v for k, v in zip(positions.ravel().tolist(), entries))
+
+
+class TestIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_values_at_positions_rebuild_the_matrix(self, data):
+        q = data.draw(bases)
+        pool = data.draw(st.lists(leaf_values(q), min_size=1, max_size=3))
+        pool += [QVal(v.tag, v.value) for v in pool]  # equal, but other objects
+        entry = st.sampled_from(pool)
+        rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+
+        def category(n, prefix):
+            hom = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+            c = VCategory(q, tuple(f"{prefix}{i}" for i in range(n)), hom)
+            assert_indexes(c._index, c.hom, n)
+            return c
+
+        src, tgt = category(cols, "s"), category(rows, "t")
+        m = VModule(src, tgt, [[data.draw(entry) for _ in range(cols)] for _ in range(rows)])
+        assert_indexes(m._index, m.mat, cols)
+
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, rows, cols):
+        src = VCategory(RBOT, tuple(f"s{j}" for j in range(cols)), [[BOT] * cols] * cols)
+        tgt = VCategory(RBOT, tuple(f"t{i}" for i in range(rows)), [[BOT] * rows] * rows)
+        m = VModule(src, tgt, [[]] * rows)
+        assert_indexes(m._index, m.mat, cols)
+        assert m._index[1].shape == (rows, cols)

@@ -212,7 +212,7 @@ def test_values_beyond_float_range_and_below_subnormals():
     hom = ((finite(0), huge, huge), (BOT, finite(0), tiny), (BOT, BOT, finite(0)))
     for tol, bad in ((0.0, [("a", "b", "c")]), (1e-9, [])):
         cat = VCategory(rbot(tol), ("a", "b", "c"), hom)
-        assert maxplus.encode(cat.quantale, (hom, 3)) is None
+        assert maxplus.encode(cat.quantale, cat._index) is None
         report = validate_category(cat)
         assert report == validate_exact(cat)
         assert [v[:3] for v in report.composition_violations] == bad
@@ -224,7 +224,7 @@ def test_no_candidates_on_a_valid_float_category():
     from qcat import minkowski_sample
 
     cat, _ = minkowski_sample(30, 4)
-    (a,), (bound,) = maxplus.law_encode(cat.quantale, (cat.hom, len(cat)))
+    (a,), (bound,) = maxplus.law_encode(cat.quantale, cat._index)
     assert maxplus.candidates(a, a, bound) == []
     assert validate_category(cat).ok
 
