@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,27 +44,30 @@ from .quantale import (
 class VCategory:
     """Object labels plus the square hom matrix over one quantale.
 
-    Construction also indexes the matrix (:func:`qcat.maxplus.check_matrix`):
-    ``_index`` holds its distinct values and each entry's position among
-    them, so that a pass over the entries runs once per distinct value.
+    ``_index`` holds the matrix indexed (:func:`qcat.maxplus.check_matrix`),
+    for passes that run once per distinct value; a producer that indexed
+    the matrix itself passes it with ``hom`` None, and ``hom`` is gathered.
     """
 
     quantale: QuantaleDescriptor
     objects: tuple[str, ...]
     hom: tuple[tuple[QVal, ...], ...]
+    _index: maxplus.Block | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        given = None if self.hom is not None else self._index
+        hom = maxplus.rows(given) if given is not None else tuple(tuple(row) for row in self.hom)
         object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "hom", tuple(tuple(row) for row in self.hom))
+        object.__setattr__(self, "hom", hom)
         n = len(self.objects)
-        if len(set(self.objects)) != n:
-            raise ValueError("object labels must be unique")
         if any(not isinstance(o, str) for o in self.objects):
             raise ValueError("object labels must be strings")
-        if len(self.hom) != n:
-            raise ValueError(f"hom matrix has {len(self.hom)} rows for {n} objects")
+        if len(set(self.objects)) != n:
+            raise ValueError("object labels must be unique")
+        if len(hom) != n:
+            raise ValueError(f"hom matrix has {len(hom)} rows for {n} objects")
         index = check_matrix(
-            self.quantale, self.hom, n, lambda i, k: f"hom row {i} has {k} entries for {n} objects"
+            self.quantale, hom, n, lambda i, k: f"hom row {i} has {k} entries for {n} objects", given
         )
         object.__setattr__(self, "_index", index)
 
@@ -87,7 +90,7 @@ class VCategory:
 
 def unit_category(q: QuantaleDescriptor, label: str = "*") -> VCategory:
     """The one-object category I with endohom the monoidal unit."""
-    return VCategory(q, (label,), ((unit(q),),))
+    return VCategory(q, (label,), None, ([unit(q)], np.zeros((1, 1), np.intp)))
 
 
 @dataclass(frozen=True)
@@ -155,12 +158,8 @@ def _law_violations(q: QuantaleDescriptor, a, b, c, labels, triples) -> tuple:
 
 def opposite(c: VCategory) -> VCategory:
     """Reverse all homs: E_op(X, Y) = E(Y, X)."""
-    n = len(c)
-    return VCategory(
-        c.quantale,
-        c.objects,
-        tuple(tuple(c.hom[j][i] for j in range(n)) for i in range(n)),
-    )
+    values, positions = c._index
+    return VCategory(c.quantale, c.objects, None, (values, positions.T))
 
 
 def tensor_categories(c: VCategory, d: VCategory) -> VCategory:
@@ -169,18 +168,8 @@ def tensor_categories(c: VCategory, d: VCategory) -> VCategory:
         raise ValueError("tensor requires categories over the same quantale")
     q = c.quantale
     labels = tuple(f"({a},{x})" for a in c.objects for x in d.objects)
-    nd = len(d)
-    rows = []
-    for i in range(len(c)):
-        for p in range(nd):
-            rows.append(
-                tuple(
-                    tensor(q, c.hom[i][j], d.hom[p][r])
-                    for j in range(len(c))
-                    for r in range(nd)
-                )
-            )
-    return VCategory(q, labels, tuple(rows))
+    rows = [[tensor(q, a, x) for a in c_row for x in d_row] for c_row in c.hom for d_row in d.hom]
+    return VCategory(q, labels, rows)
 
 
 @dataclass(frozen=True)
@@ -429,15 +418,20 @@ def _category_from_json(data: object, where: str, memo: dict[str, QVal]) -> VCat
         raise ValueError(f"{where}.objects: expected a list of strings")
     for i, o in enumerate(objects):
         _require_utf8(o, f"{where}.objects[{i}]")
-    hom = _parse_rows(data["hom"], f"{where}.hom", memo)
+    hom = _parse_rows(data["hom"], f"{where}.hom", memo, len(objects))
     try:
-        return VCategory(q, tuple(objects), hom)
+        return VCategory(q, tuple(objects), *hom)
     except (ValueError, CarrierMismatch) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _parse_rows(rows: object, where: str, memo: dict[str, QVal]) -> tuple[tuple[QVal, ...], ...]:
+def _parse_rows(rows: object, where: str, memo: dict[str, QVal], ncols: int) -> tuple:
     """Parse a JSON matrix of values; a bad entry raises naming ``where[i][j]``.
+
+    Returns the ``hom``/``mat`` and ``_index`` arguments of the
+    constructor: ``(None, index)``, values in order of first appearance,
+    or ``(rows, None)`` for its walk to raise when a row has not ``ncols``
+    entries.
 
     ``memo`` maps each string parsed so far in the file to its value, so
     a string that repeats is parsed once.  Only strings are keys, because
@@ -447,11 +441,19 @@ def _parse_rows(rows: object, where: str, memo: dict[str, QVal]) -> tuple[tuple[
     """
     if not isinstance(rows, list):
         raise ValueError(f"{where}: expected a matrix")
+    values: list[QVal] = []
+    ids: dict[int, int] = {}  # id(v) -> its position in values
+    slot: dict[str, int] = {}  # a string of this matrix -> its value's position
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ValueError(f"{where}[{i}]: expected a row")
-        vals = []
+        try:  # a row of strings seen before in this matrix
+            out.append(list(map(slot.__getitem__, row)))
+            continue
+        except (KeyError, TypeError):
+            pass
+        ks = []
         for j, raw in enumerate(row):
             key = raw if isinstance(raw, str) else None
             v = memo.get(key)
@@ -462,9 +464,16 @@ def _parse_rows(rows: object, where: str, memo: dict[str, QVal]) -> tuple[tuple[
                     raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
                 if key is not None:
                     memo[key] = v
-            vals.append(v)
-        out.append(tuple(vals))
-    return tuple(out)
+            k = ids.setdefault(id(v), len(values))
+            if k == len(values):
+                values.append(v)
+            if key is not None:
+                slot[key] = k
+            ks.append(k)
+        out.append(ks)
+    if any(len(ks) != ncols for ks in out):
+        return tuple(tuple(map(values.__getitem__, ks)) for ks in out), None
+    return None, (values, np.array(out, np.intp).reshape(len(out), ncols))
 
 
 def _require_utf8(label: str, where: str) -> None:

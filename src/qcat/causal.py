@@ -183,11 +183,12 @@ def causal_space_from_dag(dag: CausalDag) -> VCategory:
             best = dist[succ[v]].max(axis=0)
             dist[v] = np.where(best >= 0, best + 1, -1)
         dist[v, v] = 0
-    # one value per path length, shared by every entry that has it, and
-    # bot last, where -1 indexes
-    length = [finite(k) for k in range(int(dist.max(initial=0)) + 1)] + [BOT]
-    rows = tuple(tuple(map(length.__getitem__, row.tolist())) for row in dist)
-    return VCategory(rbot(), dag.vertices, rows)
+    # indexed as it stands: bot where no path goes, then one value per
+    # length from 0 to the longest (a longest path passes every shorter one)
+    longest, bot = int(dist.max(initial=-1)), int((dist < 0).any())
+    dist += bot
+    values = [BOT] * bot + [finite(k) for k in range(longest + 1)]
+    return VCategory(rbot(), dag.vertices, None, (values, dist))
 
 
 @dataclass(frozen=True)
@@ -238,10 +239,16 @@ def minkowski_sample(
         x = x0 + (x1 - x0) * rng.random()
         events.append(Event2D(t, x))
     labels = tuple(f"p{i}" for i in range(n))
-    rows = tuple(
-        tuple(interval_2d(events[i], events[j]) for j in range(n)) for i in range(n)
-    )
-    return VCategory(rbot(MINKOWSKI_TOLERANCE), labels, rows), events
+    # interval_2d on every pair at once: the same IEEE operations, so the
+    # same square roots; one value per causal pair, after bot
+    t, x = np.array([(e.t, e.x) for e in events]).reshape(n, 2).T
+    dt, dx = t - t[:, None], np.abs(x - x[:, None])  # from the row's event to the column's
+    causal = dt >= dx
+    a, b, bot = dt[causal], dx[causal], int(not causal.all())
+    positions = np.zeros((n, n), np.intp)
+    positions[causal] = np.arange(bot, bot + len(a))
+    values = [BOT] * bot + [finite(s) for s in np.sqrt(a * a - b * b).tolist()]
+    return VCategory(rbot(MINKOWSKI_TOLERANCE), labels, None, (values, positions)), events
 
 
 def _signed_interval(p1: tuple[int, int], p2: tuple[int, int]) -> int:

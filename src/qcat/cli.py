@@ -48,14 +48,13 @@ from .modules import (
     module_to_json,
 )
 from .quantale import (
-    _LEAF_TABLE,
     Kind,
     QuantaleDescriptor,
+    _build,
     check_laws,
     parse_quantale_name,
     parse_value,
     split_top_level,
-    tuple_val,
 )
 
 OK = "ok"
@@ -151,12 +150,9 @@ def _parse_grid(text: str):
 
 
 def _default_law_grid(q: QuantaleDescriptor):
-    """Each base's sample from the leaf table; a product's is their
-    cartesian product."""
-    if q.kind is Kind.PRODUCT:
-        factor_grids = [_default_law_grid(f) for f in q.factors]
-        return tuple(tuple_val(parts) for parts in iproduct(*factor_grids))
-    return _LEAF_TABLE[q.kind].sample
+    """Each base's sample from the leaf table; a product's is the
+    cartesian product of its leaves' samples."""
+    return tuple(_build(q, iter(p)) for p in iproduct(*(leaf.sample for leaf in q._leaves)))
 
 
 def _cmd_laws(args) -> CommandResult:

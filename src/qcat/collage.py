@@ -20,7 +20,7 @@ from .category import (
     validate_category,
 )
 from .modules import VModule, check_adjunction, validate_module
-from .quantale import QVal, bottom, unit
+from .quantale import bottom, unit
 
 LEFT = "left"
 RIGHT = "right"
@@ -62,13 +62,9 @@ def collage(m: VModule) -> Collage:
         left_labels = e.objects
         right_labels = d.objects
     ne, nd = len(e), len(d)
-    bot = bottom(q)
-    rows: list[tuple[QVal, ...]] = []
-    for x in range(ne):
-        rows.append(tuple(e.hom[x]) + tuple(m.mat[x]))
-    for a in range(nd):
-        rows.append((bot,) * ne + tuple(d.hom[a]))
-    cat = VCategory(q, left_labels + right_labels, tuple(rows))
+    bot = (bottom(q),) * ne
+    rows = [e_row + m_row for e_row, m_row in zip(e.hom, m.mat)] + [bot + d_row for d_row in d.hom]
+    cat = VCategory(q, left_labels + right_labels, rows)
     return Collage(cat, (LEFT,) * ne + (RIGHT,) * nd, m)
 
 
@@ -79,25 +75,13 @@ def restrict(col: Collage) -> VModule:
     parsed from a file the endpoint categories are rebuilt from the
     diagonal blocks under the labels as stored.
     """
-    left_ix = [i for i, p in enumerate(col.partition) if p == LEFT]
-    right_ix = [i for i, p in enumerate(col.partition) if p == RIGHT]
-    hom = col.category.hom
-    block = tuple(tuple(hom[x][a] for a in right_ix) for x in left_ix)
+    ne = col.partition.count(LEFT)  # the left block comes first
+    hom, labels, q = col.category.hom, col.category.objects, col.category.quantale
+    block = [row[ne:] for row in hom[:ne]]
     if col.origin is not None:
         return VModule(col.origin.source, col.origin.target, block)
-    q = col.category.quantale
-    labels = col.category.objects
-    target = VCategory(
-        q,
-        tuple(labels[i] for i in left_ix),
-        tuple(tuple(hom[x][y] for y in left_ix) for x in left_ix),
-    )
-    source = VCategory(
-        q,
-        tuple(labels[i] for i in right_ix),
-        tuple(tuple(hom[a][b] for b in right_ix) for a in right_ix),
-    )
-    return VModule(source, target, block)
+    target = VCategory(q, labels[:ne], [row[:ne] for row in hom[:ne]])
+    return VModule(VCategory(q, labels[ne:], [row[ne:] for row in hom[ne:]]), target, block)
 
 
 def adjoin_point(m: VModule, n: VModule, label: str = "*") -> VCategory:
@@ -118,12 +102,8 @@ def adjoin_point(m: VModule, n: VModule, label: str = "*") -> VCategory:
     if label in e.objects:
         raise ValueError(f"label {label!r} already names an object")
     q = m.quantale
-    ne = len(e)
-    rows: list[tuple[QVal, ...]] = []
-    for x in range(ne):
-        rows.append(tuple(e.hom[x]) + (m.mat[x][0],))
-    rows.append(tuple(n.mat[0]) + (unit(q),))
-    out = VCategory(q, e.objects + (label,), tuple(rows))
+    rows = [e_row + m_row for e_row, m_row in zip(e.hom, m.mat)] + [n.mat[0] + (unit(q),)]
+    out = VCategory(q, e.objects + (label,), rows)
     check = validate_category(out)
     if not check.ok:
         bad = [list(v[:3]) for v in check.composition_violations]

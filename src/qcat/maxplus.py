@@ -8,9 +8,9 @@ scalar operations run on the same codes, one value at a time.
 
 A matrix over a product base gets a trailing factor axis, one entry per
 base factor (length 1 for a plain base); order and join are
-componentwise.  A matrix comes as its constructor indexed it
-(:func:`check_matrix`, :data:`Block`): each distinct value is coded
-once and the codes are gathered at the entries' positions.  :func:`encode` scales finite
+componentwise.  A matrix comes indexed (:data:`Block`), by its producer
+or by :func:`check_matrix`: each distinct value is coded once and the
+codes are gathered at the entries' positions.  :func:`encode` scales finite
 values by the least common multiple L of their denominators, so that
 every code is an integer; it declines (returns None) when some |v*L|
 exceeds 2^52, so that a sum of two codes is still exact.  :func:`law_encode` uses those codes at
@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .quantale import _NEG, _POS, QuantaleDescriptor, QVal, Tag, _build, _decode, _Leaf, carrier_check
+from .quantale import _NEG, _POS, QuantaleDescriptor, QVal, Tag, _build, _decode, carrier_check
 
 EXACT_LIMIT = 2**52
 # float codes and tolerances stay below 2^1020, so that no sum or bound
@@ -38,13 +38,23 @@ EXACT_LIMIT = 2**52
 _FLOAT_BITS = 1020
 _U = 2.0**-53
 _ETA = 2.0**-1074
-# elements per broadcast block in :func:`product`: 128 KiB of float64,
+# elements per broadcast block in :func:`product` (and per gather in
+# :func:`rows`): 128 KiB of float64,
 # so that a block reuses heap memory instead of raising the peak
 _CHUNK = 1 << 14
 
-# a matrix as :func:`check_matrix` indexes it: its distinct values and a
-# (rows, cols) array of each entry's position among them
+# a matrix indexed: its distinct value objects, each used, and a (rows,
+# cols) integer array of each entry's position among them
 Block = tuple[Sequence[QVal], np.ndarray]
+
+
+def _check_values(q: QuantaleDescriptor, values: Sequence[QVal]) -> None:
+    """Raise at the first value outside ``q``'s carrier: on a plain base
+    a tag test per value, the full ``carrier_check`` only to raise."""
+    tags = () if q._leaf is None else q._leaf.tags
+    for v in values:
+        if v.tag not in tags:
+            carrier_check(q, v)
 
 
 def check_matrix(
@@ -52,31 +62,32 @@ def check_matrix(
     rows: Sequence[Sequence[QVal]],
     ncols: int,
     row_error: Callable[[int, int], str],
+    index: Block | None = None,
 ) -> Block:
-    """Check a value matrix and index its distinct values in one walk.
+    """Check a value matrix and return it indexed, each distinct value
+    checked once.  The ``index`` of a producer that made it is kept.
 
-    Raises ``ValueError(row_error(i, len(row)))`` at the first row ``i``
-    without ``ncols`` entries, and :class:`qcat.quantale.CarrierMismatch`
-    at the first entry outside ``q``'s carrier, whichever comes first in
-    row-major order.  Returns the distinct value objects, keyed by
-    identity, in order of first appearance, and a (rows, ncols) array of
-    each entry's position among them.  Each distinct value is checked
-    once: on a plain base its tag, and the full ``carrier_check`` only to
-    raise; on a product in full.
+    Rows built by hand are indexed in one walk, their distinct values
+    keyed by identity in order of first appearance.  It raises
+    ``ValueError(row_error(i, len(row)))`` at the first row ``i`` without
+    ``ncols`` entries, and :class:`qcat.quantale.CarrierMismatch` at the
+    first entry outside ``q``'s carrier, whichever comes first in
+    row-major order.
     """
+    if index is not None:
+        _check_values(q, index[0])
+        return index
     values: list[QVal] = []
     slot: dict[int, int] = {}  # id(v) -> its position in values
-    tags = () if q._leaf is None else q._leaf.tags
 
     def walk() -> Iterator[int]:
         for i, row in enumerate(rows):
             if len(row) != ncols:
+                _check_values(q, values)  # a bad entry before the short row
                 raise ValueError(row_error(i, len(row)))
             for v in row:
                 k = slot.get(id(v))
                 if k is None:
-                    if v.tag not in tags:
-                        carrier_check(q, v)
                     k = slot[id(v)] = len(values)
                     values.append(v)
                 yield k
@@ -86,7 +97,21 @@ def check_matrix(
     # fromiter stops at its count: finish the walk, so that with no
     # columns every row's length is still checked
     next(it, None)
+    _check_values(q, values)
     return values, positions.reshape(len(rows), ncols)
+
+
+def rows(block: Block) -> tuple[tuple[QVal, ...], ...]:
+    """The value matrix of a block, :func:`check_matrix` inverted."""
+    values, positions = block
+    table = np.empty(len(values), object)
+    table[:] = values
+    # in blocks of rows, so that no whole-matrix temporary raises the peak
+    step = max(1, _CHUNK // max(1, positions.shape[1]))
+    out: list[tuple[QVal, ...]] = []
+    for k in range(0, len(positions), step):
+        out += map(tuple, table[positions[k : k + step]].tolist())
+    return tuple(out)
 
 
 def _leaves(v: QVal) -> tuple[QVal, ...]:
@@ -177,38 +202,19 @@ def law_encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray],
     return arrays, bounds
 
 
-def _decoder(leaf: _Leaf, scale: int):
-    """Map one encoded factor value back to a ``QVal``, memoised."""
-    memo: dict[float, QVal] = {}
-
-    def decode(x) -> QVal:
-        v = memo.get(x)
-        if v is None:
-            # a pole, an integer float64 code or an exact code (scale 1)
-            code = _NEG if x == _NEG else _POS if x == _POS else (
-                Fraction(int(x), scale) if type(x) is float else Fraction(x))
-            v = memo[x] = _decode(leaf, code)
-        return v
-
-    return decode
-
-
-def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> tuple[tuple[QVal, ...], ...]:
-    """The ``QVal`` matrix of a (rows, cols, factors) array of
-    :func:`exact_codes`'s codes at ``scale``."""
+def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> Block:
+    """The values of a (rows, cols, factors) array of :func:`exact_codes`'s
+    codes at ``scale``, indexed (:data:`Block`): each distinct tuple of
+    codes, float64 or exact, is decoded once."""
     rows, cols, nf = arr.shape
-    decoders = [_decoder(leaf, scale) for leaf in q._leaves]
-    if nf == 1:
-        (dec,) = decoders
-        return tuple(tuple(dec(x) for x in row) for row in arr[:, :, 0].tolist())
-    out = []
-    for row in arr.tolist():
-        out.append(
-            tuple(
-                _build(q, (d(x) for d, x in zip(decoders, entry))) for entry in row
-            )
-        )
-    return tuple(out)
+    slot: dict[tuple, int] = {}  # a code tuple -> its position among the values
+    keys = map(tuple, arr.reshape(-1, nf).tolist())
+    positions = np.fromiter((slot.setdefault(k, len(slot)) for k in keys), np.intp, rows * cols)
+
+    def code(x):  # a pole as the quantale's own object, a finite code unscaled
+        return _NEG if x == _NEG else _POS if x == _POS else Fraction(x) / scale
+
+    return [_build(q, map(_decode, q._leaves, map(code, k))) for k in slot], positions.reshape(rows, cols)
 
 
 def product(m: np.ndarray, n: np.ndarray) -> np.ndarray:

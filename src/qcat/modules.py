@@ -18,7 +18,7 @@ representable, i.e. a hom column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Iterable, Iterator, Sequence
 
@@ -54,25 +54,25 @@ from .quantale import (
 @dataclass(frozen=True)
 class VModule:
     """Rectangular matrix of quantale values between two categories,
-    indexed (target object, source object)."""
+    indexed (target object, source object); ``_index`` as in
+    :class:`qcat.category.VCategory`, with ``mat`` None when given."""
 
     source: VCategory
     target: VCategory
     mat: tuple[tuple[QVal, ...], ...]
+    _index: maxplus.Block | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mat", tuple(tuple(row) for row in self.mat))
+        given = None if self.mat is not None else self._index
+        mat = maxplus.rows(given) if given is not None else tuple(tuple(row) for row in self.mat)
+        object.__setattr__(self, "mat", mat)
         if self.source.quantale != self.target.quantale:
             raise ValueError("module endpoints must share a quantale")
         rows, cols = len(self.target.objects), len(self.source.objects)
-        if len(self.mat) != rows:
-            raise ValueError(f"module matrix has {len(self.mat)} rows for {rows} target objects")
-        index = check_matrix(
-            self.quantale,
-            self.mat,
-            cols,
-            lambda i, k: f"module row {i} has {k} entries for {cols} source objects",
-        )
+        if len(mat) != rows:
+            raise ValueError(f"module matrix has {len(mat)} rows for {rows} target objects")
+        index = check_matrix(self.quantale, mat, cols, lambda i, k: (
+            f"module row {i} has {k} entries for {cols} source objects"), given)
         object.__setattr__(self, "_index", index)
 
     @property
@@ -125,7 +125,7 @@ def validate_module(m: VModule) -> ModuleReport:
 
 def identity_module(c: VCategory) -> VModule:
     """The hom matrix of C seen as a module C -/-> C."""
-    return VModule(c, c, c.hom)
+    return VModule(c, c, None, c._index)
 
 
 def compose(m: VModule, n: VModule) -> VModule:
@@ -141,7 +141,7 @@ def compose(m: VModule, n: VModule) -> VModule:
         raise ValueError("modules are not composable: source of the first must be the target of the second")
     q = m.quantale
     (ma, na), _, scale = maxplus.exact_codes(q, m._index, n._index)
-    return VModule(n.source, m.target, maxplus.decode(q, maxplus.product(ma, na), scale))
+    return VModule(n.source, m.target, None, maxplus.decode(q, maxplus.product(ma, na), scale))
 
 
 def representable(c: VCategory, label: str) -> VModule:
@@ -171,7 +171,7 @@ def canonical_right_adjoint(m: VModule) -> VModule:
     d, e = m.source, m.target
     (hom, mat), _, scale = maxplus.exact_codes(q, e._index, m._index)
     adj = maxplus._right_adjoint(q, hom, mat.transpose(1, 0, 2))
-    return VModule(e, d, maxplus.decode(q, adj, scale))
+    return VModule(e, d, None, maxplus.decode(q, adj, scale))
 
 
 @dataclass(frozen=True)
@@ -454,9 +454,9 @@ def module_from_json(data: object, *, where: str = "module") -> VModule:
         source = unit_category(target.quantale)
     else:
         source = _category_from_json(raw_src, f"{where}.source", memo)
-    mat = _parse_rows(data["mat"], f"{where}.mat", memo)
+    mat = _parse_rows(data["mat"], f"{where}.mat", memo, len(source.objects))
     try:
-        return VModule(source, target, mat)
+        return VModule(source, target, *mat)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 

@@ -169,6 +169,8 @@ ANY = (
     True, 1, 1.0, "1", "true", "bot", "(true,1)", "(1,2,3)", "(1,(true,bot))", "(1,true)",
 )
 LABELS = ("a", "b", "c", "d")
+# values that parse, drawn from every base: outside the carrier of most
+FOREIGN = tuple(dict.fromkeys(v for vs in GOOD.values() for v in vs if isinstance(v, str)))
 
 
 def _key(quantale) -> str:
@@ -182,12 +184,25 @@ def matrices(draw, quantale, rows: int, cols: int):
     entry = st.integers(0, 14).flatmap(lambda r: st.sampled_from(ANY) if r == 0 else good)
     out = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
     shape = draw(st.integers(0, 19))
+    row = st.integers(0, max(0, len(out) - 1))
     if shape == 0 and out:
-        out[draw(st.integers(0, len(out) - 1))] = draw(st.sampled_from(("x", 1, {"a": 1})))
+        out[draw(row)] = draw(st.sampled_from(("x", 1, {"a": 1})))
     elif shape == 1 and out:
-        out[draw(st.integers(0, len(out) - 1))].append(draw(good))
+        out[draw(row)].append(draw(good))
     elif shape == 2:
         return draw(st.sampled_from(("hom", 1, None)))
+    elif shape == 3 and out:
+        del out[draw(row)][-1:]
+    elif shape == 4 and out:
+        del out[draw(row)]
+    elif shape == 5:
+        out.insert(draw(st.integers(0, len(out))), draw(st.lists(good, min_size=cols, max_size=cols)))
+    elif shape == 6 and len(out) > 1 and cols:
+        # a short row races a value of another base's carrier, planted in
+        # an earlier or a later row
+        short, other = draw(st.lists(row, min_size=2, max_size=2, unique=True))
+        out[other][draw(st.integers(0, cols - 1))] = draw(st.sampled_from(FOREIGN))
+        del out[short][-1]
     return out
 
 

@@ -7,12 +7,15 @@ all-pairs ``classify_endohoms`` loop as it was before the shortcuts,
 ``{(a, b) | leq(q, unit(q), hom[a][b])}``, and the per-entry
 constructor check.  Results, message order and first errors must be
 equal, not just equivalent.  The index must rebuild the matrix it was
-made from, object for object.
+made from, object for object, whether the constructor's walk or the
+matrix's producer (the parse, from-dag, the sprinkle, the decoder) made
+it; the sprinkle is also compared with ``interval_2d`` pair by pair.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,30 +27,44 @@ from qcat import (
     LAWVERE,
     RBOT,
     CarrierMismatch,
+    CausalDag,
     EndohomReport,
     Kind,
-    QuantaleDescriptor,
     QVal,
+    QuantaleDescriptor,
     VCategory,
     VModule,
     boolean,
+    canonical_right_adjoint,
     carrier_check,
+    category_from_json,
+    category_to_json,
+    causal_space_from_dag,
     classify_endohoms,
+    compose,
     eq,
     finite,
     format_value,
+    identity_module,
+    interval_2d,
     leq,
+    maxplus,
+    minkowski_sample,
+    module_from_json,
+    module_to_json,
     product,
     rbot,
+    representable,
     tensor,
     tuple_val,
     underlying_preorder,
     unit,
+    unit_category,
 )
 from qcat.category import IRREGULAR, REGULAR
 from qcat.quantale import Tag
 
-from randgen import random_rbot_category
+from randgen import random_dag, random_rbot_category
 
 TOLERANCES = (0.0, 1e-9, 0.5)
 
@@ -348,6 +365,18 @@ class TestConstructorErrors:
             q, rows, 0, lambda i, k: f"module row {i} has {k} entries for 0 source objects"
         )
 
+    def test_label_errors(self):
+        # the type comes first: a list label cannot be hashed
+        assert raised(lambda: VCategory(RBOT, ([1],), ((BOT,),))) == (
+            ValueError, "object labels must be strings")
+        assert raised(lambda: VCategory(RBOT, ("a", 1), [[BOT] * 2] * 2)) == (
+            ValueError, "object labels must be strings")
+        assert raised(lambda: VCategory(RBOT, ("a", "a"), [[BOT] * 2] * 2)) == (
+            ValueError, "object labels must be unique")
+        block = ([BOT], np.zeros((1, 1), np.intp))
+        assert raised(lambda: VCategory(RBOT, ([1],), None, block)) == (
+            ValueError, "object labels must be strings")
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_matrices(self, data):
@@ -384,6 +413,17 @@ def assert_indexes(index, matrix, ncols):
     assert all(values[k] is v for k, v in zip(positions.ravel().tolist(), entries))
 
 
+def assert_block(index, matrix, ncols):
+    """A producer's index: ``values[positions]`` is ``matrix`` object for
+    object, and ``values`` are distinct objects, each used, in any order."""
+    values, positions = index
+    assert positions.shape == (len(matrix), ncols)
+    assert len({id(v) for v in values}) == len(values)
+    ks = positions.ravel().tolist()
+    assert set(ks) == set(range(len(values)))
+    assert all(values[k] is v for k, v in zip(ks, (v for row in matrix for v in row)))
+
+
 class TestIndex:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -411,3 +451,92 @@ class TestIndex:
         m = VModule(src, tgt, [[]] * rows)
         assert_indexes(m._index, m.mat, cols)
         assert m._index[1].shape == (rows, cols)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_parsed_blocks_list_values_in_order_of_first_appearance(self, data):
+        c = data.draw(categories())
+        m = VModule(c, c, [[data.draw(leaf_values(c.quantale)) for _ in c.objects] for _ in c.objects])
+        parsed = category_from_json(category_to_json(c))
+        assert_indexes(parsed._index, parsed.hom, len(c))
+        pm = module_from_json(module_to_json(m))
+        assert_indexes(pm._index, pm.mat, len(c))
+
+    def test_parsed_block_holds_each_object_once(self):
+        # "bot" and " BOT" parse to one object; each JSON 1 to an object of its own
+        data = {"quantale": "rbot", "objects": ["a", "b", "c"],
+                "hom": [["bot", " BOT", "1"], [1, 1, "1"], ["bot", "⊥", " BOT"]]}
+        c = category_from_json(data)
+        assert_indexes(c._index, c.hom, 3)
+        assert len(c._index[0]) == 4
+        m = module_from_json({"source": data, "target": data, "mat": data["hom"]})
+        assert_indexes(m._index, m.mat, 3)
+        assert m.mat[0][0] is m.source.hom[0][0] is BOT
+
+    def test_from_dag_blocks(self):
+        rng = random.Random(3)
+        dags = [CausalDag((), ()), CausalDag(("v",), ()), CausalDag(("a", "b"), (("a", "b"),))]
+        for dag in dags + [random_dag(rng, 9) for _ in range(20)]:
+            c = causal_space_from_dag(dag)
+            assert_block(c._index, c.hom, len(dag.vertices))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 25])
+    def test_minkowski_blocks(self, n):
+        c, events = minkowski_sample(n, n)
+        assert_block(c._index, c.hom, n)
+        # every pair at once computes what interval_2d computes pair by pair
+        assert c.hom == tuple(tuple(interval_2d(a, b) for b in events) for a in events)
+
+    @pytest.mark.parametrize("codes", ["integer", "fraction"])
+    def test_decoded_blocks(self, codes):
+        # integer float64 codes on small integer homs; exact Fraction codes
+        # on a sprinkle, whose binary fractions overflow the common scale
+        rng = random.Random(7)
+        for k in range(6):
+            if codes == "fraction":
+                c = minkowski_sample(6 + k, k)[0]
+            else:
+                c = random_rbot_category(rng, 5, min_objects=1)
+                if k % 2:  # a product base, whose values decode builds as tuples
+                    c = VCategory(product(c.quantale, BOOL), c.objects, [
+                        [tuple_val((v, boolean(rng.random() < 0.5))) for v in row] for row in c.hom])
+            (arr,), _, _ = maxplus.exact_codes(c.quantale, c._index)
+            assert (arr.dtype == object) == (codes == "fraction")
+            m = identity_module(c)
+            col = VModule(unit_category(c.quantale), c, [(rng.choice(row),) for row in c.hom])
+            for out in (compose(m, m), compose(m, col), canonical_right_adjoint(m),
+                        canonical_right_adjoint(col)):
+                assert_block(out._index, out.mat, len(out.source))
+
+    def test_cli_walks_no_matrix_entry_by_entry(self, tmp_path, monkeypatch):
+        import qcat.category
+        import qcat.modules
+        from qcat.cli import _dump, run
+
+        walked = []
+
+        def spy(q, rows, ncols, row_error, index=None):
+            if index is None:  # the walk over rows built by hand
+                walked.append(len(rows) * ncols)
+            return maxplus.check_matrix(q, rows, ncols, row_error, index)
+
+        c = VCategory(RBOT, ("a", "b", "c"), [[finite(0), finite(2), BOT], [BOT, finite(0), BOT],
+                                             [finite(1), finite(3), finite(0)]])
+        files = {"cat.json": category_to_json(c),
+                 "m.json": module_to_json(identity_module(c)),
+                 "col.json": module_to_json(representable(c, "b"))}
+        for name, data in files.items():
+            (tmp_path / name).write_text(_dump(data))
+        (tmp_path / "edges.txt").write_text("a b\nb c\na d\n")
+        p = {name: str(tmp_path / name) for name in (*files, "edges.txt", "out.json", "g.dot")}
+        monkeypatch.setattr(qcat.category, "check_matrix", spy)
+        monkeypatch.setattr(qcat.modules, "check_matrix", spy)
+        for argv in (["validate", p["cat.json"]],
+                     ["compose", p["m.json"], p["col.json"], "-o", p["out.json"]],
+                     ["compose", p["m.json"], p["m.json"], "-o", p["out.json"]],
+                     ["from-dag", p["edges.txt"], "-o", p["out.json"]],
+                     ["underlying", p["out.json"], "--dot", p["g.dot"]]):
+            assert run(argv).exit_code == 0, argv
+        assert walked == []
+        VModule(unit_category(RBOT), c, [(BOT,)] * 3)  # the spy sees a hand-built matrix
+        assert walked == [3]
