@@ -10,14 +10,16 @@ A matrix over a product base gets a trailing factor axis, one entry per
 base factor (length 1 for a plain base); order and join are
 componentwise.  A matrix comes indexed (:data:`Block`), by its producer
 or by :func:`check_matrix`: each distinct value is coded once and the
-codes are gathered at the entries' positions.  :func:`encode` scales finite
-values by the least common multiple L of their denominators, so that
-every code is an integer; it declines (returns None) when some |v*L|
-exceeds 2^52, so that a sum of two codes is still exact.  :func:`law_encode` uses those codes at
-tolerance 0 and otherwise the nearest float64 of each value, with a
-bound that a static rounding-error margin keeps below c + tolerance (a
-floating-point filter, after Shewchuk, "Adaptive precision
-floating-point arithmetic and fast robust geometric predicates", 1997).
+codes are gathered at the entries' positions.  :func:`exact_codes`
+scales finite values by the least common multiple L of their
+denominators, so that every code is an integer: float64 when every |v*L|
+and tolerance offset fits in 2^52, so that a sum of two codes is still
+exact, and Python ints in an object array otherwise.  :func:`law_encode`
+uses the float64 codes at tolerance 0 and otherwise the nearest float64
+of each value, with a bound that a static rounding-error margin keeps
+below c + tolerance (a floating-point filter, after Shewchuk, "Adaptive
+precision floating-point arithmetic and fast robust geometric
+predicates", 1997).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -121,7 +124,7 @@ def _leaves(v: QVal) -> tuple[QVal, ...]:
 
 
 def _arrays(
-    q: QuantaleDescriptor, blocks: Sequence[Block], code: Callable[[Fraction], float], dtype=float
+    q: QuantaleDescriptor, blocks: Sequence[Block], code: Callable[[Rational], float | int], dtype=float
 ) -> list[np.ndarray]:
     """One (rows, cols, factors) array per block: each distinct value's
     leaves coded by their table rows, with ``code(v)`` in place of a
@@ -144,40 +147,25 @@ def _arrays(
     return out
 
 
-def _finite_values(q: QuantaleDescriptor, blocks: Sequence[Block]) -> list[Fraction]:
+def _finite_values(q: QuantaleDescriptor, blocks: Sequence[Block]) -> list[Rational]:
     """The finite leaf values of the blocks' distinct values."""
     return [x.value for values, _ in blocks for v in values for x in _leaves(v) if x.tag is Tag.FINITE]
-
-
-def encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray], int] | None:
-    """Encode matrices over ``q`` with one common scale L.
-
-    Each block is a matrix's distinct values and their positions
-    (:data:`Block`).  Returns one float64 array of shape (rows, cols,
-    factors) per block, and L; or None when some |v*L| exceeds 2^52.
-    The values must already lie in ``q``'s carrier, as the entries of a
-    ``VCategory`` or ``VModule`` do.
-    """
-    finite = _finite_values(q, blocks)
-    scale = math.lcm(*{x.denominator for x in finite})
-    if max(finite, default=0) * scale > EXACT_LIMIT:
-        return None
-    return _arrays(q, blocks, lambda x: float(x.numerator * (scale // x.denominator))), scale
 
 
 def law_encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The codes of the blocks and, per block, a bound on code sums: for
     values a, b, c with codes x, y and bound z of c, the law
     ``leq(q, tensor(q, a, b), c)`` holds wherever x + y <= z in every
-    factor.  With :func:`encode`'s codes (tolerance 0, L fits) z is c's
-    code and the law fails exactly where x + y > z; with float codes
-    (times 2^-shift near the top of float64's range) x + y > z only
-    marks where it may fail.
+    factor.  At tolerance 0, when :func:`exact_codes` gives float64
+    codes, z is c's code and the law fails exactly where x + y > z; with
+    float codes (times 2^-shift near the top of float64's range) x + y >
+    z only marks where it may fail.
     """
     tols = [float(leaf.tolerance) for leaf in q._leaves]
-    enc = None if any(tols) else encode(q, *blocks)
-    if enc is not None:
-        return enc[0], enc[0]
+    if not any(tols):
+        codes, offsets, _ = exact_codes(q, *blocks)
+        if offsets.dtype != object:
+            return codes, codes
     shift = 0
     try:
         arrays = _arrays(q, blocks, float)
@@ -205,7 +193,7 @@ def law_encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray],
 def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> Block:
     """The values of a (rows, cols, factors) array of :func:`exact_codes`'s
     codes at ``scale``, indexed (:data:`Block`): each distinct tuple of
-    codes, float64 or exact, is decoded once."""
+    codes, float64 or int, is decoded once."""
     rows, cols, nf = arr.shape
     slot: dict[tuple, int] = {}  # a code tuple -> its position among the values
     keys = map(tuple, arr.reshape(-1, nf).tolist())
@@ -219,7 +207,7 @@ def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> Block:
 
 def product(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Max-plus matrix product: out[x, p] = max over a of m[x, a] + n[a, p],
-    -inf absorbing, on float64 or exact codes alike; an empty middle
+    -inf absorbing, on float64 or int codes alike; an empty middle
     leaves -inf, the bottom."""
     rows, mid, nf = m.shape
     cols = n.shape[1]
@@ -251,27 +239,29 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
 
 # ---------------------------------------------------------------------------
 # The module calculus on exact codes (README, "How the module calculus
-# runs").  A code array is either encode's integer codes in float64 or, when
-# they or a tolerance offset do not fit in 2^52, the exact Fraction codes in
-# an object array with float +-inf for the poles.  One code path serves both.
+# runs").  A code array holds exact_codes' integer codes at the scale L,
+# in float64 while they and the tolerance offsets fit in 2^52 and as Python
+# ints in an object array past it, with float +-inf for the poles.  One code
+# path serves both.
 # ---------------------------------------------------------------------------
 
 
 def exact_codes(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray], np.ndarray, int]:
     """The blocks' codes, exact, each leaf's tolerance as an offset on
     them, and their scale: code(a) <= code(b) + offset iff ``leq(q, a,
-    b)`` for values whose codes are finite.  With :func:`encode`'s scale
-    L the offset of a tolerance t is floor(t * L), exact because every
-    code difference is an integer; otherwise the codes are the values
-    themselves, the offset is t and the scale 1."""
-    tols = [leaf.tolerance for leaf in q._leaves]
-    enc = encode(q, *blocks)
-    if enc is not None:
-        arrays, scale = enc
-        offsets = [math.floor(t * scale) for t in tols]
-        if max(offsets) <= EXACT_LIMIT:
-            return arrays, np.array(offsets, float), scale
-    return _arrays(q, blocks, lambda x: x, object), np.array(tols, object), 1
+    b)`` for values whose codes are finite.  Each finite value v is coded
+    as the integer v * L, L the least common multiple of the
+    denominators, and the offset of a tolerance t is floor(t * L), exact
+    because every code difference is an integer.  The codes and offsets
+    are float64 when none exceeds 2^52 and Python ints in object arrays
+    otherwise.  The values must already lie in ``q``'s carrier, as the
+    entries of a ``VCategory`` or ``VModule`` do."""
+    finite = _finite_values(q, blocks)
+    scale = math.lcm(*{x.denominator for x in finite})
+    offsets = [math.floor(leaf.tolerance * scale) for leaf in q._leaves]
+    dtype = float if max([max(finite, default=0) * scale, *offsets]) <= EXACT_LIMIT else object
+    arrays = _arrays(q, blocks, lambda x: x.numerator * (scale // x.denominator), dtype)
+    return arrays, np.array(offsets, dtype), scale
 
 
 def _poles(x: np.ndarray) -> np.ndarray:
@@ -283,8 +273,9 @@ def _combine(op, x: np.ndarray, y: np.ndarray, nan: float) -> np.ndarray:
     """``op`` (add or subtract) of two code arrays, broadcast.  IEEE
     arithmetic settles every pole as the scalar operations do, except
     the NaN of two opposite poles, which becomes ``nan``.  On object
-    arrays the arithmetic runs only where both codes are finite, so that
-    no Fraction ever meets a float infinity."""
+    arrays the arithmetic runs only where both codes are finite, since
+    an int code past float's range meets a float infinity only with an
+    OverflowError."""
     with np.errstate(invalid="ignore"):
         if x.dtype != object and y.dtype != object:
             out = op(x, y)

@@ -201,8 +201,8 @@ class QuantaleDescriptor:
     ``tolerance`` is 0 for exact carriers; generators producing
     floating-point values opt into a positive tolerance, which loosens
     ``leq`` between finite values by that amount.  A product passes its
-    tolerance down: each factor compares with the largest tolerance on
-    its path from the root, so a leaf carries the tolerance it uses.
+    tolerance down to every factor, and refuses a factor whose own
+    tolerance exceeds it, which a written base could not express.
     """
 
     kind: Kind
@@ -218,7 +218,10 @@ class QuantaleDescriptor:
             if not self.factors:
                 raise ValueError("product quantale needs at least one factor")
             tol = self.tolerance
-            factors = (f if f.tolerance >= tol else replace(f, tolerance=tol) for f in self.factors)
+            for f in self.factors:
+                if f.tolerance > tol:
+                    raise ValueError(f"factor tolerance {f.tolerance} exceeds the product's {tol}")
+            factors = (f if f.tolerance == tol else replace(f, tolerance=tol) for f in self.factors)
             object.__setattr__(self, "factors", tuple(factors))
             leaf, leaves = None, tuple(x for f in self.factors for x in f._leaves)
         elif self.factors:

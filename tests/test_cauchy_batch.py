@@ -41,6 +41,11 @@ import oracles
 from randgen import random_category
 
 HUGE = finite(Fraction(1, 2**60 + 1))  # no common scale fits 2^52 with it
+# 1/p for two primes of 28 bits: each fits 2^52 alone, their common scale
+# does not
+COPRIME = (finite(Fraction(1, 134217757)), finite(Fraction(1, 134217773)))
+# the values each kind of explicit grid adds to every numeric leaf
+EXTRA = {"explicit": (), "huge": (HUGE,), "coprime": COPRIME}
 LEAF_GRIDS = {
     Kind.RBOT: (BOT, finite(0), finite(Fraction(1, 2)), finite(1), finite(2), finite(3), INF),
     Kind.LAWVERE: (finite(0), finite(Fraction(1, 2)), finite(2), INF),
@@ -58,14 +63,14 @@ BASES = {
 }
 
 
-def _grid(q: QuantaleDescriptor, huge: bool = False) -> tuple:
-    """A small explicit grid over ``q``; with ``huge``, each numeric leaf
-    also takes a value whose denominator defeats the integer codes."""
+def _grid(q: QuantaleDescriptor, extra: tuple = ()) -> tuple:
+    """A small explicit grid over ``q``, each numeric leaf also taking
+    the values ``extra``."""
     if q.kind is Kind.PRODUCT:
-        parts = [_grid(f, huge)[:: 1 if f.kind is Kind.BOOL else 2] for f in q.factors]
+        parts = [_grid(f, extra)[:: 1 if f.kind is Kind.BOOL else 2] for f in q.factors]
         return tuple(tuple_val(p) for p in iproduct(*parts))
     grid = LEAF_GRIDS[q.kind]
-    return grid + (HUGE,) if huge and q.kind is not Kind.BOOL else grid
+    return grid if q.kind is Kind.BOOL else grid + extra
 
 
 def _loosen(c: VCategory, rng: random.Random) -> VCategory:
@@ -117,7 +122,7 @@ def _small_case(rng, q, n, grid_kind):
             except ValueError:  # the closure exceeded its cap
                 return c, None
         else:
-            grid = _grid(q, grid_kind == "huge")
+            grid = _grid(q, EXTRA[grid_kind])
         count = _count(c, grid, 40 * SMALL)
         if best is None or count < best[0]:
             best = count, c, None if grid_kind == "default" else grid
@@ -131,7 +136,7 @@ SMALL = 150
 
 @pytest.mark.parametrize(
     "name,grid_kind",
-    [(name, kind) for kind in ("default", "explicit", "huge") for name in BASES
+    [(name, kind) for kind in ("default", "explicit", "huge", "coprime") for name in BASES
      if (name, kind) != ("rbot,lawvere~1/2", "default")],  # its default grids are too large
 )
 def test_report_and_enumeration_match_the_per_module_search(name, grid_kind):
@@ -139,6 +144,8 @@ def test_report_and_enumeration_match_the_per_module_search(name, grid_kind):
     rng = random.Random(f"{name}/{grid_kind}")
     for n in (0, 1, 2, 3, 3, 4, 4, 5):
         c, grid = _small_case(rng, q, n, grid_kind)
+        if grid_kind == "coprime" and "bool" not in name:  # the codes are Python ints
+            assert qcat.modules._grid_codes(c, grid)[3].dtype == object
         want = _outcome(oracles.cauchy_completeness_report, c, grid)
         assert _outcome(cauchy_completeness_report, c, grid) == want, (name, c.hom)
         if isinstance(want, tuple):  # the default grid exceeded its cap

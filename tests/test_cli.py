@@ -463,8 +463,8 @@ class TestOutOfRangeValues:
 
 
 class TestCompleteHugeGridValues:
-    """Grid values whose common scale defeats the integer codes run on
-    exact Fraction codes: the same report as the per-module search, and
+    """Grid values whose common scale passes 2^52 run on Python-int codes
+    in object arrays: the same report as the per-module search, and
     never a traceback."""
 
     @pytest.mark.parametrize(

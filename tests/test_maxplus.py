@@ -94,8 +94,12 @@ def reference_compose(m, n):
 
 
 def encodable(q, *mats):
+    """Whether the exact codes of the matrices are float64, not ints in
+    object arrays."""
     blocks = (check_matrix(q, mat, len(mat[0]) if mat else 0, str) for mat in mats)
-    return maxplus.encode(q, *blocks) is not None
+    codes, offsets, _ = maxplus.exact_codes(q, *blocks)
+    assert {a.dtype for a in codes} == {offsets.dtype}
+    return offsets.dtype != object
 
 
 @st.composite

@@ -5,12 +5,14 @@ decision (``is_cauchy``, ``representing_objects``, ``cauchy_witness``,
 versions they replaced, kept verbatim in ``tests/oracles.py``.
 
 The corpus covers every plain base and two products, tolerances 0, 1e-9
-and 1/2, values that force the exact ``Fraction`` codes (a denominator
-past 2^52, 2^1024 and a 4000-digit integer), categories with 0 and 1
-objects, arbitrary matrices that break the module actions, and sources
-within the tolerance of the unit.
+and 1/2, values that push the exact codes past 2^52 onto Python ints in
+object arrays (a denominator past 2^52, 2^1024, a 4000-digit integer,
+and reciprocals of primes whose common scale alone passes it),
+categories with 0 and 1 objects, arbitrary matrices that break the
+module actions, and sources within the tolerance of the unit.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -41,7 +43,7 @@ from qcat import (
     unit,
     unit_category,
 )
-from qcat import cli
+from qcat import cli, maxplus, rbot
 from qcat.cli import _dump, run
 from qcat.modules import _cauchy_decision, _closure_values
 from qcat.quantale import Kind, QuantaleDescriptor, Tag, qval_sort_key
@@ -54,12 +56,27 @@ LEAF_VALUES = {
     Kind.LAWVERE: (0, Fraction(1, 2), 1, Fraction(10**9 + 1, 10**9), 2, INF),
     Kind.BOOL: (FALSE, TRUE),
 }
-# each defeats the integer codes: no common scale of it fits 2^52
+
+
+def _primes(start: int, count: int) -> list[int]:
+    found, p = [], start
+    while len(found) < count:
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            found.append(p)
+        p += 1
+    return found
+
+
+# pools of values that push the codes past 2^52, onto Python ints: one
+# value whose every common scale is too large, or (coprime) 1/p over 30
+# primes of 17 bits, each small alone, whose common scale passes 2^52
+# once a matrix holds a few of them
 HUGE = {
-    "plain": None,
-    "2^-60": Fraction(1, 2**60 + 1),
-    "2^1024": Fraction(2**1024),
-    "4000-digit": Fraction(10**3999 + 7),
+    "plain": (),
+    "2^-60": (Fraction(1, 2**60 + 1),),
+    "2^1024": (Fraction(2**1024),),
+    "4000-digit": (Fraction(10**3999 + 7),),
+    "coprime": tuple(Fraction(1, p) for p in _primes(2**16, 30)),
 }
 BASES = {
     "rbot": RBOT,
@@ -83,11 +100,11 @@ def _base(name: str, tol: str) -> QuantaleDescriptor:
     return replace(BASES[name], tolerance=TOLERANCES[tol])
 
 
-def _value(rng: random.Random, q: QuantaleDescriptor, huge: Fraction | None):
+def _value(rng: random.Random, q: QuantaleDescriptor, huge: tuple[Fraction, ...]):
     if q.kind is Kind.PRODUCT:
         return tuple_val(_value(rng, f, huge) for f in q.factors)
-    if huge is not None and q.kind is not Kind.BOOL and rng.random() < 0.3:
-        return finite(huge)
+    if huge and q.kind is not Kind.BOOL and rng.random() < 0.3:
+        return finite(rng.choice(huge))
     v = rng.choice(LEAF_VALUES[q.kind])
     return finite(v) if isinstance(v, (int, Fraction)) else v
 
@@ -142,6 +159,12 @@ def _outcome(fn, *args):
         return "error", str(exc)
 
 
+def _int_codes(arr) -> bool:
+    """Every code of an object array is an int or a float pole, never a
+    ``Fraction``."""
+    return all(type(x) is int or x in (-math.inf, math.inf) for x in arr.flat)
+
+
 def _exact(m: VModule) -> bool:
     """Every finite payload is a ``Fraction``, as the carrier demands."""
 
@@ -157,11 +180,15 @@ def _exact(m: VModule) -> bool:
 @pytest.mark.parametrize("base,tol,huge", CASES)
 def test_compose_adjoint_and_adjunction_match_the_scalar_loops(base, tol, huge):
     q, rng = _base(base, tol), random.Random(f"calculus/{base}/{tol}/{huge}")
+    dtypes = set()
     for _ in range(12):
         rows, mid, cols = (rng.randint(0, 3) for _ in range(3))
         e, d, c = (_category(rng, q, k, HUGE[huge]) for k in (rows, mid, cols))
         m = VModule(d, e, _matrix(rng, q, rows, mid, HUGE[huge]))
         n = VModule(c, d, _matrix(rng, q, mid, cols, HUGE[huge]))
+        codes, offsets, _ = maxplus.exact_codes(q, m._index, n._index)
+        dtypes.add(offsets.dtype)
+        assert offsets.dtype != object or all(map(_int_codes, codes + [offsets]))
         got = compose(m, n)
         assert got == oracles.compose(m, n) and _exact(got)
         adj = canonical_right_adjoint(m)
@@ -169,6 +196,8 @@ def test_compose_adjoint_and_adjunction_match_the_scalar_loops(base, tol, huge):
         assert check_adjunction(m, adj) == oracles.check_adjunction(m, adj)
         other = VModule(e, d, _matrix(rng, q, mid, rows, HUGE[huge]))
         assert check_adjunction(m, other) == oracles.check_adjunction(m, other)
+    if huge == "coprime":  # both sides of 2^52 come up
+        assert len(dtypes) == 2
 
 
 @pytest.mark.parametrize("base,tol,huge", CASES)
@@ -184,14 +213,14 @@ def test_cauchy_decision_matches_the_scalar_check(base, tol, huge):
         if not isinstance(want, tuple):  # the one decision behind them and qcat cauchy
             witness = oracles._witness(m, oracles.canonical_right_adjoint(m))
             assert _cauchy_decision(m) == (want, oracles.representing_objects(m), witness)
-        arbitrary = VModule(e, m.source, _matrix(rng, q, len(m.source), len(e), None))
+        arbitrary = VModule(e, m.source, _matrix(rng, q, len(m.source), len(e), ()))
         for n in (oracles.canonical_right_adjoint(m), arbitrary):
             assert _outcome(cauchy_witness, m, n) == _outcome(oracles.cauchy_witness, m, n)
         seen.add(want)
     assert {True, False} <= seen
 
 
-@pytest.mark.parametrize("base,tol,huge", [c for c in CASES if c[2] in ("plain", "4000-digit")])
+@pytest.mark.parametrize("base,tol,huge", [c for c in CASES if c[2] in ("plain", "4000-digit", "coprime")])
 def test_cli_module_commands_match_the_scalar_versions(tmp_path, base, tol, huge):
     """``qcat compose``, ``adjoint`` and ``cauchy``: the same payload,
     stdout bytes, exit code and written file as the scalar versions."""
@@ -234,7 +263,7 @@ def test_grid_closure_matches_the_recursive_one(q):
     more than ``cap`` values the error is expected instead."""
     rng = random.Random(f"closure/{q}")
     for _ in range(20):
-        values = {_value(rng, q, None) for _ in range(rng.randint(1, 4))}
+        values = {_value(rng, q, ()) for _ in range(rng.randint(1, 4))}
         for cap in (4, 16, 64):
             want = _outcome(oracles._closure_values, q, set(values), cap)
             if isinstance(want, set) and len(want) > cap:
@@ -264,3 +293,39 @@ def test_default_grid_of_a_nested_product():
     values = {v for row in c.hom for v in row}
     want = tuple(sorted(oracles._closure_values(NESTED, values, 64), key=qval_sort_key))
     assert default_module_grid(c) == want
+
+
+# (tolerance, the largest finite value, its neighbour) at each side of
+# 2^52: a scaled code of 2^52 (L = 3) stays float64, 2^52 + 1 does not; an
+# offset floor(t * L) of 2^52 (L = 2^53) stays float64, 2^52 + 1 (L = 2^53
+# + 2) does not
+BOUNDARY = {
+    "code 2^52": (0.0, Fraction(2**52, 3), Fraction(1, 3), float),
+    "code 2^52+1": (0.0, Fraction(2**52 + 1, 3), Fraction(1, 3), object),
+    "offset 2^52": (0.5, Fraction(3, 2**53), Fraction(1, 2**53), float),
+    "offset 2^52+1": (0.5, Fraction(3, 2**53 + 2), Fraction(1, 2**53 + 2), object),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY)
+def test_codes_at_the_2_52_boundary_match_the_scalar_loops(case):
+    tol, big, small = BOUNDARY[case][:3]
+    q = rbot(tol)
+    hom = ((finite(0), finite(small), finite(big)),  # a valid chain a < b < c
+           (BOT, finite(0), finite(big - small)),
+           (BOT, BOT, finite(0)))
+    e = VCategory(q, ("a", "b", "c"), hom)
+    codes, offsets, _ = maxplus.exact_codes(q, e._index)
+    assert offsets.dtype == BOUNDARY[case][3] and codes[0].dtype == offsets.dtype
+    assert offsets.dtype == float or _int_codes(codes[0]) and _int_codes(offsets)
+    m = VModule(e, e, hom)
+    assert compose(m, m) == oracles.compose(m, m)
+    assert canonical_right_adjoint(m) == oracles.canonical_right_adjoint(m)
+    for column in ([(hom[y][z],) for y in range(3)] for z in range(3)):
+        for col in (column, [(finite(small),), (finite(big),), (BOT,)]):
+            m = VModule(unit_category(q), e, col)
+            assert _cauchy_decision(m) == (
+                oracles.is_cauchy(m), oracles.representing_objects(m),
+                oracles._witness(m, oracles.canonical_right_adjoint(m)))
+            n = oracles.canonical_right_adjoint(m)
+            assert _outcome(cauchy_witness, m, n) == _outcome(oracles.cauchy_witness, m, n)

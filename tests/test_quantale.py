@@ -408,9 +408,14 @@ class TestDescriptors:
         assert leq(q, tuple_val([finite(1), finite(0)]), tuple_val([finite("4/5"), finite(0)]))
         assert leq(rbot(0.5), finite(1), finite("4/5"))
         assert q.factors == (rbot(0.5), rbot(0.5))
-        nested = product(rbot(0.7), product(LAWVERE, BOOL, tolerance=0.1), tolerance=0.5)
-        assert nested.factors[0].tolerance == 0.7
+        nested = product(rbot(0.2), product(LAWVERE, BOOL, tolerance=0.1), tolerance=0.5)
+        assert nested.factors[0].tolerance == 0.5
         assert [f.tolerance for f in nested.factors[1].factors] == [0.5, 0.5]
+        # a factor above the product's tolerance could not be written: refused
+        with pytest.raises(ValueError, match="factor tolerance 0.7 exceeds the product's 0.5"):
+            product(rbot(0.7), product(LAWVERE, BOOL, tolerance=0.1), tolerance=0.5)
+        with pytest.raises(ValueError, match="factor tolerance 0.5 exceeds the product's 0.0"):
+            product(rbot(0.5))
 
     def test_tolerant_product_category_json_round_trip(self):
         import json
@@ -437,3 +442,53 @@ class TestDescriptors:
             QuantaleDescriptor(RBOT.kind, -1.0)
         with pytest.raises(ValueError):
             product()
+
+
+TOLS = st.sampled_from([0.0, 1e-9, 0.25, 0.5])
+ROUND_TRIP_VALUES = {
+    RBOT.kind: (BOT, finite(0), finite("1/4"), finite("1/2"), finite(1), INF),
+    LAWVERE.kind: (finite(0), finite("1/4"), finite("1/2"), finite(1), INF),
+    BOOL.kind: (FALSE, TRUE),
+}
+
+
+@st.composite
+def drawn_bases(draw, depth=0):
+    """A plain base or a product nested up to two levels, each with a
+    drawn tolerance.  A product below one of its factors' tolerance is
+    refused, and then drawn at the largest of them."""
+    t = draw(TOLS)
+    if depth == 2 or draw(st.booleans()):
+        return QuantaleDescriptor(draw(st.sampled_from([RBOT, LAWVERE, BOOL])).kind, t)
+    factors = draw(st.lists(drawn_bases(depth + 1), min_size=1, max_size=3))
+    most = max(f.tolerance for f in factors)
+    if most > t:
+        with pytest.raises(ValueError, match="exceeds the product's"):
+            product(*factors, tolerance=t)
+        t = most
+    return product(*factors, tolerance=t)
+
+
+def drawn_values(q):
+    if q.factors:
+        return st.tuples(*map(drawn_values, q.factors)).map(tuple_val)
+    return st.sampled_from(ROUND_TRIP_VALUES[q.kind])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_base_survives_a_category_round_trip(data):
+    """Every base that can be built can be written: reading the file back
+    gives an equal descriptor and the same validation report."""
+    import json
+
+    from qcat import VCategory, category_from_json, category_to_json, validate_category
+
+    q = data.draw(drawn_bases())
+    n = data.draw(st.integers(0, 3))
+    hom = [[data.draw(drawn_values(q)) for _ in range(n)] for _ in range(n)]
+    c = VCategory(q, tuple(f"o{i}" for i in range(n)), hom)
+    back = category_from_json(json.loads(json.dumps(category_to_json(c))))
+    assert back.quantale == q and back == c
+    assert validate_category(back) == validate_category(c)
+

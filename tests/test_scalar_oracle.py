@@ -68,8 +68,8 @@ def same(new, old, *args):
 descriptors = st.recursive(
     st.builds(QuantaleDescriptor, st.sampled_from((Kind.RBOT, Kind.LAWVERE, Kind.BOOL)),
               st.sampled_from(TOLERANCES)),
-    lambda inner: st.builds(
-        lambda fs, t: product(*fs, tolerance=t),
+    lambda inner: st.builds(  # a product's tolerance is at least its factors'
+        lambda fs, t: product(*fs, tolerance=max([t] + [f.tolerance for f in fs])),
         st.lists(inner, min_size=1, max_size=3),
         st.sampled_from(TOLERANCES),
     ),
