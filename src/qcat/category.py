@@ -453,6 +453,24 @@ def _parse_rows(rows: object, where: str, memo: dict[str, QVal], ncols: int) -> 
             continue
         except (KeyError, TypeError):
             pass
+        if all(map(str.__instancecheck__, row)):
+            # a row of strings: parse its new ones once each, in order of
+            # first appearance, so the first to fail is its first bad entry
+            for key in dict.fromkeys(row):
+                if key in slot:
+                    continue
+                v = memo.get(key)
+                if v is None:
+                    try:
+                        v = parse_value(key)
+                    except ValueError as exc:
+                        raise ValueError(f"{where}[{i}][{row.index(key)}]: {exc}") from None
+                    memo[key] = v
+                k = slot[key] = ids.setdefault(id(v), len(values))
+                if k == len(values):
+                    values.append(v)
+            out.append(list(map(slot.__getitem__, row)))
+            continue
         ks = []
         for j, raw in enumerate(row):
             key = raw if isinstance(raw, str) else None

@@ -13,11 +13,12 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .category import VCategory, _require_utf8
-from .quantale import BOT, QVal, finite, rbot
+from .quantale import BOT, QVal, _trusted_finite, finite, rbot
 
 MINKOWSKI_TOLERANCE = 1e-9
 
@@ -247,7 +248,9 @@ def minkowski_sample(
     a, b, bot = dt[causal], dx[causal], int(not causal.all())
     positions = np.zeros((n, n), np.intp)
     positions[causal] = np.arange(bot, bot + len(a))
-    values = [BOT] * bot + [finite(s) for s in np.sqrt(a * a - b * b).tolist()]
+    # dt >= dx >= 0, so every square root is a finite float >= 0
+    roots = np.sqrt(a * a - b * b).tolist()
+    values = [BOT] * bot + [_trusted_finite(Fraction(*s.as_integer_ratio())) for s in roots]
     return VCategory(rbot(MINKOWSKI_TOLERANCE), labels, None, (values, positions)), events
 
 

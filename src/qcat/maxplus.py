@@ -228,11 +228,16 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
     an absorbed bottom and never exceeds the bound.
     """
     triples: list[tuple[int, int, int]] = []
+    plain = a.shape[2] == 1
+    if plain:  # one factor: compare without the factor axis
+        a, b, bound = a[..., 0], b[..., 0], bound[..., 0]
     with np.errstate(invalid="ignore"):
         for j in range(a.shape[1]):
-            s = a[:, j, None, :] + b[None, j, :, :]
-            bad = (s > bound).any(axis=2)
-            triples.extend((int(i), j, int(k)) for i, k in np.argwhere(bad))
+            bad = a[:, j, None] + b[j] > bound
+            if not plain:
+                bad = bad.any(axis=2)
+            if bad.any():
+                triples.extend((i, j, k) for i, k in np.argwhere(bad).tolist())
     triples.sort()
     return triples
 

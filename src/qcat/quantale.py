@@ -589,6 +589,14 @@ def parse_value(raw: str | int | float | bool) -> QVal:
     if not isinstance(raw, str):
         raise ValueError(f"cannot parse {raw!r} as a value")
     text = raw.strip()
+    # plain ASCII digits, "d" or "d/d": Fraction(str)'s regex would read
+    # the same two integers
+    num, slash, den = text.partition("/")
+    if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        try:
+            return _trusted_finite(Fraction(int(num), int(den)) if slash else Fraction(int(num)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse {raw!r} as a value") from exc
     low = text.lower()
     if low in ("bot", "⊥"):
         return BOT

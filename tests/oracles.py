@@ -664,3 +664,99 @@ def cli_run(argv: Sequence[str]) -> cli.CommandResult:
         return args.fn(args)
     except (ValueError, KeyError) as exc:
         return cli.CommandResult(cli.ERROR, {"status": cli.ERROR, "error": str(exc)}, 2)
+
+
+# ---------------------------------------------------------------------------
+# The value parser and the law sweep's candidate scan before plain digit
+# strings were read as two ints and clean middle indices were skipped.
+# Kept verbatim as the references for tests/test_parse_once.py and
+# tests/test_sweep.py.
+# ---------------------------------------------------------------------------
+
+import math  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from qcat.quantale import _trusted_finite, split_top_level  # noqa: E402
+
+
+def parse_value(raw: str | int | float | bool) -> QVal:
+    """Parse one value in the shared textual syntax."""
+    if isinstance(raw, bool):
+        return boolean(raw)
+    if isinstance(raw, int):
+        if raw < 0:
+            raise ValueError(f"negative value {raw} is not in any carrier")
+        return _trusted_finite(Fraction(raw))
+    if isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise ValueError(f"{raw} is not a finite number")
+        try:
+            frac = Fraction(str(raw))
+        except ValueError:
+            frac = Fraction(raw)
+        if frac < 0:
+            raise ValueError(f"negative value {raw} is not in any carrier")
+        return _trusted_finite(frac)
+    if not isinstance(raw, str):
+        raise ValueError(f"cannot parse {raw!r} as a value")
+    text = raw.strip()
+    low = text.lower()
+    if low in ("bot", "⊥"):
+        return BOT
+    if low in ("inf", "∞"):
+        return INF
+    if low == "true":
+        return TRUE
+    if low == "false":
+        return FALSE
+    if text.startswith("(") and text.endswith(")"):
+        inner = text[1:-1]
+        parts = split_top_level(inner)
+        if any(not p.strip() for p in parts):
+            raise ValueError(f"empty tuple component in {raw!r}")
+        return tuple_val(parse_value(p) for p in parts)
+    # a decimal point or exponent can give the fraction more digits than
+    # the literal has: hold them to the limit that printing obeys, and
+    # reject an exponent beyond it (with a nonzero mantissa of n
+    # characters, |exponent| > limit + n means too many digits) before
+    # Fraction builds 10**exponent
+    decimal = "." in text or "e" in low
+    if decimal:
+        # (CPython's default limit where none is set, or none is available)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        too_long = ValueError(f"value has more than {limit} digits in its numerator or denominator")
+        mantissa, _, exponent = low.partition("e")
+        exponent = exponent.lstrip("+-")
+        if exponent.isdecimal() and (len(exponent) > 20 or int(exponent) > limit + len(mantissa)):
+            raise too_long
+    try:
+        frac = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {raw!r} as a value") from exc
+    if decimal:
+        big = max(abs(frac.numerator), frac.denominator)  # 2**(3*limit) < 10**limit
+        if big.bit_length() > 3 * limit and big >= 10**limit:
+            raise too_long
+    if frac < 0:
+        raise ValueError(f"negative value {raw!r} is not in any carrier")
+    return _trusted_finite(frac)
+
+
+def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[int, int, int]]:
+    """Every (i, j, k) with a[i, j] + b[j, k] > bound[i, k] in some
+    factor, in lexicographic order.
+
+    ``a``, ``b`` and ``bound`` have shapes (I, J, F), (J, K, F) and (I,
+    K, F); the sweep takes one middle index j at a time.  A NaN sum is
+    an absorbed bottom and never exceeds the bound.
+    """
+    triples: list[tuple[int, int, int]] = []
+    with np.errstate(invalid="ignore"):
+        for j in range(a.shape[1]):
+            s = a[:, j, None, :] + b[None, j, :, :]
+            bad = (s > bound).any(axis=2)
+            triples.extend((int(i), j, int(k)) for i, k in np.argwhere(bad))
+    triples.sort()
+    return triples

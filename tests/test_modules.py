@@ -34,6 +34,7 @@ from qcat import (
     module_from_json,
     module_to_json,
     product,
+    rbot,
     representable,
     representing_objects,
     tensor,
@@ -263,6 +264,17 @@ class TestCauchy:
             assert is_cauchy(representable(metric, o))
         for o in DISC2.objects:
             assert is_cauchy(representable(DISC2, o))
+
+    def test_representable_within_a_tolerance_need_not_be_cauchy(self):
+        # b represents M, since M(b) = 1/4 is within 1/2 of E(b, b) = 0; but
+        # the adjoint's N(b) = min(1 - 1, 0 - 1/4) clamps to bot, and the unit
+        # fails.  At tolerance 0, M must equal b's hom column, which is Cauchy.
+        homs = ((finite(0), finite(1)), (BOT, finite(0)))
+        for q, mb, cauchy in ((rbot(0.5), finite(Fraction(1, 4)), False), (RBOT, finite(0), True)):
+            m = column(VCategory(q, ("a", "b"), homs), finite(1), mb)
+            assert validate_module(m).ok
+            assert representing_objects(m) == ("b",)
+            assert is_cauchy(m) is cauchy
 
     def test_all_bot_not_cauchy(self):
         assert not is_cauchy(column(CHAIN, BOT, BOT))

@@ -7,13 +7,20 @@ The matrices mix repeated strings, whitespace and case variants of one
 value, the JSON literals ``1``, ``1.0`` and ``true`` (equal as Python
 keys, different values) with the strings ``"1"`` and ``"true"``, and
 bad entries at varied positions, so the first error must come from the
-same entry with the same message.
+same entry with the same message.  Strings repeat inside a row, since a
+row of strings parses each of its new strings once.
+
+``parse_value`` reads a plain digit string, ``d`` or ``d/d``, as two
+ints; it is compared with the parser that sent every string through
+``Fraction``'s own reader.
 """
 
 import copy
 import json
+import math
 import random
 import sys
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +45,7 @@ from qcat import (
 from qcat.category import _require_utf8
 from qcat.collage import LEFT, RIGHT
 
+import oracles
 from randgen import random_dag
 
 
@@ -183,6 +191,10 @@ def matrices(draw, quantale, rows: int, cols: int):
     # now and then an entry is drawn from every kind of raw value
     entry = st.integers(0, 14).flatmap(lambda r: st.sampled_from(ANY) if r == 0 else good)
     out = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for r in out:  # an entry repeated later in its row
+        for _ in range(draw(st.integers(0, 2)) if cols > 1 else 0):
+            j = draw(st.integers(0, cols - 2))
+            r[draw(st.integers(j + 1, cols - 1))] = r[j]
     shape = draw(st.integers(0, 19))
     row = st.integers(0, max(0, len(out) - 1))
     if shape == 0 and out:
@@ -323,10 +335,10 @@ def test_module_endpoints_share_one_memo(data):
     except ValueError:
         return
     assert m.source == m.target
-    for raw_row, src_row, tgt_row in zip(data["hom"], m.source.hom, m.target.hom):
-        for raw, s, t in zip(raw_row, src_row, tgt_row):
+    for rows in zip(data["hom"], m.source.hom, m.target.hom, m.mat):
+        for raw, s, t, v in zip(*rows):
             if isinstance(raw, str):
-                assert s is t
+                assert s is t is v
 
 
 def test_twins_equal_under_eq_are_read_apart():
@@ -370,3 +382,88 @@ def test_from_dag_values_match_fresh_ones():
         for row in c.hom:
             for v in row:
                 assert by_text.setdefault(format_value(v), v) is v
+
+
+# ---- the value parser against Fraction's reader
+
+# Arabic-Indic, fullwidth and Bengali decimal digits, which int() and
+# Fraction read; the superscript two, a digit that neither reads
+DIGITS = "0123456789"
+OTHER_DIGITS = "١٢٠０５৩²"
+SPACES = ("", " ", "  ", "\t", "\n", "\u3000")
+SPECIAL = (
+    "007/010", "1_000/3", "1/3_0", "²", "1/0", "0/0", "0/5", "1/2/3", "/3", "3/", "/", "",
+    "١/٢", "٣", "-0", "+3/4", "-1/2", "00", "1 /2", "1/ 2", "1e3", "1.5/2", "0x10",
+    "1" * 4301, "1" * 4301 + "/3", "3/" + "1" * 4301, "1" * 4300 + "/" + "2" * 4300,
+)
+
+
+@st.composite
+def number_strings(draw):
+    def digits():
+        alphabet = DIGITS if draw(st.booleans()) else DIGITS + OTHER_DIGITS + "_"
+        run = draw(st.text(st.sampled_from(alphabet), min_size=0, max_size=8))
+        return "0" * draw(st.integers(0, 2)) + run
+
+    text = draw(st.sampled_from(("", "", "+", "-"))) + digits()
+    if draw(st.booleans()):
+        text += "/" + digits()
+    return draw(st.sampled_from(SPACES)) + text + draw(st.sampled_from(SPACES))
+
+
+def check_parse(text):
+    got = outcome(parse_value, text)
+    assert got == outcome(oracles.parse_value, text)
+    if got[0] == "ok":
+        frac = got[1].value
+        assert type(frac) is Fraction and math.gcd(frac.numerator, frac.denominator) == 1
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(number_strings(), st.sampled_from(SPECIAL)))
+def test_parse_value_matches_fractions_reader(text):
+    check_parse(text)
+
+
+def test_parse_value_special_strings_match_fractions_reader():
+    for text in SPECIAL:
+        for pad in SPACES:
+            check_parse(pad + text + pad)
+    # a digit string past the limit raises as the reader does, not as int()
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert outcome(parse_value, "1" * 4301)[2] == f"cannot parse {'1' * 4301!r} as a value"
+    assert outcome(parse_value, "1/0") == ("error", ValueError, "cannot parse '1/0' as a value")
+    assert parse_value(" 007/010 ").value == Fraction(7, 10)
+
+
+# ---- the row parse: each row's new strings once
+
+
+def hom_error(hom):
+    n = len(hom)
+    data = {"quantale": "rbot", "objects": [f"o{i}" for i in range(n)], "hom": hom}
+    got = outcome(category_from_json, data)
+    assert got == outcome(ref_category_from_json, data)
+    return got[2]
+
+
+def test_a_repeated_bad_string_raises_at_its_first_entry():
+    # "x" twice after a good string's duplicate, in a row that misses the
+    # strings seen so far, and again in a row whose good strings were seen
+    hom = [["0"] * 6, ["1", "2", "2", "x", "2", "x"]] + [["0"] * 6] * 4
+    assert hom_error(hom) == "category.hom[1][3]: cannot parse 'x' as a value"
+    hom = [["0", "2"] * 3, ["0", "2", "2", "0", "y", "y"]] + [["0"] * 6] * 4
+    assert hom_error(hom) == "category.hom[1][4]: cannot parse 'y' as a value"
+
+
+def test_a_row_of_numbers_and_strings_raises_at_its_first_bad_entry():
+    rest = [["0"] * 4] * 3
+    assert hom_error([["0", 1, "x", 2.5]] + rest) == (
+        "category.hom[0][2]: cannot parse 'x' as a value"
+    )
+    assert hom_error(rest[:1] + [["0", "1", -1, "x"]] + rest[1:]) == (
+        "category.hom[1][2]: negative value -1 is not in any carrier"
+    )
+    assert hom_error(rest[:1] + [[1, "x", "x", None]] + rest[1:]) == (
+        "category.hom[1][1]: cannot parse 'x' as a value"
+    )

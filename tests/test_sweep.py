@@ -1,5 +1,7 @@
 """Differential tests of the one law sweep behind ``validate_category`` and
-``validate_module`` against the plain scalar loops over every triple.
+``validate_module`` against the plain scalar loops over every triple, and
+of its candidate scan, which skips clean middle indices, against the scan
+that listed every middle.
 
 The inputs sit where a floating-point filter can go wrong: composites
 exactly at c + tolerance and one ulp either side of it, denominators
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcat import (
+    BOOL,
     BOT,
     FALSE,
     INF,
@@ -33,7 +36,9 @@ from qcat import (
     validate_module,
 )
 from qcat.modules import ModuleReport
+from qcat.quantale import bottom, unit
 
+import oracles
 from oracles import validate_exact
 
 TOLERANCES = (0.0, 1e-9, 0.5)
@@ -229,3 +234,73 @@ def test_no_candidates_on_a_valid_float_category():
     assert maxplus.candidates(a, a, bound) == []
     assert validate_category(cat).ok
 
+
+
+def sweep(c):
+    """The candidate triples of ``c``'s composition law, and the reference
+    scan's."""
+    (a,), (bound,) = maxplus.law_encode(c.quantale, c._index)
+    return maxplus.candidates(a, a, bound), oracles.candidates(a, a, bound)
+
+
+def discrete(q, n):
+    """The unit on the diagonal and the bottom elsewhere, leaf by leaf."""
+    return [[[unit(leaf) if i == j else bottom(leaf) for j in range(n)] for i in range(n)]
+            for leaf in leaves(q)]
+
+
+def assembled(q, mats):
+    n = len(mats[0])
+    return tuple(
+        tuple(assemble(q, iter([mat[i][j] for mat in mats])) for j in range(n)) for i in range(n)
+    )
+
+
+@st.composite
+def mostly_clean(draw):
+    """A discrete category with one to three entries replaced: every
+    middle index that no planted entry touches, most of them, is clean."""
+    q = draw(bases)
+    n = draw(st.integers(7, 12))
+    pool = draw(st.lists(st.sampled_from(NUMBERS[:5]), min_size=1, max_size=3))
+    mats = discrete(q, n)
+    ix = st.integers(0, n - 1)
+    touched = set()
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(ix), draw(ix)
+        touched |= {i, j}
+        for leaf, mat in zip(leaves(q), mats):
+            mat[i][j] = leaf_value(draw, leaf, pool)
+    return VCategory(q, labels("e", n), assembled(q, mats)), touched
+
+
+@settings(max_examples=300, deadline=None)
+@given(mostly_clean())
+def test_sweep_skips_clean_middles_with_the_same_triples(inputs):
+    cat, touched = inputs
+    got, want = sweep(cat)
+    assert got == want
+    assert {j for _, j, _ in got} <= touched
+    assert validate_category(cat) == validate_exact(cat)
+
+
+def test_no_middle_dirty_gives_no_candidates():
+    for q in (rbot(), QuantaleDescriptor(Kind.LAWVERE, 0.5), BOOL, product(rbot(), BOOL)):
+        cat = VCategory(q, labels("e", 6), assembled(q, discrete(q, 6)))
+        assert sweep(cat) == ([], [])
+        assert validate_category(cat).ok
+
+
+def test_only_the_last_middle_dirty():
+    # e0 -> e5 -> e1 with no arrow e0 -> e1: one violation, through the
+    # last middle index
+    n = 6
+    for q in (rbot(), product(rbot(), BOOL)):
+        mats = discrete(q, n)
+        mats[0][0][n - 1] = mats[0][n - 1][1] = finite(1)
+        cat = VCategory(q, labels("e", n), assembled(q, mats))
+        got, want = sweep(cat)
+        assert got == want == [(0, n - 1, 1)]
+        report = validate_category(cat)
+        assert report == validate_exact(cat)
+        assert [v[:3] for v in report.composition_violations] == [("e0", f"e{n - 1}", "e1")]
