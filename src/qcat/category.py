@@ -30,7 +30,6 @@ from .quantale import (
     Tag,
     descriptor_from_json,
     descriptor_to_json,
-    eq,
     format_value,
     leq,
     meet,
@@ -277,11 +276,12 @@ IRREGULAR = "irregular"
 class EndohomReport:
     """Per-object endohom classes plus any law violations.
 
-    Valid causal-base categories only ever have endohoms 0 (regular
-    events) or inf (irregular ones), endohoms act on other homs by
-    equality, irregular objects see everything through bot or inf, and
-    two regular events can only cause each other when both homs are 0.
-    A violation here means the category was invalid to begin with.
+    Valid causal-base categories at tolerance 0 only ever have endohoms
+    0 (regular events) or inf (irregular ones), endohoms act on other
+    homs by equality, irregular objects see everything through bot or
+    inf, and two regular events can only cause each other when both homs
+    are 0.  So there a violation means the category was invalid; within
+    a tolerance a valid category can have one (README, "Endohom laws").
     """
 
     classes: tuple[tuple[str, str], ...]
@@ -303,75 +303,57 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
     """Label each object regular (endohom 0) or irregular (endohom inf)
     and verify the endohom laws of causal spaces.
 
-    x tensor 0 = x exactly for every x, so an object whose endohom is
-    exactly 0 acts as the identity on its row and column and only the
-    other objects run the scalar action checks; only irregular objects
-    scan for finite homs, and only pairs of regular objects with no bot
-    hom between them are compared with 0.  Violations come in the order
-    of the plain all-pairs loops.
+    Over ``rbot`` at tolerance t each law depends only on the kinds of
+    the values: bot, zero (finite, at most t), other finite or inf
+    (README, "Endohom laws").  Tags are read once per distinct value;
+    only the diagonal and the regular pairs with no bot hom compare a
+    value with t.  Violations come in the order of the all-pairs loops.
     """
     if c.quantale.kind is not Kind.RBOT:
         raise CarrierMismatch("endohom classification requires the causal base")
-    q = c.quantale
-    u = unit(q)
-    hom = c.hom
-    obj = c.objects
-    classes: list[tuple[str, str]] = []
-    violations: list[tuple[str, str]] = []
-    for i, o in enumerate(obj):
-        endo = hom[i][i]
-        if not eq(q, tensor(q, endo, endo), endo):
-            violations.append(
-                ("endohom-idempotent", f"E({o},{o}) = {format_value(endo)} is not idempotent")
-            )
-        if endo.tag is Tag.INF:
-            classes.append((o, IRREGULAR))
-        elif eq(q, endo, u):
-            classes.append((o, REGULAR))
-        else:
-            classes.append((o, "invalid"))
-            violations.append(
-                ("endohom-value", f"E({o},{o}) = {format_value(endo)} is neither 0 nor inf")
-            )
-    for i, x in enumerate(obj):
-        endo = hom[i][i]
-        if endo.tag is Tag.FINITE and endo.value == 0:
-            continue
-        for j, y in enumerate(obj):
-            if not eq(q, tensor(q, hom[j][i], endo), hom[j][i]):
-                violations.append(
-                    ("endohom-action", f"E({y},{x}) tensor E({x},{x}) != E({y},{x})")
-                )
-            if not eq(q, tensor(q, endo, hom[i][j]), hom[i][j]):
-                violations.append(
-                    ("endohom-action", f"E({x},{x}) tensor E({x},{y}) != E({x},{y})")
-                )
-    for i, (x, cls) in enumerate(classes):
-        if cls == IRREGULAR:
-            for j, y in enumerate(obj):
-                for v in (hom[j][i], hom[i][j]):
-                    if v.tag is Tag.FINITE:
-                        violations.append(
-                            (
-                                "irregular-homs",
-                                f"irregular {x} has finite hom {format_value(v)} with {y}",
-                            )
-                        )
-    regular = [i for i, (_, cls) in enumerate(classes) if cls == REGULAR]
-    for a, i in enumerate(regular):
-        row = hom[i]
-        for j in regular[a + 1 :]:
-            fwd, back = row[j], hom[j][i]
-            if fwd.tag is not Tag.BOT and back.tag is not Tag.BOT:
-                if not (eq(q, fwd, u) and eq(q, back, u)):
-                    violations.append(
-                        (
-                            "regular-pair",
-                            f"regular {obj[i]}, {obj[j]} have homs {format_value(fwd)}, "
-                            f"{format_value(back)}: neither both 0 nor one bot",
-                        )
-                    )
-    return EndohomReport(tuple(classes), tuple(violations))
+    values, positions = c._index
+    tol, bot_tag, fin_tag = c.quantale._leaf.tolerance, Tag.BOT, Tag.FINITE
+    bot = np.array([v.tag is bot_tag for v in values], bool)[positions]
+    fin = np.array([v.tag is fin_tag for v in values], bool)[positions]
+    hom, obj, fmt = c.hom, c.objects, format_value
+
+    def zero(v: QVal) -> bool:
+        return v.tag is fin_tag and v.value <= tol
+
+    ezero = np.array([zero(hom[i][i]) for i in range(len(obj))], bool)
+    einf = ~(bot | fin).diagonal()
+    classes = tuple((o, IRREGULAR if i else REGULAR if z else "invalid")
+                    for o, i, z in zip(obj, einf.tolist(), ezero.tolist()))
+    violations = []
+    # per object: not idempotent (other finite), then no class (neither zero nor inf)
+    laws = np.stack([fin.diagonal() & ~ezero, ~(ezero | einf)], axis=1)
+    for i, law in np.argwhere(laws).tolist():
+        o, e = obj[i], fmt(hom[i][i])
+        violations.append(("endohom-value", f"E({o},{o}) = {e} is neither 0 nor inf") if law
+                          else ("endohom-idempotent", f"E({o},{o}) = {e} is not idempotent"))
+    # a nonzero endohom's action on E(y, x) (side 0) and E(x, y) (side 1)
+    # fails: if bot, where the hom is not bot; otherwise where it is finite
+    act = np.flatnonzero(~ezero)
+    fails = np.where(bot.diagonal()[act, None, None], ~np.stack([bot.T[act], bot[act]], axis=2),
+                     np.stack([fin.T[act], fin[act]], axis=2))
+    for a, j, side in np.argwhere(fails).tolist():
+        x, y = obj[act[a]], obj[j]
+        violations.append(("endohom-action", f"E({x},{x}) tensor E({x},{y}) != E({x},{y})" if side
+                           else f"E({y},{x}) tensor E({x},{x}) != E({y},{x})"))
+    # so an irregular object's action fails exactly at its finite homs
+    irr = act[einf[act]]
+    for a, j, side in np.argwhere(fails[einf[act]]).tolist():
+        i, y = irr[a], obj[j]
+        v = fmt(hom[i][j] if side else hom[j][i])
+        violations.append(("irregular-homs", f"irregular {obj[i]} has finite hom {v} with {y}"))
+    reg = np.flatnonzero(ezero)
+    nonbot = ~bot[np.ix_(reg, reg)]
+    for a, b in np.argwhere(np.triu(nonbot & nonbot.T, 1)).tolist():
+        fwd, back = hom[reg[a]][reg[b]], hom[reg[b]][reg[a]]
+        if not (zero(fwd) and zero(back)):
+            violations.append(("regular-pair", f"regular {obj[reg[a]]}, {obj[reg[b]]} have homs "
+                               f"{fmt(fwd)}, {fmt(back)}: neither both 0 nor one bot"))
+    return EndohomReport(classes, tuple(violations))
 
 
 def category_to_json(c: VCategory) -> dict:

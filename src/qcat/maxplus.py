@@ -156,15 +156,16 @@ def law_encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray],
     """The codes of the blocks and, per block, a bound on code sums: for
     values a, b, c with codes x, y and bound z of c, the law
     ``leq(q, tensor(q, a, b), c)`` holds wherever x + y <= z in every
-    factor.  At tolerance 0, when :func:`exact_codes` gives float64
-    codes, z is c's code and the law fails exactly where x + y > z; with
-    float codes (times 2^-shift near the top of float64's range) x + y >
-    z only marks where it may fail.
+    factor.  At tolerance 0, when :func:`exact_codes`' codes fit in
+    float64 (tested before any is built), z is c's code and the law fails
+    exactly where x + y > z; with float codes (times 2^-shift near the top
+    of float64's range) x + y > z only marks where it may fail.
     """
     tols = [float(leaf.tolerance) for leaf in q._leaves]
     if not any(tols):
-        codes, offsets, _ = exact_codes(q, *blocks)
-        if offsets.dtype != object:
+        code, _, _, dtype = _scale(q, blocks)
+        if dtype is float:
+            codes = _arrays(q, blocks, code)
             return codes, codes
     shift = 0
     try:
@@ -261,12 +262,19 @@ def exact_codes(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray]
     are float64 when none exceeds 2^52 and Python ints in object arrays
     otherwise.  The values must already lie in ``q``'s carrier, as the
     entries of a ``VCategory`` or ``VModule`` do."""
+    code, scale, offsets, dtype = _scale(q, blocks)
+    return _arrays(q, blocks, code, dtype), np.array(offsets, dtype), scale
+
+
+def _scale(q: QuantaleDescriptor, blocks: Sequence[Block]) -> tuple[Callable, int, list[int], type]:
+    """:func:`exact_codes`'s scale step, before any array is built: the
+    code v -> v * L, L itself, each leaf's offset floor(t * L), and the
+    dtype, float when no code or offset exceeds 2^52 and object past it."""
     finite = _finite_values(q, blocks)
     scale = math.lcm(*{x.denominator for x in finite})
     offsets = [math.floor(leaf.tolerance * scale) for leaf in q._leaves]
     dtype = float if max([max(finite, default=0) * scale, *offsets]) <= EXACT_LIMIT else object
-    arrays = _arrays(q, blocks, lambda x: x.numerator * (scale // x.denominator), dtype)
-    return arrays, np.array(offsets, dtype), scale
+    return lambda x: x.numerator * (scale // x.denominator), scale, offsets, dtype
 
 
 def _poles(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +26,15 @@ from qcat import (
     nat_trans_exists,
     opposite,
     preorder_dot,
+    rbot,
     tensor_categories,
     underlying_preorder,
     unit,
     unit_category,
     validate_category,
 )
+
+from qcat.cli import run
 
 from oracles import idempotent_split_check, preorder_dot_oracle, validate_exact
 from randgen import random_rbot_category
@@ -255,6 +259,24 @@ class TestEndohoms:
     def test_wrong_base_rejected(self):
         with pytest.raises(CarrierMismatch):
             classify_endohoms(unit_category(LAWVERE))
+
+    def test_tolerant_valid_category_can_break_the_endohom_laws(self, tmp_path):
+        # within 1/2 the endohoms 1/2 are 0 and every law holds, but 3/4
+        # is not within 1/2 of 0: validity implies the endohom laws only
+        # at tolerance 0
+        half = finite(Fraction(1, 2))
+        c = VCategory(rbot(0.5), ("a", "b"),
+                      ((half, finite(Fraction(3, 4))), (finite(Fraction(1, 4)), half)))
+        assert validate_category(c).ok
+        report = classify_endohoms(c)
+        assert report.classes == (("a", "regular"), ("b", "regular"))
+        assert report.violations == (
+            ("regular-pair", "regular a, b have homs 3/4, 1/4: neither both 0 nor one bot"),)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(category_to_json(c)))
+        result = run(["validate", str(path)])
+        assert result.exit_code == 1
+        assert result.payload["report"]["ok"] and not result.payload["endohoms"]["ok"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6))

@@ -3,15 +3,23 @@
 and index.
 
 Each shortcut is compared with a slow reference kept here: the
-all-pairs ``classify_endohoms`` loop as it was before the shortcuts,
-``{(a, b) | leq(q, unit(q), hom[a][b])}``, and the per-entry
-constructor check.  Results, message order and first errors must be
-equal, not just equivalent.  The index must rebuild the matrix it was
+all-pairs ``classify_endohoms`` loop over the scalar ``eq`` and
+``tensor``, ``{(a, b) | leq(q, unit(q), hom[a][b])}``, and the
+per-entry constructor check.  Results, message order and first errors
+must be equal, not just equivalent.  ``classify_endohoms`` reads each
+value's kind (bot, zero within the tolerance, other finite, inf), so
+its values sit on both sides of each kind boundary: 1/2 and
+1/2 + 10^-12 at tolerance 1/2, and the float 1e-9, which is the
+tolerance 1e-9 itself.  Every two-object category over those values is
+compared, at every tolerance, as are sprinkles (whose diagonal holds
+distinct but equal zeros) and random causal spaces with irregular
+events.  The index must rebuild the matrix it was
 made from, object for object, whether the constructor's walk or the
 matrix's producer (the parse, from-dag, the sprinkle, the decoder) made
 it; the sprinkle is also compared with ``interval_2d`` pair by pair.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -53,6 +61,7 @@ from qcat import (
     minkowski_sample,
     module_from_json,
     module_to_json,
+    opposite,
     product,
     rbot,
     representable,
@@ -166,13 +175,18 @@ def raised(build):
 
 # --- classify_endohoms ----------------------------------------------------
 
-ENDOHOMS = (finite(0), finite(Fraction("1e-10")), finite(5), INF, BOT)
-OFF_DIAGONAL = (BOT, BOT, finite(0), finite(Fraction("1e-10")), finite(1), finite("5/2"), INF)
+# the kind boundaries: 1/2 is zero at tolerance 1/2 and 1/2 + 10^-12 is
+# not; the float 1e-9 is zero at tolerance 1e-9 and Fraction("1e-10") is
+# zero there, but neither is at tolerance 0
+BOUNDARY = (finite(Fraction("1e-10")), finite(1e-9), finite(Fraction(1, 2)),
+            finite(Fraction(1, 2) + Fraction(1, 10**12)))
+ENDOHOMS = (finite(0), *BOUNDARY, finite(5), INF, BOT)
+OFF_DIAGONAL = (BOT, BOT, finite(0), *BOUNDARY, finite(1), finite("5/2"), INF)
 
 
 @st.composite
 def rbot_categories(draw):
-    n = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 8))
     tol = draw(st.sampled_from(TOLERANCES))
     hom = [[draw(st.sampled_from(OFF_DIAGONAL)) for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -190,6 +204,56 @@ class TestClassifyEndohoms:
     def test_valid_random_categories_match_reference(self, seed):
         c = random_rbot_category(random.Random(seed), 7)
         assert classify_endohoms(c) == reference_classify_endohoms(c)
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_every_two_object_category(self, tol):
+        # each kind of each endohom against each kind of each hom, both ways
+        q = rbot(tol)
+        homs = tuple(dict.fromkeys(OFF_DIAGONAL))
+        for ea, eb in itertools.product(ENDOHOMS, repeat=2):
+            for ab, ba in itertools.product(homs, repeat=2):
+                c = VCategory(q, ("a", "b"), ((ea, ab), (ba, eb)))
+                assert classify_endohoms(c) == reference_classify_endohoms(c), c.hom
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_sprinkles_match_reference(self, seed, tol):
+        # one zero object per event on the diagonal; the events sit at
+        # distinct points, so no regular pair has two homs that are not bot
+        c = minkowski_sample(60, seed)[0]
+        values, positions = c._index
+        diagonal = [values[k] for k in positions.diagonal().tolist()]
+        assert len({id(v) for v in diagonal}) == 60 and set(diagonal) == {finite(0)}
+        c = VCategory(rbot(tol), c.objects, c.hom)
+        report = classify_endohoms(c)
+        assert report == reference_classify_endohoms(c)
+        assert report.ok and {k for _, k in report.classes} == {REGULAR}
+
+    def test_producer_blocks_match_reference(self):
+        # from-dag's int32 positions, and their transposed view in the opposite
+        rng = random.Random(5)
+        for _ in range(30):
+            c = causal_space_from_dag(random_dag(rng, 9))
+            for d in (c, opposite(c)):
+                assert classify_endohoms(d) == reference_classify_endohoms(d)
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    def test_random_categories_with_irregular_events(self, tol):
+        rng, seen = random.Random(11), 0
+        while seen < 25:
+            c = random_rbot_category(rng, 8, weights=(finite(0), *BOUNDARY, finite(1)))
+            if INF not in [c.hom[i][i] for i in range(len(c))]:
+                continue
+            seen += 1
+            c = VCategory(rbot(tol), c.objects, c.hom)
+            assert classify_endohoms(c) == reference_classify_endohoms(c)
+            # a hom into or out of an irregular event made finite
+            i = next(i for i in range(len(c)) if c.hom[i][i] == INF)
+            j = rng.randrange(len(c))
+            hom = [list(row) for row in c.hom]
+            hom[i][j] = hom[j][i] = rng.choice(BOUNDARY) if i != j else INF
+            bad = VCategory(c.quantale, c.objects, hom)
+            assert classify_endohoms(bad) == reference_classify_endohoms(bad)
 
     def test_endohom_within_tolerance_still_checks_its_row(self):
         # 1e-10 is regular at tolerance 1e-9, but x + 1e-10 != x exactly;

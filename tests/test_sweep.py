@@ -235,6 +235,31 @@ def test_no_candidates_on_a_valid_float_category():
     assert validate_category(cat).ok
 
 
+def test_tolerance_zero_past_the_exact_limit_builds_no_object_codes(monkeypatch):
+    # a sprinkle's binary fractions put the common scale past 2^52: at
+    # tolerance 0 the sweep goes straight to the float filter, without
+    # first building the exact codes as Python ints
+    from qcat import minkowski_sample
+    from qcat.category import CategoryReport
+
+    sample, _ = minkowski_sample(200, 7)
+    cat = VCategory(rbot(), sample.objects, sample.hom)
+    dtypes = []
+    arrays = maxplus._arrays
+
+    def spy(q, blocks, code, dtype=float):
+        dtypes.append(dtype)
+        return arrays(q, blocks, code, dtype)
+
+    monkeypatch.setattr(maxplus, "_arrays", spy)
+    assert validate_category(cat) == CategoryReport((), ())
+    assert dtypes == [float]
+    # below the limit the exact float64 codes are the law's codes, built once
+    dtypes.clear()
+    small = VCategory(rbot(), ("a", "b"), ((finite(0), finite(3)), (BOT, finite(0))))
+    assert validate_category(small).ok and dtypes == [float]
+
+
 
 def sweep(c):
     """The candidate triples of ``c``'s composition law, and the reference
