@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -237,21 +237,22 @@ def underlying_preorder(c: VCategory) -> frozenset[tuple[str, str]]:
     For a valid category the result is reflexive and transitive: the
     underlying preorder (the causal set of a causal space).
     """
-    return frozenset(_sorted_underlying(c))
+    return frozenset(map(tuple, _sorted_underlying(c)))
 
 
-def _sorted_underlying(c: VCategory) -> list[tuple[str, str]]:
-    """``sorted(underlying_preorder(c))``: ``leq`` runs once per distinct
-    value, and the index pairs are ordered by the ranks of their labels,
-    so that only the objects are sorted as strings."""
+def _sorted_underlying(c: VCategory) -> list[list[str]]:
+    """``sorted(underlying_preorder(c))`` as ``[a, b]`` rows: ``leq`` runs
+    once per distinct value, and the positions are permuted into label
+    order, so that only the objects are sorted as strings and the edges
+    come out of ``np.nonzero`` in order."""
     q, obj = c.quantale, c.objects
     u = unit(q)
     values, positions = c._index
-    i, j = np.nonzero(np.array([leq(q, u, v) for v in values], bool)[positions])
-    rank = np.empty(len(obj), np.intp)
-    rank[sorted(range(len(obj)), key=obj.__getitem__)] = np.arange(len(obj))
-    order = np.lexsort((rank[j], rank[i]))
-    return [(obj[a], obj[b]) for a, b in zip(i[order].tolist(), j[order].tolist())]
+    perm = np.array(sorted(range(len(obj)), key=obj.__getitem__), np.intp)
+    i, j = np.nonzero(np.array([leq(q, u, v) for v in values], bool)[positions[np.ix_(perm, perm)]])
+    labels = np.empty(len(obj), object)
+    labels[:] = sorted(obj)
+    return np.stack((labels[i], labels[j]), axis=1).tolist()
 
 
 def preorder_dot(objects: Sequence[str], edges: Iterable[tuple[str, str]]) -> str:
@@ -356,21 +357,23 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
     return EndohomReport(classes, tuple(violations))
 
 
-def category_to_json(c: VCategory) -> dict:
-    return {
-        "quantale": descriptor_to_json(c.quantale),
-        "tolerance": c.quantale.tolerance,
-        "objects": list(c.objects),
-        "hom": _format_rows(c._index),
-    }
-
-
 def _format_rows(index: tuple[Sequence[QVal], np.ndarray]) -> list[list[str]]:
     """The text of each entry of an indexed matrix, formatting each
     distinct value once."""
     values, positions = index
     text = [format_value(v) for v in values]
     return [list(map(text.__getitem__, row.tolist())) for row in positions]
+
+
+def category_to_json(c: VCategory, *, _rows: Callable = _format_rows) -> dict:
+    # _rows renders the matrix from its index; the CLI passes its writer's
+    # private leaf, so that a file is written from the index
+    return {
+        "quantale": descriptor_to_json(c.quantale),
+        "tolerance": c.quantale.tolerance,
+        "objects": list(c.objects),
+        "hom": _rows(c._index),
+    }
 
 
 def category_from_json(data: object, *, where: str = "category") -> VCategory:

@@ -14,11 +14,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from itertools import product as iproduct
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .category import (
     _require_utf8,
@@ -38,6 +40,7 @@ from .causal import (
     mixed_signature_check,
 )
 from .collage import adjoin_point, collage, collage_from_json, collage_to_json, restrict
+from .maxplus import Block
 from .modules import (
     _cauchy_decision,
     canonical_right_adjoint,
@@ -52,6 +55,7 @@ from .quantale import (
     QuantaleDescriptor,
     _build,
     check_laws,
+    format_value,
     parse_quantale_name,
     parse_value,
     split_top_level,
@@ -69,20 +73,53 @@ class CommandResult:
     exit_code: int
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """A matrix to be written from its index ``(values, positions)``, as
+    the rows of strings that :func:`qcat.category._format_rows` would
+    give; only :func:`_encode` renders it, a row at a time."""
+
+    index: Block
+
+
 def _dump(data: dict) -> str:
     """``json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)``
     plus a newline, byte for byte, at C speed per row: ``indent`` puts
     the stdlib on its pure-Python encoder, one call per entry."""
-    return _encode(data, "\n") + "\n"
+    return "".join(_chunks(data))
 
 
-def _encode(o: object, nl: str) -> str:
-    # nl is the newline plus the indent of o's own line.  Dicts keyed by
-    # str and lists recurse; lists of str and lists of non-empty rows of
-    # str are joined by C-level encode_basestring; None, bools and ints
-    # are written as the stdlib writes them.  Everything else goes
-    # to the stdlib, re-indented: JSON escapes every newline inside a
-    # string, so each "\n" it writes is structural.
+def _chunks(data: object) -> Iterator[str]:
+    """The text of :func:`_dump`, in the chunks of :func:`_encode`."""
+    yield from _encode(data, "\n")
+    yield "\n"
+
+
+def _encode(o: object, nl: str) -> Iterator[str]:
+    # nl is the newline plus the indent of o's own line.  A dict keyed by
+    # str yields each key with its value's chunks, and a _Rows one chunk
+    # per row; anything else is one chunk, from _text.
+    t = type(o)
+    if t is _Rows:
+        yield from _matrix(o.index, nl)
+    elif t is dict and o and set(map(type, o)) == {str}:
+        inner = nl + "  "
+        lead = "{" + inner
+        for k in sorted(o):
+            yield lead + encode_basestring(k) + ": "
+            yield from _encode(o[k], inner)
+            lead = "," + inner
+        yield nl + "}"
+    else:
+        yield _text(o, nl)
+
+
+def _text(o: object, nl: str) -> str:
+    # Lists recurse; lists of str and lists of non-empty rows of str are
+    # joined by C-level encode_basestring, with no Python step per row;
+    # None, bools and ints are written as the stdlib writes them.
+    # Everything else goes to the stdlib, re-indented: JSON escapes every
+    # newline inside a string, so each "\n" it writes is structural.
     inner = nl + "  "
     sep = "," + inner
     t = type(o)
@@ -95,20 +132,36 @@ def _encode(o: object, nl: str) -> str:
     if t is int:  # the stdlib's own call, which raises past the digit limit
         return int.__repr__(o)
     if t is dict and o and set(map(type, o)) == {str}:
-        items = (encode_basestring(k) + ": " + _encode(o[k], inner) for k in sorted(o))
-        return "{" + inner + sep.join(items) + nl + "}"
+        return "".join(_encode(o, nl))
     if t is list and o:
         types = set(map(type, o))
         if types == {str}:
             return "[" + inner + sep.join(map(encode_basestring, o)) + nl + "]"
         if types == {list} and all(o) and set(map(type, chain.from_iterable(o))) == {str}:
-            cell = "," + inner + "  "
-            rows = (
-                "[" + inner + "  " + cell.join(map(encode_basestring, r)) + inner + "]" for r in o
-            )
-            return "[" + inner + sep.join(rows) + nl + "]"
-        return "[" + inner + sep.join(_encode(x, inner) for x in o) + nl + "]"
+            cell, row = "," + inner + "  ", "[" + inner + "  "
+            cells = map(cell.join, map(map, repeat(encode_basestring), o))
+            return "[" + inner + row + (inner + "]" + sep + row).join(cells) + inner + "]" + nl + "]"
+        return "[" + inner + sep.join(_text(x, inner) for x in o) + nl + "]"
     return json.dumps(o, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", nl)
+
+
+def _matrix(index: Block, nl: str) -> Iterator[str]:
+    """The chunks of ``_text(_format_rows(index), nl)``, one per row: each
+    distinct value is formatted and escaped once, and each row is one
+    join over a gather of those texts by the row's positions."""
+    values, positions = index
+    if not positions.size:  # no rows, or rows of no entries
+        yield _text([[]] * len(positions), nl)
+        return
+    texts = np.empty(len(values), object)
+    texts[:] = [encode_basestring(format_value(v)) for v in values]
+    inner = nl + "  "
+    cell, row, close = "," + inner + "  ", "[" + inner + "  ", inner + "]"
+    lead = "[" + inner + row
+    for p in positions:
+        yield lead + cell.join(texts[p].tolist()) + close
+        lead = "," + inner + row
+    yield nl + "]"
 
 
 def _loads(text: str, path: str) -> object:
@@ -128,15 +181,17 @@ def _read_json(path: str) -> object:
     return _loads(text, path)
 
 
-def _write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all: into a new file
-    beside it, then renamed over it, so a failed write leaves an
-    existing file as it was and no partial file behind."""
+def _write(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or its chunks, to ``path`` whole or not at
+    all: streamed into a new file beside it, then renamed over it, so a
+    failed write leaves an existing file as it was and no partial file
+    behind."""
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         try:
-            tmp.write_text(text, encoding="utf-8")
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.writelines((text,) if isinstance(text, str) else text)
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -185,7 +240,7 @@ def _cmd_compose(args) -> CommandResult:
     m = module_from_json(_read_json(args.first), where=args.first)
     n = module_from_json(_read_json(args.second), where=args.second)
     out = compose(m, n)
-    _write(args.output, _dump(module_to_json(out)))
+    _write(args.output, _chunks(module_to_json(out, _rows=_Rows)))
     payload = {
         "status": OK,
         "output": args.output,
@@ -233,7 +288,7 @@ def _cmd_complete(args) -> CommandResult:
 def _cmd_collage(args) -> CommandResult:
     m = module_from_json(_read_json(args.module), where=args.module)
     col = collage(m)
-    _write(args.output, _dump(collage_to_json(col)))
+    _write(args.output, _chunks(collage_to_json(col, _rows=_Rows)))
     payload = {"status": OK, "output": args.output, "objects": list(col.category.objects)}
     return CommandResult(OK, payload, 0)
 
@@ -241,11 +296,9 @@ def _cmd_collage(args) -> CommandResult:
 def _cmd_restrict(args) -> CommandResult:
     col = collage_from_json(_read_json(args.collage), where=args.collage)
     m = restrict(col)
-    data = module_to_json(m)
+    payload = {"status": OK, "module": module_to_json(m)}
     if args.output:
-        _write(args.output, _dump(data))
-    payload = {"status": OK, "module": data}
-    if args.output:
+        _write(args.output, _chunks(module_to_json(m, _rows=_Rows)))
         payload["output"] = args.output
     return CommandResult(OK, payload, 0)
 
@@ -255,7 +308,7 @@ def _cmd_adjoin(args) -> CommandResult:
     n = module_from_json(_read_json(args.second), where=args.second)
     _require_utf8(args.label, "--label")
     cat = adjoin_point(m, n, label=args.label)
-    _write(args.output, _dump(category_to_json(cat)))
+    _write(args.output, _chunks(category_to_json(cat, _rows=_Rows)))
     payload = {"status": OK, "output": args.output, "objects": list(cat.objects)}
     return CommandResult(OK, payload, 0)
 
@@ -277,7 +330,7 @@ def _cmd_from_dag(args) -> CommandResult:
         cat = causal_space_from_dag(dag)
     except CycleError as exc:
         raise ValueError(f"{args.edges}: {exc}") from None
-    _write(args.output, _dump(category_to_json(cat)))
+    _write(args.output, _chunks(category_to_json(cat, _rows=_Rows)))
     payload = {"status": OK, "output": args.output, "objects": list(cat.objects)}
     return CommandResult(OK, payload, 0)
 
@@ -291,7 +344,7 @@ def _cmd_minkowski(args) -> CommandResult:
     except ValueError:
         raise ValueError(f"--bounds expects numbers, got {args.bounds!r}") from None
     cat, events = minkowski_sample(args.n, args.seed, bounds)  # type: ignore[arg-type]
-    _write(args.output, _dump(category_to_json(cat)))
+    _write(args.output, _chunks(category_to_json(cat, _rows=_Rows)))
     payload = {
         "status": OK,
         "output": args.output,
@@ -306,7 +359,7 @@ def _cmd_underlying(args) -> CommandResult:
     edges = _sorted_underlying(cat)
     if args.dot:
         _write(args.dot, preorder_dot(cat.objects, edges))
-    payload = {"status": OK, "edges": list(map(list, edges))}
+    payload = {"status": OK, "edges": edges}
     if args.dot:
         payload["dot"] = args.dot
     return CommandResult(OK, payload, 0)
@@ -432,7 +485,7 @@ def run(argv: Sequence[str]) -> CommandResult:
 
 def main() -> None:
     result = run(sys.argv[1:])
-    sys.stdout.write(_dump(result.payload))
+    sys.stdout.writelines(_chunks(result.payload))
     if result.status == ERROR:
         sys.stderr.write(f"error: {result.payload.get('error', '')}\n")
     sys.exit(result.exit_code)

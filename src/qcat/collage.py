@@ -12,9 +12,11 @@ collage of a valid module is always a valid category.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .category import (
     VCategory,
+    _format_rows,
     category_from_json,
     category_to_json,
     validate_category,
@@ -114,8 +116,9 @@ def adjoin_point(m: VModule, n: VModule, label: str = "*") -> VCategory:
     return out
 
 
-def collage_to_json(col: Collage) -> dict:
-    data = category_to_json(col.category)
+def collage_to_json(col: Collage, *, _rows: Callable = _format_rows) -> dict:
+    # _rows as in category_to_json
+    data = category_to_json(col.category, _rows=_rows)
     data["partition"] = list(col.partition)
     return data
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -432,12 +432,13 @@ def cauchy_completeness_report(
     return CompletenessReport(c, vals, checked, tuple(findings))
 
 
-def module_to_json(m: VModule) -> dict:
-    src = "I" if m.source == unit_category(m.quantale) else category_to_json(m.source)
+def module_to_json(m: VModule, *, _rows: Callable = _format_rows) -> dict:
+    # _rows as in category_to_json
+    src = "I" if m.source == unit_category(m.quantale) else category_to_json(m.source, _rows=_rows)
     return {
         "source": src,
-        "target": category_to_json(m.target),
-        "mat": _format_rows(m._index),
+        "target": category_to_json(m.target, _rows=_rows),
+        "mat": _rows(m._index),
     }
 
 

@@ -760,3 +760,94 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
             triples.extend((int(i), j, int(k)) for i, k in np.argwhere(bad))
     triples.sort()
     return triples
+
+
+# ---------------------------------------------------------------------------
+# The CLI's writer before it streamed: every matrix as plain rows of str,
+# the whole document one string, each edge of the underlying preorder one
+# Python step.  Kept verbatim as the references for tests/test_stream.py.
+# ---------------------------------------------------------------------------
+
+import json  # noqa: E402
+from itertools import chain  # noqa: E402
+from json.encoder import encode_basestring  # noqa: E402
+
+from qcat.quantale import format_value  # noqa: E402
+
+
+def dump(data: dict) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)``
+    plus a newline, byte for byte, at C speed per row: ``indent`` puts
+    the stdlib on its pure-Python encoder, one call per entry."""
+    return _encode(data, "\n") + "\n"
+
+
+def _encode(o: object, nl: str) -> str:
+    # nl is the newline plus the indent of o's own line.  Dicts keyed by
+    # str and lists recurse; lists of str and lists of non-empty rows of
+    # str are joined by C-level encode_basestring; None, bools and ints
+    # are written as the stdlib writes them.  Everything else goes
+    # to the stdlib, re-indented: JSON escapes every newline inside a
+    # string, so each "\n" it writes is structural.
+    inner = nl + "  "
+    sep = "," + inner
+    t = type(o)
+    if t is str:
+        return encode_basestring(o)
+    if o is None:
+        return "null"
+    if t is bool:
+        return "true" if o else "false"
+    if t is int:  # the stdlib's own call, which raises past the digit limit
+        return int.__repr__(o)
+    if t is dict and o and set(map(type, o)) == {str}:
+        items = (encode_basestring(k) + ": " + _encode(o[k], inner) for k in sorted(o))
+        return "{" + inner + sep.join(items) + nl + "}"
+    if t is list and o:
+        types = set(map(type, o))
+        if types == {str}:
+            return "[" + inner + sep.join(map(encode_basestring, o)) + nl + "]"
+        if types == {list} and all(o) and set(map(type, chain.from_iterable(o))) == {str}:
+            cell = "," + inner + "  "
+            rows = (
+                "[" + inner + "  " + cell.join(map(encode_basestring, r)) + inner + "]" for r in o
+            )
+            return "[" + inner + sep.join(rows) + nl + "]"
+        return "[" + inner + sep.join(_encode(x, inner) for x in o) + nl + "]"
+    return json.dumps(o, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", nl)
+
+
+def format_rows(index: tuple[Sequence[QVal], np.ndarray]) -> list[list[str]]:
+    """The text of each entry of an indexed matrix, formatting each
+    distinct value once."""
+    values, positions = index
+    text = [format_value(v) for v in values]
+    return [list(map(text.__getitem__, row.tolist())) for row in positions]
+
+
+def sorted_underlying(c: VCategory) -> list[tuple[str, str]]:
+    """``sorted(underlying_preorder(c))``: ``leq`` runs once per distinct
+    value, and the index pairs are ordered by the ranks of their labels,
+    so that only the objects are sorted as strings."""
+    q, obj = c.quantale, c.objects
+    u = unit(q)
+    values, positions = c._index
+    i, j = np.nonzero(np.array([leq(q, u, v) for v in values], bool)[positions])
+    rank = np.empty(len(obj), np.intp)
+    rank[sorted(range(len(obj)), key=obj.__getitem__)] = np.arange(len(obj))
+    order = np.lexsort((rank[j], rank[i]))
+    return [(obj[a], obj[b]) for a, b in zip(i[order].tolist(), j[order].tolist())]
+
+
+def preorder_dot(objects: Sequence[str], edges: Iterable[tuple[str, str]]) -> str:
+    """Render a preorder in DOT: one node per object, one edge per
+    non-identity relation, sorted for byte stability.  Each distinct
+    label is quoted once."""
+    edges = sorted(edges)
+    labels = set(objects).union(itertools.chain.from_iterable(edges))
+    q = {s: '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in labels}
+    lines = ["digraph preorder {"]
+    lines += [f"  {q[o]};" for o in objects]
+    lines += [f"  {q[a]} -> {q[b]};" for a, b in edges if a != b]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
