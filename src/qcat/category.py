@@ -313,7 +313,7 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
     if c.quantale.kind is not Kind.RBOT:
         raise CarrierMismatch("endohom classification requires the causal base")
     values, positions = c._index
-    tol, bot_tag, fin_tag = c.quantale._leaf.tolerance, Tag.BOT, Tag.FINITE
+    tol, bot_tag, fin_tag = c.quantale._tol, Tag.BOT, Tag.FINITE
     bot = np.array([v.tag is bot_tag for v in values], bool)[positions]
     fin = np.array([v.tag is fin_tag for v in values], bool)[positions]
     hom, obj, fmt = c.hom, c.objects, format_value

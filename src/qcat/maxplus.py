@@ -8,18 +8,19 @@ scalar operations run on the same codes, one value at a time.
 
 A matrix over a product base gets a trailing factor axis, one entry per
 base factor (length 1 for a plain base); order and join are
-componentwise.  A matrix comes indexed (:data:`Block`), by its producer
-or by :func:`check_matrix`: each distinct value is coded once and the
-codes are gathered at the entries' positions.  :func:`exact_codes`
-scales finite values by the least common multiple L of their
-denominators, so that every code is an integer: float64 when every |v*L|
-and tolerance offset fits in 2^52, so that a sum of two codes is still
-exact, and Python ints in an object array otherwise.  :func:`law_encode`
-uses the float64 codes at tolerance 0 and otherwise the nearest float64
-of each value, with a bound that a static rounding-error margin keeps
-below c + tolerance (a floating-point filter, after Shewchuk, "Adaptive
-precision floating-point arithmetic and fast robust geometric
-predicates", 1997).
+componentwise: the law sweep ORs the 2-D masks of the factors, and
+every factor reads the base's one tolerance.  A matrix comes indexed
+(:data:`Block`), by its producer or by :func:`check_matrix`: each
+distinct value is coded once and the codes are gathered at the entries'
+positions.  :func:`exact_codes` scales finite values by the least common
+multiple L of their denominators, so that every code is an integer:
+float64 when every |v*L| and the tolerance offset fit in 2^52, so that a
+sum of two codes is still exact, and Python ints in an object array
+otherwise.  :func:`law_encode` uses the float64 codes at tolerance 0 and
+otherwise the nearest float64 of each value, with a bound that a static
+rounding-error margin keeps below c + tolerance (a floating-point
+filter, after Shewchuk, "Adaptive precision floating-point arithmetic
+and fast robust geometric predicates", 1997).
 """
 
 from __future__ import annotations
@@ -161,28 +162,28 @@ def law_encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray],
     exactly where x + y > z; with float codes (times 2^-shift near the top
     of float64's range) x + y > z only marks where it may fail.
     """
-    tols = [float(leaf.tolerance) for leaf in q._leaves]
-    if not any(tols):
-        code, _, _, dtype = _scale(q, blocks)
+    t = q._tol
+    if not t:
+        exact, _, _, dtype = _scale(q, blocks)
         if dtype is float:
-            codes = _arrays(q, blocks, code)
+            codes = _arrays(q, blocks, exact)
             return codes, codes
     shift = 0
+
+    def code(x: Rational) -> float:  # x * 2^-shift, correctly rounded
+        return x.numerator / (x.denominator << shift)
+
     try:
-        arrays = _arrays(q, blocks, float)
-        fits = all(np.abs(a[np.isfinite(a)]).max(initial=max(tols)) < 2.0**_FLOAT_BITS
-                   for a in arrays)
+        arrays, tol = _arrays(q, blocks, code), code(t)
+        fits = all(np.abs(a[np.isfinite(a)]).max(initial=tol) < 2.0**_FLOAT_BITS for a in arrays)
     except OverflowError:  # a value of 2^1024 or more
         fits = False
     if not fits:
-        # 2^e bounds a float t with e = frexp(t)[1], and a fraction whose
-        # numerator and denominator have n and d bits with e = n - d + 1
-        shift = max([math.frexp(t)[1] for t in tols] + [
-            x.numerator.bit_length() - x.denominator.bit_length() + 1
-            for x in _finite_values(q, blocks)
-        ]) - _FLOAT_BITS
-        arrays = _arrays(q, blocks, lambda x: x.numerator / (x.denominator << shift))
-    tol = np.array([math.ldexp(t, -shift) for t in tols])
+        # 2^e bounds a fraction whose numerator and denominator have n
+        # and d bits, with e = n - d + 1
+        shift = max(x.numerator.bit_length() - x.denominator.bit_length() + 1
+                    for x in [t, *_finite_values(q, blocks)]) - _FLOAT_BITS
+        arrays, tol = _arrays(q, blocks, code), code(t)
     with np.errstate(invalid="ignore"):
         # the margin covers the rounding of each code, of a sum of two and
         # of the bound itself; infinite codes are exact and bound themselves
@@ -225,18 +226,17 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
     factor, in lexicographic order.
 
     ``a``, ``b`` and ``bound`` have shapes (I, J, F), (J, K, F) and (I,
-    K, F); the sweep takes one middle index j at a time.  A NaN sum is
-    an absorbed bottom and never exceeds the bound.
+    K, F); the sweep takes one middle index j at a time, and ORs the 2-D
+    mask of each factor into that of the first.  A NaN sum is an
+    absorbed bottom and never exceeds the bound.
     """
     triples: list[tuple[int, int, int]] = []
-    plain = a.shape[2] == 1
-    if plain:  # one factor: compare without the factor axis
-        a, b, bound = a[..., 0], b[..., 0], bound[..., 0]
+    (a0, b0, bound0), *rest = [(a[..., f], b[..., f], bound[..., f]) for f in range(a.shape[2])]
     with np.errstate(invalid="ignore"):
         for j in range(a.shape[1]):
-            bad = a[:, j, None] + b[j] > bound
-            if not plain:
-                bad = bad.any(axis=2)
+            bad = a0[:, j, None] + b0[j] > bound0
+            for x, y, z in rest:
+                bad |= x[:, j, None] + y[j] > z
             if bad.any():
                 triples.extend((i, j, k) for i, k in np.argwhere(bad).tolist())
     triples.sort()
@@ -253,28 +253,28 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
 
 
 def exact_codes(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray], np.ndarray, int]:
-    """The blocks' codes, exact, each leaf's tolerance as an offset on
-    them, and their scale: code(a) <= code(b) + offset iff ``leq(q, a,
-    b)`` for values whose codes are finite.  Each finite value v is coded
-    as the integer v * L, L the least common multiple of the
-    denominators, and the offset of a tolerance t is floor(t * L), exact
-    because every code difference is an integer.  The codes and offsets
+    """The blocks' codes, exact, the base's tolerance as an offset on
+    them, one entry per factor, and their scale: code(a) <= code(b) +
+    offset iff ``leq(q, a, b)`` for values whose codes are finite.  Each
+    finite value v is coded as the integer v * L, L the least common
+    multiple of the denominators, and the offset of the tolerance t is
+    floor(t * L), exact because every code difference is an integer.  The codes and offsets
     are float64 when none exceeds 2^52 and Python ints in object arrays
     otherwise.  The values must already lie in ``q``'s carrier, as the
     entries of a ``VCategory`` or ``VModule`` do."""
-    code, scale, offsets, dtype = _scale(q, blocks)
-    return _arrays(q, blocks, code, dtype), np.array(offsets, dtype), scale
+    code, scale, offset, dtype = _scale(q, blocks)
+    return _arrays(q, blocks, code, dtype), np.full(len(q._leaves), offset, dtype), scale
 
 
-def _scale(q: QuantaleDescriptor, blocks: Sequence[Block]) -> tuple[Callable, int, list[int], type]:
+def _scale(q: QuantaleDescriptor, blocks: Sequence[Block]) -> tuple[Callable, int, int, type]:
     """:func:`exact_codes`'s scale step, before any array is built: the
-    code v -> v * L, L itself, each leaf's offset floor(t * L), and the
-    dtype, float when no code or offset exceeds 2^52 and object past it."""
+    code v -> v * L, L itself, the offset floor(t * L) of the base's one
+    tolerance t, and the dtype, float when no code or offset exceeds 2^52."""
     finite = _finite_values(q, blocks)
     scale = math.lcm(*{x.denominator for x in finite})
-    offsets = [math.floor(leaf.tolerance * scale) for leaf in q._leaves]
-    dtype = float if max([max(finite, default=0) * scale, *offsets]) <= EXACT_LIMIT else object
-    return lambda x: x.numerator * (scale // x.denominator), scale, offsets, dtype
+    offset = math.floor(q._tol * scale)
+    dtype = float if max(max(finite, default=0) * scale, offset) <= EXACT_LIMIT else object
+    return lambda x: x.numerator * (scale // x.denominator), scale, offset, dtype
 
 
 def _poles(x: np.ndarray) -> np.ndarray:
@@ -390,19 +390,18 @@ def _represents(e: np.ndarray, m: np.ndarray, tol: np.ndarray) -> np.ndarray:
 
 
 def cauchy_columns(
-    q: QuantaleDescriptor, e: np.ndarray, m: np.ndarray, tol: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    q: QuantaleDescriptor, e: np.ndarray, m: np.ndarray, tol: np.ndarray, floor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Decide which modules M: I -/-> C are Cauchy, from codes.
 
     ``m`` holds one module per row, (k, n, F); ``e`` and ``tol`` are as
     in :func:`module_blocks`.  With N the canonical right adjoint
     (:func:`_right_adjoint`), M is Cauchy iff the unit holds, max over z
-    of N(z) + M(z) >= -tol in every factor; the counit holds by
-    construction.  Returns the Cauchy rows, and for each its witness
-    (the first z with N(z) + M(z) >= -tol) and its representing object
-    (the first z with E(-, z) equal to M within the tolerance), n where
-    there is none.
+    of N(z) + M(z) >= ``floor`` in every factor: the code of the
+    source's endohom less ``tol``, which is -tol when the source is I.
+    The counit holds by construction.  Returns the Cauchy rows, and the
+    witnesses of every row, (k, n): the z with N(z) + M(z) >= -tol in
+    every factor.
     """
-    unit = _tensor(_right_adjoint(q, e, m), m) >= -tol  # (k, z, F): the join is per factor
-    (cauchy,) = np.nonzero(unit.any(axis=1).all(axis=1))
-    return cauchy, _first(unit[cauchy].all(axis=2)), _first(_represents(e, m[cauchy], tol))
+    terms = _tensor(_right_adjoint(q, e, m), m)  # (k, z, F): the join is per factor
+    return np.flatnonzero((terms >= floor).any(axis=1).all(axis=1)), (terms >= -tol).all(axis=2)

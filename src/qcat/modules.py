@@ -252,10 +252,9 @@ def _cauchy_decision(m: VModule) -> tuple[bool, tuple[str, ...], str | None]:
     q, e = m.quantale, m.target
     (hom, col, src), tol, _ = maxplus.exact_codes(q, e._index, m._index, m.source._index)
     col = col.transpose(1, 0, 2)  # the one module as a row, (1, n, F)
-    terms = maxplus._tensor(maxplus._right_adjoint(q, hom, col), col)[0]  # (z, F)
-    cauchy = bool((terms >= src[0, 0] - tol).any(axis=0).all())
-    witness = _labels(e, (terms >= -tol).all(axis=1))
-    return cauchy, _labels(e, maxplus._represents(hom, col, tol)[0]), (witness or (None,))[0]
+    rows, (witness,) = maxplus.cauchy_columns(q, hom, col, tol, src[0, 0] - tol)
+    witness = _labels(e, witness)
+    return rows.size > 0, _labels(e, maxplus._represents(hom, col, tol)[0]), (witness or (None,))[0]
 
 
 def is_cauchy(m: VModule) -> bool:
@@ -426,8 +425,10 @@ def cauchy_completeness_report(
     findings: list[CauchyFinding] = []
     for block in maxplus.module_blocks(e, g, tol):
         checked += len(block)
-        rows, witness, rep = maxplus.cauchy_columns(c.quantale, e, g[block], tol)
-        for module, z, w in zip(_columns(c, vals, block[rows].tolist()), rep, witness):
+        rows, witness = maxplus.cauchy_columns(c.quantale, e, g[block], tol, -tol)
+        reps = maxplus._first(maxplus._represents(e, g[block[rows]], tol))
+        columns = _columns(c, vals, block[rows].tolist())
+        for module, z, w in zip(columns, reps, maxplus._first(witness[rows])):
             findings.append(CauchyFinding(module, objects[z], objects[w]))
     return CompletenessReport(c, vals, checked, tuple(findings))
 

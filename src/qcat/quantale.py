@@ -170,7 +170,7 @@ _ZERO = Fraction(0)
 @dataclass(frozen=True)
 class _Leaf:
     """One plain base's row of the max-plus table (README, "One scalar
-    algebra"), with the tolerance of the descriptor that holds it."""
+    algebra"), shared by every descriptor of that base."""
 
     tags: tuple[Tag, ...]  # the carrier
     mismatch: str  # the CarrierMismatch wording outside it
@@ -178,7 +178,6 @@ class _Leaf:
     bottom: QVal  # code -inf
     top: QVal
     sample: tuple[QVal, ...]  # the default grid of ``qcat laws``
-    tolerance: Fraction = _ZERO
 
 
 _LEAF_TABLE = {
@@ -227,12 +226,13 @@ class QuantaleDescriptor:
         elif self.factors:
             raise ValueError(f"{self.kind.value} takes no factors")
         else:
-            leaf = replace(_LEAF_TABLE[self.kind], tolerance=Fraction(self.tolerance))
+            leaf = _LEAF_TABLE[self.kind]
             leaves = (leaf,)
         # what the operations read: a plain base's table row (None on a
-        # product) and the rows of the leaf bases, depth first
+        # product), the leaf rows, depth first, and the exact tolerance
         object.__setattr__(self, "_leaf", leaf)
         object.__setattr__(self, "_leaves", leaves)
+        object.__setattr__(self, "_tol", Fraction(self.tolerance))
 
 
 RBOT = QuantaleDescriptor(Kind.RBOT)
@@ -339,10 +339,10 @@ def leq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
 
     Total order for RBOT and LAWVERE, componentwise for products.
     """
-    leaf = q._leaf
+    leaf, t = q._leaf, q._tol
     if leaf is not None:
-        return _le(leaf.tolerance, _code(leaf, a), _code(leaf, b))
-    return all([_le(f.tolerance, x, y) for f, x, y in zip(q._leaves, _codes(q, a), _codes(q, b))])
+        return _le(t, _code(leaf, a), _code(leaf, b))
+    return all([_le(t, x, y) for x, y in zip(_codes(q, a), _codes(q, b))])
 
 
 def eq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:

@@ -851,3 +851,66 @@ def preorder_dot(objects: Sequence[str], edges: Iterable[tuple[str, str]]) -> st
     lines += [f"  {q[a]} -> {q[b]};" for a, b in edges if a != b]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The law encoder as it was when every leaf row carried its own copy of the
+# tolerance: per-leaf offsets and per-leaf float tolerances, the first float
+# pass through ``float``.  Kept verbatim, with each leaf's tolerance read
+# from its plain descriptor, as the reference for tests/test_sweep.py.
+# ---------------------------------------------------------------------------
+
+from qcat import maxplus  # noqa: E402
+
+
+def leaf_tolerances(q: QuantaleDescriptor) -> list[Fraction]:
+    """The tolerance each leaf row held, depth first."""
+    if q.kind is Kind.PRODUCT:
+        return [t for f in q.factors for t in leaf_tolerances(f)]
+    return [Fraction(q.tolerance)]
+
+
+def _scale(q, blocks):
+    finite = maxplus._finite_values(q, blocks)
+    scale = math.lcm(*{x.denominator for x in finite})
+    offsets = [math.floor(t * scale) for t in leaf_tolerances(q)]
+    dtype = float if max([max(finite, default=0) * scale, *offsets]) <= maxplus.EXACT_LIMIT else object
+    return lambda x: x.numerator * (scale // x.denominator), scale, offsets, dtype
+
+
+def exact_offsets(q, *blocks) -> np.ndarray:
+    _, _, offsets, dtype = _scale(q, blocks)
+    return np.array(offsets, dtype)
+
+
+def law_encode(q, *blocks):
+    _arrays, _finite_values, _FLOAT_BITS = maxplus._arrays, maxplus._finite_values, maxplus._FLOAT_BITS
+    _U, _ETA = maxplus._U, maxplus._ETA
+    tols = [float(t) for t in leaf_tolerances(q)]
+    if not any(tols):
+        code, _, _, dtype = _scale(q, blocks)
+        if dtype is float:
+            codes = _arrays(q, blocks, code)
+            return codes, codes
+    shift = 0
+    try:
+        arrays = _arrays(q, blocks, float)
+        fits = all(np.abs(a[np.isfinite(a)]).max(initial=max(tols)) < 2.0**_FLOAT_BITS
+                   for a in arrays)
+    except OverflowError:  # a value of 2^1024 or more
+        fits = False
+    if not fits:
+        # 2^e bounds a float t with e = frexp(t)[1], and a fraction whose
+        # numerator and denominator have n and d bits with e = n - d + 1
+        shift = max([math.frexp(t)[1] for t in tols] + [
+            x.numerator.bit_length() - x.denominator.bit_length() + 1
+            for x in _finite_values(q, blocks)
+        ]) - _FLOAT_BITS
+        arrays = _arrays(q, blocks, lambda x: x.numerator / (x.denominator << shift))
+    tol = np.array([math.ldexp(t, -shift) for t in tols])
+    with np.errstate(invalid="ignore"):
+        # the margin covers the rounding of each code, of a sum of two and
+        # of the bound itself; infinite codes are exact and bound themselves
+        bounds = [np.where(np.isfinite(c), c + tol - (8 * _U * (np.abs(c) + tol) + 16 * _ETA), c)
+                  for c in arrays]
+    return arrays, bounds

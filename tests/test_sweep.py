@@ -9,9 +9,12 @@ whose least common multiple overflows the exact encoding, values of
 2^1024 and more, and values below the smallest subnormal, 2^-1074.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -329,3 +332,205 @@ def test_only_the_last_middle_dirty():
         report = validate_category(cat)
         assert report == validate_exact(cat)
         assert [v[:3] for v in report.composition_violations] == [("e0", f"e{n - 1}", "e1")]
+
+
+# ---------------------------------------------------------------------------
+# One 2-D sweep per factor: each factor's mask is ORed into the first's, so a
+# violation in any one factor is listed, and a triple that several factors
+# violate is listed once.
+# ---------------------------------------------------------------------------
+
+LAWVERE = QuantaleDescriptor(Kind.LAWVERE)
+PRODUCTS = {
+    "bool,bool": product(BOOL, BOOL),
+    "rbot,lawvere": product(rbot(), LAWVERE),
+    "[[rbot,bool],lawvere]": product(product(rbot(), BOOL), LAWVERE),
+    "rbot,lawvere,bool@1/2": product(rbot(), LAWVERE, BOOL, tolerance=0.5),
+}
+WITH_RBOT = {name: q for name, q in PRODUCTS.items() if name != "bool,bool"}
+TRIPLES = list(itertools.permutations(range(4), 3))
+
+
+def planted(q, n, plants):
+    """The discrete category on n objects with ``plants``, (leaf, i, j,
+    value) each, set in the leaf matrices."""
+    mats = discrete(q, n)
+    for f, i, j, v in plants:
+        mats[f][i][j] = v
+    return VCategory(q, labels("e", n), assembled(q, mats))
+
+
+def violation(q, f, i, j, k):
+    """E(i, j) and E(j, k) the unit in leaf f, E(i, k) its bottom: the law
+    fails at (i, j, k) in that leaf alone."""
+    u = unit(leaves(q)[f])
+    return [(f, i, j, u), (f, j, k, u)]
+
+
+def sweep_arrays(c):
+    (a,), (bound,) = maxplus.law_encode(c.quantale, c._index)
+    return a, a, bound
+
+
+def check_sweep(cat, want):
+    got, ref = sweep(cat)
+    assert got == ref == want
+    report = validate_category(cat)
+    assert report == validate_exact(cat)
+    assert [v[:3] for v in report.composition_violations] == [
+        tuple(f"e{x}" for x in t) for t in want
+    ]
+
+
+@pytest.mark.parametrize("q", PRODUCTS.values(), ids=PRODUCTS)
+def test_a_violation_in_one_factor_only(q):
+    for f in range(len(leaves(q))):
+        for t in TRIPLES:
+            check_sweep(planted(q, 4, violation(q, f, *t)), [t])
+
+
+@pytest.mark.parametrize("q", PRODUCTS.values(), ids=PRODUCTS)
+def test_a_triple_that_several_factors_violate_is_listed_once(q):
+    nf = len(leaves(q))
+    groups = [fs for r in range(2, nf + 1) for fs in itertools.combinations(range(nf), r)]
+    for fs in groups:
+        for t in TRIPLES:
+            check_sweep(planted(q, 4, [p for f in fs for p in violation(q, f, *t)]), [t])
+
+
+@pytest.mark.parametrize("q", WITH_RBOT.values(), ids=WITH_RBOT)
+def test_a_nan_sum_beside_a_violation_in_another_factor(q):
+    # the rbot leaf's bot + inf is NaN, an absorbed bottom: it flags no
+    # triple, and does not hide the other factor's violation at it
+    r = [leaf.kind for leaf in leaves(q)].index(Kind.RBOT)
+    for g in set(range(len(leaves(q)))) - {r}:
+        for i, j, k in TRIPLES:
+            for nan in ([(r, i, j, BOT), (r, j, k, INF)], [(r, i, j, INF), (r, j, k, BOT)]):
+                cat = planted(q, 4, nan + violation(q, g, i, j, k))
+                a, b, _ = (x[..., r] for x in sweep_arrays(cat))
+                with np.errstate(invalid="ignore"):
+                    assert np.isnan(a[i, j] + b[j, k])
+                check_sweep(cat, [(i, j, k)])
+            # the NaN alone flags nothing
+            check_sweep(planted(q, 4, [(r, j, k, INF)]), [])
+
+
+SHAPES = [(3, 2), (2, 4), (4, 3), (1, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("q", PRODUCTS.values(), ids=PRODUCTS)
+def test_rectangular_blocks_through_validate_module(q):
+    # E(y, x), M(x, a) and D(a, b) the unit in one leaf, the rest discrete
+    # and M's bottom: the left action fails at (y, x, a) and the right one
+    # at (x, a, b), in that leaf alone
+    for f, leaf in enumerate(leaves(q)):
+        for n, k in SHAPES:
+            for y, x, a, b in itertools.product(range(n), range(n), range(k), range(k)):
+                if (y == x) != (n == 1) or (a == b) != (k == 1):
+                    continue
+                e, d = discrete(q, n), discrete(q, k)
+                m = [[[bottom(g)] * k for _ in range(n)] for g in leaves(q)]
+                e[f][y][x] = m[f][x][a] = d[f][a][b] = unit(leaf)
+                mat = tuple(tuple(assemble(q, iter([lm[r][s] for lm in m])) for s in range(k))
+                            for r in range(n))
+                mod = VModule(VCategory(q, labels("d", k), assembled(q, d)),
+                              VCategory(q, labels("e", n), assembled(q, e)), mat)
+                blocks = (mod.target._index, mod.source._index, mod._index)
+                (ea, da, ma), (_, _, bound) = maxplus.law_encode(q, *blocks)
+                left, right = maxplus.candidates(ea, ma, bound), maxplus.candidates(ma, da, bound)
+                assert left == oracles.candidates(ea, ma, bound) == ([(y, x, a)] if n > 1 else [])
+                assert right == oracles.candidates(ma, da, bound) == ([(x, a, b)] if k > 1 else [])
+                report = validate_module(mod)
+                assert report == reference_module_report(mod)
+                assert len(report.left_violations) == len(left)
+                assert len(report.right_violations) == len(right)
+
+
+@pytest.mark.parametrize("q", PRODUCTS.values(), ids=PRODUCTS)
+def test_no_objects_and_one_object(q):
+    check_sweep(planted(q, 0, []), [])
+    check_sweep(planted(q, 1, []), [])
+    for f, leaf in enumerate(leaves(q)):  # an endohom 1 over rbot: 1 + 1 > 1 + 1/2
+        if leaf.kind is Kind.RBOT:
+            check_sweep(planted(q, 1, [(f, 0, 0, finite(1))]), [(0, 0, 0)])
+    for n, k in ((0, 0), (0, 2), (2, 0), (1, 0), (0, 1)):
+        mat = tuple(tuple(bottom(q) for _ in range(k)) for _ in range(n))
+        mod = VModule(planted(q, k, []), planted(q, n, []), mat)
+        assert validate_module(mod) == reference_module_report(mod) == ModuleReport((), ())
+
+
+# ---------------------------------------------------------------------------
+# One tolerance per base: every leaf row is the shared table row, and every
+# reader of the tolerance (leq, the exact offsets, the law bounds) reads the
+# descriptor's one exact copy, as the per-leaf copies read before.
+# ---------------------------------------------------------------------------
+
+ONE_TOLERANCE = (0.0, 1e-9, 0.5, 1)  # 1: the int tolerance of rbot(1)
+plain_tolerant = st.builds(
+    QuantaleDescriptor,
+    st.sampled_from((Kind.RBOT, Kind.LAWVERE, Kind.BOOL)),
+    st.sampled_from(ONE_TOLERANCE),
+)
+tolerant_bases = st.recursive(
+    plain_tolerant,
+    lambda inner: st.builds(  # a factor below the product's tolerance is raised to it
+        lambda fs, tol: product(*fs, tolerance=max([tol] + [f.tolerance for f in fs])),
+        st.lists(inner, min_size=1, max_size=3),
+        st.sampled_from(ONE_TOLERANCE),
+    ),
+    max_leaves=5,
+)
+
+
+def descriptors(q):
+    """``q`` and every descriptor below it."""
+    return [q] + [d for f in q.factors for d in descriptors(f)]
+
+
+def lowered(q):
+    """``q`` with every tolerance 0, below the top too."""
+    return QuantaleDescriptor(q.kind, 0.0, tuple(lowered(f) for f in q.factors))
+
+
+@st.composite
+def base_and_values(draw):
+    q = draw(tolerant_bases)
+    pool = draw(st.lists(st.sampled_from(NUMBERS), min_size=1, max_size=4))
+    k = draw(st.integers(1, 5))
+    return q, [assemble(q, iter([leaf_value(draw, leaf, pool) for leaf in leaves(q)])) for _ in range(k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(base_and_values())
+def test_one_tolerance_per_base(inputs):
+    from qcat.quantale import _LEAF_TABLE, eq
+
+    q, values = inputs
+    for d in descriptors(q):
+        assert d._tol == Fraction(d.tolerance) == Fraction(q.tolerance)
+    assert [leaf is _LEAF_TABLE[d.kind] for leaf, d in zip(q._leaves, leaves(q))] == [True] * len(q._leaves)
+    assert not any(hasattr(leaf, "tolerance") for leaf in q._leaves)
+    for a in values:
+        for b in values:
+            assert leq(q, a, b) == oracles.leq(q, a, b)
+            assert eq(q, a, b) == oracles.eq(q, a, b)
+    block = maxplus.check_matrix(q, (values,), len(values), lambda i, k: "")
+    _, offsets, scale = maxplus.exact_codes(q, block)
+    want = oracles.exact_offsets(q, block)
+    assert offsets.shape == want.shape == (len(leaves(q)),)
+    assert offsets.dtype == want.dtype
+    assert offsets.tolist() == want.tolist() == [math.floor(Fraction(q.tolerance) * scale)] * len(want)
+    (codes,), (bounds,) = maxplus.law_encode(q, block)
+    (ref_codes,), (ref_bounds,) = oracles.law_encode(q, block)
+    for got, ref in ((codes, ref_codes), (bounds, ref_bounds)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    if q.kind is Kind.PRODUCT:  # factors below the product's tolerance are raised to it
+        assert product(*map(lowered, q.factors), tolerance=q.tolerance) == q
+
+
+def test_a_factor_is_raised_to_the_products_tolerance():
+    assert product(rbot(), tolerance=0.5) == product(rbot(0.5), tolerance=0.5)
+    assert product(rbot(), tolerance=0.5).factors[0]._tol == Fraction(1, 2)
+    q = rbot(1)  # an int tolerance
+    assert q._tol == 1 and leq(q, finite(2), finite(1)) and not leq(q, finite(3), finite(1))
