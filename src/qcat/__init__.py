@@ -13,16 +13,11 @@ from .category import (
     CategoryReport,
     EndohomReport,
     VCategory,
-    VFunctor,
     category_from_json,
     category_to_json,
     classify_endohoms,
-    functor_check,
-    functor_hom,
-    nat_trans_exists,
     opposite,
     preorder_dot,
-    tensor_categories,
     underlying_preorder,
     unit_category,
     validate_category,

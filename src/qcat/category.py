@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,43 +32,63 @@ from .quantale import (
     descriptor_to_json,
     format_value,
     leq,
-    meet,
     parse_value,
     tensor,
     unit,
 )
 
 
+def _checked(obj, name: str, what: str, rows: tuple[int, str], cols: tuple[int, str]) -> maxplus.Block:
+    """The index of ``obj``'s matrix field ``name``: its rows as given,
+    checked and indexed, or else its given index, with the values checked.
+    ``rows`` and ``cols`` are the expected counts, each with the name of
+    the objects counted, for the messages about the ``what`` matrix."""
+    given, index = obj.__dict__[name], obj._index
+    if given is None and index is None:
+        raise ValueError(f"{what} matrix missing: pass its rows or an index")
+    (n, row_objects), (ncols, col_objects) = rows, cols
+    k = len(given if given is not None else index[1])
+    if k != n:
+        raise ValueError(f"{what} matrix has {k} rows for {n} {row_objects}")
+    return check_matrix(obj.quantale, given, ncols, lambda i, k: (
+        f"{what} row {i} has {k} entries for {ncols} {col_objects}"), None if given is not None else index)
+
+
 @dataclass(frozen=True)
 class VCategory:
     """Object labels plus the square hom matrix over one quantale.
 
-    ``_index`` holds the matrix indexed (:func:`qcat.maxplus.check_matrix`),
-    for passes that run once per distinct value; a producer that indexed
-    the matrix itself passes it with ``hom`` None, and ``hom`` is gathered.
+    The matrix is held indexed in ``_index`` (:data:`qcat.maxplus.Block`),
+    which every pass reads.  Rows given as ``hom`` are indexed by
+    :func:`qcat.maxplus.check_matrix` and kept; a producer that indexed the
+    matrix itself passes ``hom`` None and its index, and ``hom`` is then
+    gathered on first read.  Equality compares the quantale, the labels
+    and the values entry by entry (:func:`qcat.maxplus.same`); the hash
+    covers the quantale and the labels.
     """
 
     quantale: QuantaleDescriptor
     objects: tuple[str, ...]
-    hom: tuple[tuple[QVal, ...], ...]
-    _index: maxplus.Block | None = field(default=None, compare=False, repr=False)
+    hom: tuple[tuple[QVal, ...], ...] = maxplus.Rows()
+    _index: maxplus.Block | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        given = None if self.hom is not None else self._index
-        hom = maxplus.rows(given) if given is not None else tuple(tuple(row) for row in self.hom)
         object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(self, "hom", hom)
         n = len(self.objects)
         if any(not isinstance(o, str) for o in self.objects):
             raise ValueError("object labels must be strings")
         if len(set(self.objects)) != n:
             raise ValueError("object labels must be unique")
-        if len(hom) != n:
-            raise ValueError(f"hom matrix has {len(hom)} rows for {n} objects")
-        index = check_matrix(
-            self.quantale, hom, n, lambda i, k: f"hom row {i} has {k} entries for {n} objects", given
-        )
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", _checked(self, "hom", "hom", (n, "objects"), (n, "objects")))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.quantale == other.quantale and self.objects == other.objects
+                                 and maxplus.same(self._index, other._index))
+
+    def __hash__(self) -> int:
+        return hash((self.quantale, self.objects))
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -84,7 +104,8 @@ class VCategory:
             raise ValueError(f"unknown object {label!r}") from None
 
     def hom_between(self, a: str, b: str) -> QVal:
-        return self.hom[self.index(a)][self.index(b)]
+        values, positions = self._index
+        return values[positions[self.index(a), self.index(b)]]
 
 
 def unit_category(q: QuantaleDescriptor, label: str = "*") -> VCategory:
@@ -136,22 +157,28 @@ def validate_category(c: VCategory) -> CategoryReport:
 def _report(c: VCategory, triples: Iterable[tuple[int, int, int]]) -> CategoryReport:
     """The unit violations of ``c`` and the composition violations among
     the given (i, j, k) positions, with their scalar composites."""
-    q = c.quantale
+    q, obj, index = c.quantale, c.objects, c._index
     u = unit(q)
-    hom, obj = c.hom, c.objects
-    unit_v = tuple((obj[i], hom[i][i]) for i in range(len(c)) if not leq(q, u, hom[i][i]))
-    return CategoryReport(unit_v, _law_violations(q, hom, hom, hom, (obj, obj, obj), triples))
+    values, positions = index
+    diag = [values[p] for p in positions.diagonal().tolist()]
+    unit_v = tuple((o, v) for o, v in zip(obj, diag) if not leq(q, u, v))
+    return CategoryReport(unit_v, _law_violations(q, index, index, index, (obj, obj, obj), triples))
 
 
-def _law_violations(q: QuantaleDescriptor, a, b, c, labels, triples) -> tuple:
+def _law_violations(q: QuantaleDescriptor, a: maxplus.Block, b: maxplus.Block, c: maxplus.Block,
+                    labels, triples: Iterable[tuple[int, int, int]]) -> tuple:
     """The (i, j, k) among ``triples`` where a[i][j] tensor b[j][k] <= c[i][k]
-    fails, each as its three labels, the composite and c[i][k]."""
+    fails, each as its three labels, the composite and c[i][k]: the
+    matrices are indexed, and their positions gathered at the triples once."""
+    (va, pa), (vb, pb), (vc, pc) = a, b, c
     li, lj, lk = labels
+    i, j, k = np.array(list(triples), np.intp).reshape(-1, 3).T
     out = []
-    for i, j, k in triples:
-        composite = tensor(q, a[i][j], b[j][k])
-        if not leq(q, composite, c[i][k]):
-            out.append((li[i], lj[j], lk[k], composite, c[i][k]))
+    for x, y, z, s, t, r in zip(i.tolist(), j.tolist(), k.tolist(),
+                                pa[i, j].tolist(), pb[j, k].tolist(), pc[i, k].tolist()):
+        composite = tensor(q, va[s], vb[t])
+        if not leq(q, composite, vc[r]):
+            out.append((li[x], lj[y], lk[z], composite, vc[r]))
     return tuple(out)
 
 
@@ -159,76 +186,6 @@ def opposite(c: VCategory) -> VCategory:
     """Reverse all homs: E_op(X, Y) = E(Y, X)."""
     values, positions = c._index
     return VCategory(c.quantale, c.objects, None, (values, positions.T))
-
-
-def tensor_categories(c: VCategory, d: VCategory) -> VCategory:
-    """Product-of-objects category with hom((A,X),(B,Y)) = C(A,B) tensor D(X,Y)."""
-    if c.quantale != d.quantale:
-        raise ValueError("tensor requires categories over the same quantale")
-    q = c.quantale
-    labels = tuple(f"({a},{x})" for a in c.objects for x in d.objects)
-    rows = [[tensor(q, a, x) for a in c_row for x in d_row] for c_row in c.hom for d_row in d.hom]
-    return VCategory(q, labels, rows)
-
-
-@dataclass(frozen=True)
-class VFunctor:
-    """An object map that does not decrease homs: D(A,B) <= E(FA,FB)."""
-
-    source: VCategory
-    target: VCategory
-    object_map: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "object_map", tuple(tuple(p) for p in self.object_map))
-        mapping = dict(self.object_map)
-        if set(mapping) != set(self.source.objects) or len(mapping) != len(self.object_map):
-            raise ValueError("object map must be total on the source objects")
-        for dst in mapping.values():
-            if dst not in self.target.objects:
-                raise ValueError(f"object map hits unknown target object {dst!r}")
-
-    @classmethod
-    def from_mapping(
-        cls, source: VCategory, target: VCategory, mapping: Mapping[str, str]
-    ) -> "VFunctor":
-        return cls(source, target, tuple((o, mapping[o]) for o in source.objects))
-
-    def apply(self, label: str) -> str:
-        m = self.__dict__.get("_map")
-        if m is None:
-            m = dict(self.object_map)
-            object.__setattr__(self, "_map", m)
-        return m[label]
-
-
-def functor_check(f: VFunctor) -> bool:
-    """Whether the object map satisfies D(A,B) <= E(FA,FB) at every pair."""
-    d, e = f.source, f.target
-    q = d.quantale
-    for i, a in enumerate(d.objects):
-        fi = e.index(f.apply(a))
-        for j, b in enumerate(d.objects):
-            if not leq(q, d.hom[i][j], e.hom[fi][e.index(f.apply(b))]):
-                return False
-    return True
-
-
-def functor_hom(f: VFunctor, g: VFunctor) -> QVal:
-    """Functor-category hom: the meet over A of E(FA, GA)."""
-    if f.source != g.source or f.target != g.target:
-        raise ValueError("functors must share source and target")
-    e = f.target
-    return meet(
-        e.quantale,
-        [e.hom[e.index(f.apply(a))][e.index(g.apply(a))] for a in f.source.objects],
-    )
-
-
-def nat_trans_exists(f: VFunctor, g: VFunctor) -> bool:
-    """Whether a transformation F => G exists: unit <= functor_hom(F, G)."""
-    q = f.target.quantale
-    return leq(q, unit(q), functor_hom(f, g))
 
 
 def underlying_preorder(c: VCategory) -> frozenset[tuple[str, str]]:
@@ -316,12 +273,13 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
     tol, bot_tag, fin_tag = c.quantale._tol, Tag.BOT, Tag.FINITE
     bot = np.array([v.tag is bot_tag for v in values], bool)[positions]
     fin = np.array([v.tag is fin_tag for v in values], bool)[positions]
-    hom, obj, fmt = c.hom, c.objects, format_value
+    obj, fmt = c.objects, format_value
+    diag = [values[p] for p in positions.diagonal().tolist()]
 
     def zero(v: QVal) -> bool:
         return v.tag is fin_tag and v.value <= tol
 
-    ezero = np.array([zero(hom[i][i]) for i in range(len(obj))], bool)
+    ezero = np.array([zero(v) for v in diag], bool)
     einf = ~(bot | fin).diagonal()
     classes = tuple((o, IRREGULAR if i else REGULAR if z else "invalid")
                     for o, i, z in zip(obj, einf.tolist(), ezero.tolist()))
@@ -329,7 +287,7 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
     # per object: not idempotent (other finite), then no class (neither zero nor inf)
     laws = np.stack([fin.diagonal() & ~ezero, ~(ezero | einf)], axis=1)
     for i, law in np.argwhere(laws).tolist():
-        o, e = obj[i], fmt(hom[i][i])
+        o, e = obj[i], fmt(diag[i])
         violations.append(("endohom-value", f"E({o},{o}) = {e} is neither 0 nor inf") if law
                           else ("endohom-idempotent", f"E({o},{o}) = {e} is not idempotent"))
     # a nonzero endohom's action on E(y, x) (side 0) and E(x, y) (side 1)
@@ -345,12 +303,12 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
     irr = act[einf[act]]
     for a, j, side in np.argwhere(fails[einf[act]]).tolist():
         i, y = irr[a], obj[j]
-        v = fmt(hom[i][j] if side else hom[j][i])
+        v = fmt(values[positions[i, j] if side else positions[j, i]])
         violations.append(("irregular-homs", f"irregular {obj[i]} has finite hom {v} with {y}"))
     reg = np.flatnonzero(ezero)
     nonbot = ~bot[np.ix_(reg, reg)]
     for a, b in np.argwhere(np.triu(nonbot & nonbot.T, 1)).tolist():
-        fwd, back = hom[reg[a]][reg[b]], hom[reg[b]][reg[a]]
+        fwd, back = values[positions[reg[a], reg[b]]], values[positions[reg[b], reg[a]]]
         if not (zero(fwd) and zero(back)):
             violations.append(("regular-pair", f"regular {obj[reg[a]]}, {obj[reg[b]]} have homs "
                                f"{fmt(fwd)}, {fmt(back)}: neither both 0 nor one bot"))

@@ -118,6 +118,39 @@ def rows(block: Block) -> tuple[tuple[QVal, ...], ...]:
     return tuple(out)
 
 
+class Rows:
+    """A required dataclass field for the rows of a matrix that its
+    instance also holds indexed in ``_index``: rows given are kept as
+    tuples; given None, they are gathered (:func:`rows`) on first read
+    and kept."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # no class-level value, so that the field has no default
+            raise AttributeError(self.name)
+        got = obj.__dict__[self.name]
+        if got is None:
+            got = obj.__dict__[self.name] = rows(obj._index)
+        return got
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = None if value is None else tuple(tuple(row) for row in value)
+
+
+def same(a: Block, b: Block) -> bool:
+    """Whether two indexed matrices are equal entry by entry: each
+    distinct value is keyed once by ``QVal`` equality, and the keys are
+    compared at the positions."""
+    (va, pa), (vb, pb) = a, b
+    if pa.shape != pb.shape:
+        return False
+    key: dict[QVal, int] = {}
+    ka, kb = (np.array([key.setdefault(v, len(key)) for v in vs], np.intp) for vs in (va, vb))
+    return bool((ka[pa] == kb[pb]).all())
+
+
 def _leaves(v: QVal) -> tuple[QVal, ...]:
     if v.tag is Tag.TUPLE:
         return tuple(x for p in v.value for x in _leaves(p))

@@ -28,6 +28,7 @@ from . import maxplus
 from .maxplus import check_matrix
 from .category import (
     VCategory,
+    _checked,
     _category_from_json,
     _format_rows,
     _law_violations,
@@ -54,26 +55,30 @@ from .quantale import (
 @dataclass(frozen=True)
 class VModule:
     """Rectangular matrix of quantale values between two categories,
-    indexed (target object, source object); ``_index`` as in
-    :class:`qcat.category.VCategory`, with ``mat`` None when given."""
+    indexed (target object, source object); ``mat`` and ``_index`` as
+    ``hom`` and ``_index`` in :class:`qcat.category.VCategory`.  Equality
+    compares the source, the target and the values entry by entry; the
+    hash covers the source and the target."""
 
     source: VCategory
     target: VCategory
-    mat: tuple[tuple[QVal, ...], ...]
-    _index: maxplus.Block | None = field(default=None, compare=False, repr=False)
+    mat: tuple[tuple[QVal, ...], ...] = maxplus.Rows()
+    _index: maxplus.Block | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        given = None if self.mat is not None else self._index
-        mat = maxplus.rows(given) if given is not None else tuple(tuple(row) for row in self.mat)
-        object.__setattr__(self, "mat", mat)
         if self.source.quantale != self.target.quantale:
             raise ValueError("module endpoints must share a quantale")
-        rows, cols = len(self.target.objects), len(self.source.objects)
-        if len(mat) != rows:
-            raise ValueError(f"module matrix has {len(mat)} rows for {rows} target objects")
-        index = check_matrix(self.quantale, mat, cols, lambda i, k: (
-            f"module row {i} has {k} entries for {cols} source objects"), given)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", _checked(self, "mat", "module", (
+            len(self.target), "target objects"), (len(self.source), "source objects")))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.source == other.source and self.target == other.target
+                                 and maxplus.same(self._index, other._index))
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target))
 
     @property
     def quantale(self):
@@ -113,11 +118,11 @@ def validate_module(m: VModule) -> ModuleReport:
     e, d = m.target, m.source
     (ea, da, ma), (_, _, bound) = maxplus.law_encode(q, e._index, d._index, m._index)
     left = _law_violations(
-        q, e.hom, m.mat, m.mat, (e.objects, e.objects, d.objects),
+        q, e._index, m._index, m._index, (e.objects, e.objects, d.objects),
         maxplus.candidates(ea, ma, bound),
     )
     right = _law_violations(
-        q, m.mat, d.hom, m.mat, (e.objects, d.objects, d.objects),
+        q, m._index, d._index, m._index, (e.objects, d.objects, d.objects),
         maxplus.candidates(ma, da, bound),
     )
     return ModuleReport(left, right)
@@ -148,14 +153,16 @@ def representable(c: VCategory, label: str) -> VModule:
     """The module I -/-> C picking out an object: the hom column at it."""
     p = c.index(label)
     i = unit_category(c.quantale)
-    return VModule(i, c, tuple((c.hom[y][p],) for y in range(len(c))))
+    values, positions = c._index
+    return VModule(i, c, [(values[k],) for k in positions[:, p].tolist()])
 
 
 def corepresentable(c: VCategory, label: str) -> VModule:
     """The module C -/-> I of an object: the hom row at it."""
     p = c.index(label)
     i = unit_category(c.quantale)
-    return VModule(c, i, (tuple(c.hom[p]),))
+    values, positions = c._index
+    return VModule(c, i, [[values[k] for k in positions[p].tolist()]])
 
 
 def canonical_right_adjoint(m: VModule) -> VModule:

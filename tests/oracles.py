@@ -544,13 +544,36 @@ def cauchy_completeness_report(
 import argparse  # noqa: E402
 import itertools  # noqa: E402
 
-from qcat import cli  # noqa: E402
-from qcat.category import CategoryReport, _report  # noqa: E402
+from qcat import cli, quantale  # noqa: E402
+from qcat.category import CategoryReport  # noqa: E402
 
 
 def validate_exact(c: VCategory) -> CategoryReport:
     """The scalar loop over all triples, with the tolerance of ``c``."""
     return _report(c, itertools.product(range(len(c)), repeat=3))
+
+
+def _report(c: VCategory, triples: Iterable[tuple[int, int, int]]) -> CategoryReport:
+    """The unit violations of ``c`` and the composition violations among
+    the given (i, j, k) positions, with their scalar composites: read from
+    the rows ``c.hom``."""
+    q = c.quantale
+    u = quantale.unit(q)
+    hom, obj = c.hom, c.objects
+    unit_v = tuple((obj[i], hom[i][i]) for i in range(len(c)) if not quantale.leq(q, u, hom[i][i]))
+    return CategoryReport(unit_v, law_violations(q, hom, hom, hom, (obj, obj, obj), triples))
+
+
+def law_violations(q: QuantaleDescriptor, a, b, c, labels, triples) -> tuple:
+    """The (i, j, k) among ``triples`` where a[i][j] tensor b[j][k] <= c[i][k]
+    fails, each as its three labels, the composite and c[i][k]: on rows."""
+    li, lj, lk = labels
+    out = []
+    for i, j, k in triples:
+        composite = quantale.tensor(q, a[i][j], b[j][k])
+        if not quantale.leq(q, composite, c[i][k]):
+            out.append((li[i], lj[j], lk[k], composite, c[i][k]))
+    return tuple(out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -914,3 +937,28 @@ def law_encode(q, *blocks):
         bounds = [np.where(np.isfinite(c), c + tol - (8 * _U * (np.abs(c) + tol) + 16 * _ETA), c)
                   for c in arrays]
     return arrays, bounds
+
+
+# ---------------------------------------------------------------------------
+# Equality and hashing of categories and modules as the dataclasses made
+# them when ``hom`` and ``mat`` were eager tuples: the fields compared as
+# tuples, value by value, and all of them hashed.  Kept verbatim (the
+# endpoints of a module compared and hashed the same way) as the
+# references for tests/test_equality.py.
+# ---------------------------------------------------------------------------
+
+
+def category_eq(a: VCategory, b: VCategory):
+    if b.__class__ is a.__class__:
+        return (a.quantale, a.objects, a.hom) == (b.quantale, b.objects, b.hom)
+    return NotImplemented
+
+
+def category_hash(c: VCategory) -> int:
+    return hash((c.quantale, c.objects, c.hom))
+
+
+def module_eq(a: VModule, b: VModule):
+    if b.__class__ is a.__class__:
+        return category_eq(a.source, b.source) and category_eq(a.target, b.target) and a.mat == b.mat
+    return NotImplemented

@@ -13,23 +13,16 @@ from qcat import (
     RBOT,
     CarrierMismatch,
     VCategory,
-    VFunctor,
     category_from_json,
     category_to_json,
     classify_endohoms,
     finite,
-    functor_check,
-    functor_hom,
     interval_2d,
-    leq,
     minkowski_sample,
-    nat_trans_exists,
     opposite,
     preorder_dot,
     rbot,
-    tensor_categories,
     underlying_preorder,
-    unit,
     unit_category,
     validate_category,
 )
@@ -98,83 +91,6 @@ class TestOpposite:
     def test_symmetric_fixed_point(self):
         c = VCategory(RBOT, ("a", "b"), ((finite(0), finite(0)), (finite(0), finite(0))))
         assert opposite(c) == c
-
-
-class TestTensorCategories:
-    def test_unit_object(self):
-        i = unit_category(RBOT)
-        t = tensor_categories(i, CHAIN)
-        assert t.objects == ("(*,a)", "(*,b)")
-        assert t.hom == CHAIN.hom
-
-    def test_spot_entries(self):
-        d = VCategory(RBOT, ("x", "y"), ((finite(0), finite(1)), (BOT, finite(0))))
-        t = tensor_categories(CHAIN, d)
-        assert t.hom_between("(a,x)", "(b,y)") == finite(4)  # 3 + 1
-        assert t.hom_between("(a,x)", "(a,y)") == finite(1)
-        assert t.hom_between("(b,x)", "(a,x)") == BOT
-        assert validate_category(t).ok
-
-    def test_bot_rows_propagate(self):
-        d = VCategory(RBOT, ("x", "y"), ((finite(0), BOT), (BOT, finite(0))))
-        t = tensor_categories(CHAIN, d)
-        assert t.hom_between("(a,x)", "(b,y)") == BOT
-
-    def test_quantale_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor_categories(CHAIN, unit_category(LAWVERE))
-
-    def test_validity_preserved(self):
-        rng = random.Random(9)
-        for _ in range(10):
-            c = random_rbot_category(rng, 3)
-            d = random_rbot_category(rng, 3)
-            assert validate_category(tensor_categories(c, d)).ok
-
-
-class TestFunctors:
-    def test_identity(self):
-        f = VFunctor.from_mapping(CHAIN, CHAIN, {"a": "a", "b": "b"})
-        assert functor_check(f)
-        assert leq(RBOT, unit(RBOT), functor_hom(f, f))
-        assert nat_trans_exists(f, f)
-
-    def test_constant_functors_hom_is_the_hom(self):
-        src = VCategory(RBOT, ("u", "v"), ((finite(0), BOT), (BOT, finite(0))))
-        for p in ("a", "b"):
-            for q in ("a", "b"):
-                fp = VFunctor.from_mapping(src, CHAIN, {"u": p, "v": p})
-                fq = VFunctor.from_mapping(src, CHAIN, {"u": q, "v": q})
-                assert functor_hom(fp, fq) == CHAIN.hom_between(p, q)
-
-    def test_spacelike_can_map_to_timelike(self):
-        src = VCategory(RBOT, ("u", "v"), ((finite(0), BOT), (BOT, finite(0))))
-        f = VFunctor.from_mapping(src, CHAIN, {"u": "a", "v": "b"})
-        assert functor_check(f)  # bot hom maps under a finite one
-
-    def test_distance_decreasing_map_fails(self):
-        src = VCategory(RBOT, ("u", "v"), ((finite(0), finite(5)), (BOT, finite(0))))
-        f = VFunctor.from_mapping(src, CHAIN, {"u": "a", "v": "b"})
-        assert not functor_check(f)  # 5 !<= 3
-
-    def test_partial_map_rejected(self):
-        with pytest.raises(ValueError):
-            VFunctor(CHAIN, CHAIN, (("a", "a"),))
-        with pytest.raises(ValueError):
-            VFunctor.from_mapping(CHAIN, CHAIN, {"a": "zzz", "b": "b"})
-
-    def test_nat_trans_direction(self):
-        src = unit_category(RBOT, "u")
-        fa = VFunctor.from_mapping(src, CHAIN, {"u": "a"})
-        fb = VFunctor.from_mapping(src, CHAIN, {"u": "b"})
-        assert nat_trans_exists(fa, fb)  # b is in a's future
-        assert not nat_trans_exists(fb, fa)
-
-    def test_mismatched_functors(self):
-        f = VFunctor.from_mapping(CHAIN, CHAIN, {"a": "a", "b": "b"})
-        g = VFunctor.from_mapping(unit_category(RBOT), CHAIN, {"*": "a"})
-        with pytest.raises(ValueError):
-            functor_hom(f, g)
 
 
 class TestUnderlyingPreorder:
