@@ -28,6 +28,8 @@ from .quantale import (
     QuantaleDescriptor,
     QVal,
     Tag,
+    _digits,
+    _parse_text,
     descriptor_from_json,
     descriptor_to_json,
     format_value,
@@ -198,15 +200,15 @@ def underlying_preorder(c: VCategory) -> frozenset[tuple[str, str]]:
 
 
 def _sorted_underlying(c: VCategory) -> list[list[str]]:
-    """``sorted(underlying_preorder(c))`` as ``[a, b]`` rows: ``leq`` runs
-    once per distinct value, and the positions are permuted into label
-    order, so that only the objects are sorted as strings and the edges
-    come out of ``np.nonzero`` in order."""
-    q, obj = c.quantale, c.objects
-    u = unit(q)
+    """``sorted(underlying_preorder(c))`` as ``[a, b]`` rows: ``unit <= v``
+    is read once per distinct value from its column
+    (:func:`qcat.maxplus.unit_below`), and the positions are permuted into
+    label order, so that only the objects are sorted as strings and the
+    edges come out of ``np.nonzero`` in order."""
+    obj = c.objects
     values, positions = c._index
     perm = np.array(sorted(range(len(obj)), key=obj.__getitem__), np.intp)
-    i, j = np.nonzero(np.array([leq(q, u, v) for v in values], bool)[positions[np.ix_(perm, perm)]])
+    i, j = np.nonzero(maxplus.unit_below(c.quantale, values)[positions[np.ix_(perm, perm)]])
     labels = np.empty(len(obj), object)
     labels[:] = sorted(obj)
     return np.stack((labels[i], labels[j]), axis=1).tolist()
@@ -263,16 +265,15 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
 
     Over ``rbot`` at tolerance t each law depends only on the kinds of
     the values: bot, zero (finite, at most t), other finite or inf
-    (README, "Endohom laws").  Tags are read once per distinct value;
+    (README, "Endohom laws").  Tags are read from the values' column;
     only the diagonal and the regular pairs with no bot hom compare a
     value with t.  Violations come in the order of the all-pairs loops.
     """
     if c.quantale.kind is not Kind.RBOT:
         raise CarrierMismatch("endohom classification requires the causal base")
     values, positions = c._index
-    tol, bot_tag, fin_tag = c.quantale._tol, Tag.BOT, Tag.FINITE
-    bot = np.array([v.tag is bot_tag for v in values], bool)[positions]
-    fin = np.array([v.tag is fin_tag for v in values], bool)[positions]
+    tol, fin_tag, tags = c.quantale._tol, Tag.FINITE, maxplus.column(values).tags
+    bot, fin = (tags == maxplus._BOT)[positions], (tags == maxplus._FIN)[positions]
     obj, fmt = c.objects, format_value
     diag = [values[p] for p in positions.diagonal().tolist()]
 
@@ -317,9 +318,9 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
 
 def _format_rows(index: tuple[Sequence[QVal], np.ndarray]) -> list[list[str]]:
     """The text of each entry of an indexed matrix, formatting each
-    distinct value once."""
+    distinct value once (:func:`qcat.maxplus.texts`)."""
     values, positions = index
-    text = [format_value(v) for v in values]
+    text = maxplus.texts(values)
     return [list(map(text.__getitem__, row.tolist())) for row in positions]
 
 
@@ -338,7 +339,7 @@ def category_from_json(data: object, *, where: str = "category") -> VCategory:
     return _category_from_json(data, where, {})
 
 
-def _category_from_json(data: object, where: str, memo: dict[str, QVal]) -> VCategory:
+def _category_from_json(data: object, where: str, memo: dict[str, object]) -> VCategory:
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object")
     for field in ("quantale", "objects", "hom"):
@@ -361,32 +362,60 @@ def _category_from_json(data: object, where: str, memo: dict[str, QVal]) -> VCat
         raise ValueError(f"{where}.objects: expected a list of strings")
     for i, o in enumerate(objects):
         _require_utf8(o, f"{where}.objects[{i}]")
-    hom = _parse_rows(data["hom"], f"{where}.hom", memo, len(objects))
+    hom = _parse_rows(data["hom"], f"{where}.hom", memo, len(objects), q)
     try:
         return VCategory(q, tuple(objects), *hom)
     except (ValueError, CarrierMismatch) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _parse_rows(rows: object, where: str, memo: dict[str, QVal], ncols: int) -> tuple:
-    """Parse a JSON matrix of values; a bad entry raises naming ``where[i][j]``.
+def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int,
+                q: QuantaleDescriptor) -> tuple:
+    """Parse a JSON matrix of ``q``'s values; a bad entry raises naming
+    ``where[i][j]``.
 
     Returns the ``hom``/``mat`` and ``_index`` arguments of the
     constructor: ``(None, index)``, values in order of first appearance,
-    or ``(rows, None)`` for its walk to raise when a row has not ``ncols``
-    entries.
+    a column (:class:`qcat.maxplus.Column`) on rbot and lawvere and a list
+    otherwise, or ``(rows, None)`` for its walk to raise when a row has not
+    ``ncols`` entries.
 
-    ``memo`` maps each string parsed so far in the file to its value, so
+    A string of plain digits, ``d`` or ``d/d``, is read as two ints, reduced
+    by their gcd once the matrix is read, and builds no value; any other
+    entry is read by ``parse_value``, and each distinct object it returns
+    is one slot.
+    ``memo`` maps each string parsed so far in the file to what it read, so
     a string that repeats is parsed once.  Only strings are keys, because
-    JSON ``true``, ``1`` and ``1.0`` are equal keys that parse to
-    different values, and only successful parses are kept, so the first
-    bad entry in row-major order raises with its own position.
+    JSON ``true``, ``1`` and ``1.0`` are equal keys that parse to different
+    values, and only successful parses are kept, so the first bad entry in
+    row-major order raises with its own position.
     """
     if not isinstance(rows, list):
         raise ValueError(f"{where}: expected a matrix")
-    values: list[QVal] = []
-    ids: dict[int, int] = {}  # id(v) -> its position in values
-    slot: dict[str, int] = {}  # a string of this matrix -> its value's position
+    tags: list[int] = []
+    nums: list[int] = []
+    dens: list[int] = []
+    built: dict[int, QVal] = {}  # the slots of values that parse_value built
+    ids: dict[int, int] = {}  # id(v) -> its slot
+    slot: dict[str, int] = {}  # a string of this matrix -> its slot
+
+    def add(e) -> int:
+        """The slot of what an entry read, a (numerator, denominator) or
+        a value: new, unless it is a value seen before."""
+        k = len(tags)
+        if type(e) is tuple:
+            t, (p, d) = maxplus._FIN, e
+        else:
+            k = ids.setdefault(id(e), k)
+            if k < len(tags):
+                return k
+            built[k] = e
+            t, p, d = maxplus._entry(e)
+        tags.append(t)
+        nums.append(p)
+        dens.append(d)
+        return k
+
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
@@ -397,43 +426,42 @@ def _parse_rows(rows: object, where: str, memo: dict[str, QVal], ncols: int) -> 
         except (KeyError, TypeError):
             pass
         if all(map(str.__instancecheck__, row)):
-            # a row of strings: parse its new ones once each, in order of
+            # a row of strings: read its new ones once each, in order of
             # first appearance, so the first to fail is its first bad entry
             for key in dict.fromkeys(row):
-                if key in slot:
-                    continue
-                v = memo.get(key)
-                if v is None:
-                    try:
-                        v = parse_value(key)
-                    except ValueError as exc:
-                        raise ValueError(f"{where}[{i}][{row.index(key)}]: {exc}") from None
-                    memo[key] = v
-                k = slot[key] = ids.setdefault(id(v), len(values))
-                if k == len(values):
-                    values.append(v)
+                if key not in slot:
+                    e = memo.get(key)
+                    if e is None:
+                        try:
+                            e = memo[key] = _digits(key) or _parse_text(key)
+                        except ValueError as exc:
+                            raise ValueError(f"{where}[{i}][{row.index(key)}]: {exc}") from None
+                    slot[key] = add(e)
             out.append(list(map(slot.__getitem__, row)))
             continue
         ks = []
         for j, raw in enumerate(row):
             key = raw if isinstance(raw, str) else None
-            v = memo.get(key)
-            if v is None:
-                try:
-                    v = parse_value(raw)
-                except ValueError as exc:
-                    raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
+            k = slot.get(key)
+            if k is None:
+                e = memo.get(key)
+                if e is None:
+                    try:
+                        e = (_digits(key) or _parse_text(key)) if key is not None else parse_value(raw)
+                    except ValueError as exc:
+                        raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
+                    if key is not None:
+                        memo[key] = e
+                k = add(e)
                 if key is not None:
-                    memo[key] = v
-            k = ids.setdefault(id(v), len(values))
-            if k == len(values):
-                values.append(v)
-            if key is not None:
-                slot[key] = k
+                    slot[key] = k
             ks.append(k)
         out.append(ks)
+    values = maxplus.Column(np.array(tags, np.int8), *maxplus._reduced(nums, dens), built)
     if any(len(ks) != ncols for ks in out):
         return tuple(tuple(map(values.__getitem__, ks)) for ks in out), None
+    if not maxplus.columnar(q):
+        values = list(values)
     return None, (values, np.array(out, np.intp).reshape(len(out), ncols))
 
 

@@ -13,12 +13,12 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .category import VCategory, _require_utf8
-from .quantale import BOT, QVal, _trusted_finite, finite, rbot
+from .maxplus import _BOT, _FIN, Column, _ints
+from .quantale import BOT, QVal, finite, rbot
 
 MINKOWSKI_TOLERANCE = 1e-9
 
@@ -188,7 +188,8 @@ def causal_space_from_dag(dag: CausalDag) -> VCategory:
     # length from 0 to the longest (a longest path passes every shorter one)
     longest, bot = int(dist.max(initial=-1)), int((dist < 0).any())
     dist += bot
-    values = [BOT] * bot + [finite(k) for k in range(longest + 1)]
+    values = Column.of([_BOT] * bot + [_FIN] * (longest + 1), [0] * bot + list(range(longest + 1)),
+                       [1] * (bot + longest + 1))
     return VCategory(rbot(), dag.vertices, None, (values, dist))
 
 
@@ -249,9 +250,30 @@ def minkowski_sample(
     positions = np.zeros((n, n), np.intp)
     positions[causal] = np.arange(bot, bot + len(a))
     # dt >= dx >= 0, so every square root is a finite float >= 0
-    roots = np.sqrt(a * a - b * b).tolist()
-    values = [BOT] * bot + [_trusted_finite(Fraction(*s.as_integer_ratio())) for s in roots]
+    num, den = _binary_fractions(np.sqrt(a * a - b * b))
+    tags = np.full(bot + len(a), _FIN, np.int8)
+    tags[:bot] = _BOT
+    values = Column(tags, np.concatenate([np.zeros(bot, num.dtype), num]),
+                    np.concatenate([np.ones(bot, den.dtype), den]))
     return VCategory(rbot(MINKOWSKI_TOLERANCE), labels, None, (values, positions)), events
+
+
+def _binary_fractions(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced numerators and denominators of finite floats x >= 0,
+    ``x.as_integer_ratio()`` of each: int64 arrays where they fit, object
+    arrays of Python ints where not, decided per array."""
+    mant, exp = np.frexp(x)  # x = mant * 2^exp, mant in [0.5, 1) or 0
+    num = (mant * 2.0**53).astype(np.int64)  # x = num * 2^(exp - 53), num < 2^53
+    # strip num's trailing zero bits: 2^tz is its lowest set bit
+    tz = np.frexp((num & -num).astype(float))[1] - 1
+    exp = np.where(num > 0, exp - 53 + tz, 0)
+    num >>= np.maximum(tz, 0)
+    up, down = np.maximum(exp, 0), np.maximum(-exp, 0)
+    if up.any():  # an integer past 2^53
+        num = _ints([p << e for p, e in zip(num.tolist(), up.tolist())])
+    if down.max(initial=0) < 63:
+        return num, np.left_shift(1, down, dtype=np.int64)
+    return num, np.array([1 << e for e in down.tolist()], object)
 
 
 def _signed_interval(p1: tuple[int, int], p2: tuple[int, int]) -> int:

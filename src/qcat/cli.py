@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from itertools import product as iproduct
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -40,7 +40,7 @@ from .causal import (
     mixed_signature_check,
 )
 from .collage import adjoin_point, collage, collage_from_json, collage_to_json, restrict
-from .maxplus import Block
+from .maxplus import Block, texts
 from .modules import (
     _cauchy_decision,
     canonical_right_adjoint,
@@ -55,7 +55,6 @@ from .quantale import (
     QuantaleDescriptor,
     _build,
     check_laws,
-    format_value,
     parse_quantale_name,
     parse_value,
     split_top_level,
@@ -116,7 +115,7 @@ def _encode(o: object, nl: str) -> Iterator[str]:
 
 def _text(o: object, nl: str) -> str:
     # Lists recurse; lists of str and lists of non-empty rows of str are
-    # joined by C-level encode_basestring, with no Python step per row;
+    # joined over C-level encode_basestring, one comprehension step per row;
     # None, bools and ints are written as the stdlib writes them.
     # Everything else goes to the stdlib, re-indented: JSON escapes every
     # newline inside a string, so each "\n" it writes is structural.
@@ -139,7 +138,7 @@ def _text(o: object, nl: str) -> str:
             return "[" + inner + sep.join(map(encode_basestring, o)) + nl + "]"
         if types == {list} and all(o) and set(map(type, chain.from_iterable(o))) == {str}:
             cell, row = "," + inner + "  ", "[" + inner + "  "
-            cells = map(cell.join, map(map, repeat(encode_basestring), o))
+            cells = [cell.join([encode_basestring(x) for x in r]) for r in o]
             return "[" + inner + row + (inner + "]" + sep + row).join(cells) + inner + "]" + nl + "]"
         return "[" + inner + sep.join(_text(x, inner) for x in o) + nl + "]"
     return json.dumps(o, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", nl)
@@ -153,13 +152,13 @@ def _matrix(index: Block, nl: str) -> Iterator[str]:
     if not positions.size:  # no rows, or rows of no entries
         yield _text([[]] * len(positions), nl)
         return
-    texts = np.empty(len(values), object)
-    texts[:] = [encode_basestring(format_value(v)) for v in values]
+    text = np.empty(len(values), object)
+    text[:] = list(map(encode_basestring, texts(values)))
     inner = nl + "  "
     cell, row, close = "," + inner + "  ", "[" + inner + "  ", inner + "]"
     lead = "[" + inner + row
     for p in positions:
-        yield lead + cell.join(texts[p].tolist()) + close
+        yield lead + cell.join(text[p].tolist()) + close
         lead = "," + inner + row
     yield nl + "]"
 
@@ -171,6 +170,8 @@ def _loads(text: str, path: str) -> object:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer past the digit limit
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_json(path: str) -> object:

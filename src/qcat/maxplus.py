@@ -12,7 +12,10 @@ componentwise: the law sweep ORs the 2-D masks of the factors, and
 every factor reads the base's one tolerance.  A matrix comes indexed
 (:data:`Block`), by its producer or by :func:`check_matrix`: each
 distinct value is coded once and the codes are gathered at the entries'
-positions.  :func:`exact_codes` scales finite values by the least common
+positions.  On rbot and lawvere the distinct values are a :class:`Column`
+of tag codes and integer numerators and denominators, which the coders
+read as arrays; a list of values, a product's leaves included, is read
+through the one adapter :func:`column`.  :func:`exact_codes` scales finite values by the least common
 multiple L of their denominators, so that every code is an integer:
 float64 when every |v*L| and the tolerance offset fit in 2^52, so that a
 sum of two codes is still exact, and Python ints in an object array
@@ -26,14 +29,31 @@ and fast robust geometric predicates", 1997).
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .quantale import _NEG, _POS, QuantaleDescriptor, QVal, Tag, _build, _decode, carrier_check
+from .quantale import (
+    _LEAF_TABLE,
+    _NEG,
+    _POS,
+    BOT,
+    FALSE,
+    INF,
+    TRUE,
+    QuantaleDescriptor,
+    QVal,
+    Tag,
+    _build,
+    _decode,
+    _trusted_finite,
+    carrier_check,
+    format_value,
+)
 
 EXACT_LIMIT = 2**52
 # float codes and tolerances stay below 2^1020, so that no sum or bound
@@ -47,18 +67,159 @@ _ETA = 2.0**-1074
 # so that a block reuses heap memory instead of raising the peak
 _CHUNK = 1 << 14
 
-# a matrix indexed: its distinct value objects, each used, and a (rows,
-# cols) integer array of each entry's position among them
+# a matrix indexed: its distinct values, each used, and a (rows, cols)
+# integer array of each entry's position among them.  On rbot and lawvere
+# the values are a Column, on the other bases a list of QVal.
 Block = tuple[Sequence[QVal], np.ndarray]
+
+# A column's tag codes.  The poles and the truth values are one object
+# each; OTHER is a value that no plain base holds (a tuple), kept as given.
+_BOT, _FIN, _INF, _FALSE, _TRUE, _OTHER = range(6)
+_SHARED = (BOT, None, INF, FALSE, TRUE, None)
+_TAG_OF = (Tag.BOT, Tag.FINITE, Tag.INF, Tag.BOOL, Tag.BOOL, None)
+_TEXT = ("bot", None, "inf", "false", "true", None)
+_BOT_TAG, _FINITE, _INF_TAG, _BOOL_TAG = Tag.BOT, Tag.FINITE, Tag.INF, Tag.BOOL
+
+
+def _ints(xs: Sequence[int]) -> np.ndarray:
+    """Python ints as int64 where every one fits, else as an object array."""
+    try:
+        return np.array(xs, np.int64)
+    except OverflowError:
+        return np.array(xs, object)
+
+
+def _small(x: np.ndarray) -> bool:
+    return x.dtype != object
+
+
+def _reduced(nums: Sequence[int], dens: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators and denominators >= 1, divided by their gcd, as the
+    arrays of a column."""
+    num, den = _ints(nums), _ints(dens)
+    if _small(num) and _small(den):
+        g = np.gcd(num, den)
+        return num // g, den // g
+    gs = list(map(math.gcd, nums, dens))
+    return _ints(list(map(operator.floordiv, nums, gs))), _ints(list(map(operator.floordiv, dens, gs)))
+
+
+class Column(Sequence):
+    """Values as integer columns: a tag code per value (``_BOT`` ...
+    ``_OTHER``), and the numerator and denominator of each finite value,
+    reduced (0 and 1 elsewhere), each an int64 array where all of it fits
+    and an object array of Python ints where not.
+
+    A slot's ``QVal`` is built on its first read and kept, so that every
+    read of it returns the same object; ``_built`` holds the slots read
+    (or given as objects) so far."""
+
+    __slots__ = ("tags", "num", "den", "_built")
+
+    def __init__(self, tags: np.ndarray, num: np.ndarray, den: np.ndarray,
+                 built: dict[int, QVal] | None = None) -> None:
+        self.tags, self.num, self.den = tags, num, den
+        self._built = {} if built is None else built
+
+    @classmethod
+    def of(cls, tags: Sequence[int], nums: Sequence[int], dens: Sequence[int]) -> "Column":
+        return cls(np.array(tags, np.int8), _ints(nums), _ints(dens))
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def __getitem__(self, k) -> QVal:
+        k = operator.index(k)
+        v = self._built.get(k)
+        if v is None:
+            n = len(self.tags)
+            if not -n <= k < n:
+                raise IndexError("column index out of range")
+            k %= n
+            t = int(self.tags[k])
+            v = _SHARED[t] or _trusted_finite(Fraction(int(self.num[k]), int(self.den[k])))
+            # setdefault is atomic: threads racing on a first read keep one object
+            v = self._built.setdefault(k, v)
+        return v
+
+    def __iter__(self) -> Iterator[QVal]:
+        return map(self.__getitem__, range(len(self.tags)))
+
+    def __repr__(self) -> str:
+        return f"Column({len(self)} values)"
+
+
+def _entry(v: QVal) -> tuple[int, int, int]:
+    """A value's tag code, numerator and denominator in a column."""
+    t = v.tag
+    if t is _FINITE:
+        x = v.value
+        return _FIN, x.numerator, x.denominator
+    if t is _BOOL_TAG:
+        return _TRUE if v.value else _FALSE, 0, 1
+    return _BOT if t is _BOT_TAG else _INF if t is _INF_TAG else _OTHER, 0, 1
+
+
+def column(values: Sequence[QVal]) -> Column:
+    """``values`` as a column, in one pass: the adapter through which every
+    pass over all of a matrix's values reads them.  A column is returned as
+    it is."""
+    if isinstance(values, Column):
+        return values
+    tags, nums, dens = zip(*map(_entry, values)) if len(values) else ((), (), ())
+    return Column.of(tags, nums, dens)
+
+
+def texts(values: Sequence[QVal]) -> list[str]:
+    """``format_value`` of each value; a column's are written from its tag
+    codes and its two ints, ``p/q`` or ``p``, without building a value."""
+    if not isinstance(values, Column):
+        return [format_value(v) for v in values]
+    c, out = values, []
+    for k, (t, p, q) in enumerate(zip(c.tags.tolist(), c.num.tolist(), c.den.tolist())):
+        if t == _FIN:  # as Fraction.__str__ writes it
+            out.append(str(p) if q == 1 else "%s/%s" % (p, q))
+        else:
+            out.append(_TEXT[t] or format_value(c[k]))
+    return out
+
+
+def columnar(q: QuantaleDescriptor) -> bool:
+    """Whether an index over ``q`` stores its values as a column: on rbot
+    and lawvere; bool and product bases keep a list of QVal."""
+    return q._leaf is not None and q._leaf.sign is not None
+
+
+def _stored(q: QuantaleDescriptor, values: Sequence[QVal]) -> Sequence[QVal]:
+    """``values`` checked against ``q``'s carrier, as an index stores them
+    (:func:`columnar`)."""
+    if isinstance(values, Column) and not columnar(q):
+        values = list(values)
+    _check_values(q, values)
+    if columnar(q) and not isinstance(values, Column):
+        values, given = column(values), values
+        values._built.update(enumerate(given))  # a list's objects stay its slots' values
+    return values
 
 
 def _check_values(q: QuantaleDescriptor, values: Sequence[QVal]) -> None:
     """Raise at the first value outside ``q``'s carrier: on a plain base
-    a tag test per value, the full ``carrier_check`` only to raise."""
+    a tag test per value, or on a column's tag codes at once; the full
+    ``carrier_check`` only to raise."""
+    if isinstance(values, Column):
+        ok = _ALLOWED[id(q._leaf)][values.tags]  # only rbot and lawvere store a column
+        if not ok.all():
+            carrier_check(q, values[int(np.argmin(ok))])
+        return
     tags = () if q._leaf is None else q._leaf.tags
     for v in values:
         if v.tag not in tags:
             carrier_check(q, v)
+
+
+# the tag codes that each plain base's carrier holds, by the id of its leaf
+# row (the rows live as long as the program)
+_ALLOWED = {id(leaf): np.array([t in leaf.tags for t in _TAG_OF]) for leaf in _LEAF_TABLE.values()}
 
 
 def check_matrix(
@@ -69,7 +230,8 @@ def check_matrix(
     index: Block | None = None,
 ) -> Block:
     """Check a value matrix and return it indexed, each distinct value
-    checked once.  The ``index`` of a producer that made it is kept.
+    checked once.  The ``index`` of a producer that made it is kept, its
+    values stored as the base stores them (:func:`columnar`).
 
     Rows built by hand are indexed in one walk, their distinct values
     keyed by identity in order of first appearance.  It raises
@@ -79,8 +241,7 @@ def check_matrix(
     row-major order.
     """
     if index is not None:
-        _check_values(q, index[0])
-        return index
+        return _stored(q, index[0]), index[1]
     values: list[QVal] = []
     slot: dict[int, int] = {}  # id(v) -> its position in values
 
@@ -101,15 +262,14 @@ def check_matrix(
     # fromiter stops at its count: finish the walk, so that with no
     # columns every row's length is still checked
     next(it, None)
-    _check_values(q, values)
-    return values, positions.reshape(len(rows), ncols)
+    return _stored(q, values), positions.reshape(len(rows), ncols)
 
 
 def rows(block: Block) -> tuple[tuple[QVal, ...], ...]:
     """The value matrix of a block, :func:`check_matrix` inverted."""
     values, positions = block
     table = np.empty(len(values), object)
-    table[:] = values
+    table[:] = list(values)
     # in blocks of rows, so that no whole-matrix temporary raises the peak
     step = max(1, _CHUNK // max(1, positions.shape[1]))
     out: list[tuple[QVal, ...]] = []
@@ -140,15 +300,22 @@ class Rows:
 
 
 def same(a: Block, b: Block) -> bool:
-    """Whether two indexed matrices are equal entry by entry: each
-    distinct value is keyed once by ``QVal`` equality, and the keys are
+    """Whether two indexed matrices over one base are equal entry by entry:
+    each distinct value is keyed once, a column's by its tag code and
+    reduced ints and a list's by ``QVal`` equality, and the keys are
     compared at the positions."""
     (va, pa), (vb, pb) = a, b
     if pa.shape != pb.shape:
         return False
-    key: dict[QVal, int] = {}
-    ka, kb = (np.array([key.setdefault(v, len(key)) for v in vs], np.intp) for vs in (va, vb))
+    key: dict[object, int] = {}
+    ka, kb = (np.array([key.setdefault(v, len(key)) for v in _keys(vs)], np.intp) for vs in (va, vb))
     return bool((ka[pa] == kb[pb]).all())
+
+
+def _keys(values: Sequence[QVal]):
+    if isinstance(values, Column):
+        return zip(values.tags.tolist(), values.num.tolist(), values.den.tolist())
+    return values
 
 
 def _leaves(v: QVal) -> tuple[QVal, ...]:
@@ -157,33 +324,71 @@ def _leaves(v: QVal) -> tuple[QVal, ...]:
     return (v,)
 
 
+def _factors(q: QuantaleDescriptor, values: Sequence[QVal]) -> list[Column]:
+    """The column of each leaf of ``values``, depth first, through
+    :func:`column`: a plain base's values are one."""
+    if q._leaf is not None:
+        return [column(values)]
+    parts = zip(*[v.value for v in values]) if len(values) else [()] * len(q.factors)
+    return [c for f, part in zip(q.factors, parts) for c in _factors(f, part)]
+
+
+# a block of :data:`Block` with its values as the columns of their leaves
+Leaves = tuple[list[Column], np.ndarray]
+
+
 def _arrays(
-    q: QuantaleDescriptor, blocks: Sequence[Block], code: Callable[[Rational], float | int], dtype=float
+    q: QuantaleDescriptor, blocks: Sequence[Leaves], code: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    dtype=float,
 ) -> list[np.ndarray]:
     """One (rows, cols, factors) array per block: each distinct value's
-    leaves coded by their table rows, with ``code(v)`` in place of a
-    finite value ``v``, and gathered at the block's positions."""
-    leaves = q._leaves
-    nf, fin, neg, pos = len(leaves), Tag.FINITE, -math.inf, math.inf
+    leaves coded by their table rows, with ``code(num, den)`` in place of
+    a column's finite values num/den, and gathered at the block's
+    positions."""
     out = []
-    for values, positions in blocks:
-        flat = values if q._leaf is not None else [x for v in values for x in _leaves(v)]
-        arr = np.empty(len(flat), dtype)
-        for f, leaf in enumerate(leaves):
-            vals, low = flat[f::nf], leaf.bottom.tag
-            if leaf.sign is None:
-                arr[f::nf] = [0 if v.value else neg for v in vals]
-            elif leaf.sign > 0:
-                arr[f::nf] = [code(v.value) if v.tag is fin else neg if v.tag is low else pos for v in vals]
-            else:
-                arr[f::nf] = [-code(v.value) if v.tag is fin else neg if v.tag is low else pos for v in vals]
-        out.append(arr.reshape(len(values), nf)[positions])
+    for columns, positions in blocks:
+        arr = np.empty((len(columns[0]), len(columns)), dtype)
+        for f, (leaf, c) in enumerate(zip(q._leaves, columns)):
+            # the poles and truth values by their tag codes; code() runs on
+            # every slot, a pole's 0/1 coding to 0
+            poles = [_NEG if v is leaf.bottom else 0 if leaf.sign is None else _POS for v in _SHARED]
+            x = code(c.num, c.den)
+            arr[:, f] = np.where(c.tags == _FIN, -x if leaf.sign == -1 else x, np.array(poles, dtype)[c.tags])
+        out.append(arr[positions])
     return out
 
 
-def _finite_values(q: QuantaleDescriptor, blocks: Sequence[Block]) -> list[Rational]:
-    """The finite leaf values of the blocks' distinct values."""
-    return [x.value for values, _ in blocks for v in values for x in _leaves(v) if x.tag is Tag.FINITE]
+def _finite(blocks: Sequence[Leaves]) -> tuple[list[int], list[int]]:
+    """The numerators and denominators of the blocks' finite leaves."""
+    num: list[int] = []
+    den: list[int] = []
+    for columns, _ in blocks:
+        for c in columns:
+            fin = c.tags == _FIN
+            num += c.num[fin].tolist()
+            den += c.den[fin].tolist()
+    return num, den
+
+
+def unit_below(q: QuantaleDescriptor, values: Sequence[QVal]) -> np.ndarray:
+    """``leq(q, unit(q), v)`` for each value v, read from the columns of
+    its leaves: the unit's code is 0, so a leaf holds where its code is
+    +inf or 0, or finite and at least -t (a metric value at most t)."""
+    t = q._tol
+    ok = np.ones(len(values), bool)
+    for leaf, c in zip(q._leaves, _factors(q, values)):
+        fin = c.tags == _FIN
+        ok &= fin | np.array([v is not leaf.bottom for v in _SHARED])[c.tags]
+        if leaf.sign == -1 and fin.any():
+            num, den = c.num[fin].tolist(), c.den[fin].tolist()
+            ok[fin] &= [p * t.denominator <= t.numerator * d for p, d in zip(num, den)]
+    return ok
+
+
+def _exact_double(x: np.ndarray) -> np.ndarray:
+    """Where the int64 entries x >= 0 are exact doubles: their odd part
+    fits in 53 bits."""
+    return x // np.maximum(x & -x, 1) <= 2**53
 
 
 def law_encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -196,6 +401,7 @@ def law_encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray],
     of float64's range) x + y > z only marks where it may fail.
     """
     t = q._tol
+    blocks = [(_factors(q, values), positions) for values, positions in blocks]
     if not t:
         exact, _, _, dtype = _scale(q, blocks)
         if dtype is float:
@@ -203,20 +409,28 @@ def law_encode(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray],
             return codes, codes
     shift = 0
 
-    def code(x: Rational) -> float:  # x * 2^-shift, correctly rounded
-        return x.numerator / (x.denominator << shift)
+    def code(num: np.ndarray, den: np.ndarray) -> np.ndarray:  # num/den * 2^-shift, correctly rounded
+        if shift or not (_small(num) and _small(den)):
+            return np.array([p / (d << shift) for p, d in zip(num.tolist(), den.tolist())], float)
+        # IEEE division of two exact doubles is correctly rounded, as int / int is
+        out = num / den
+        slow = ~(_exact_double(num) & _exact_double(den))
+        if slow.any():
+            out[slow] = [p / d for p, d in zip(num[slow].tolist(), den[slow].tolist())]
+        return out
 
     try:
-        arrays, tol = _arrays(q, blocks, code), code(t)
+        arrays, tol = _arrays(q, blocks, code), t.numerator / t.denominator
         fits = all(np.abs(a[np.isfinite(a)]).max(initial=tol) < 2.0**_FLOAT_BITS for a in arrays)
     except OverflowError:  # a value of 2^1024 or more
         fits = False
     if not fits:
         # 2^e bounds a fraction whose numerator and denominator have n
         # and d bits, with e = n - d + 1
-        shift = max(x.numerator.bit_length() - x.denominator.bit_length() + 1
-                    for x in [t, *_finite_values(q, blocks)]) - _FLOAT_BITS
-        arrays, tol = _arrays(q, blocks, code), code(t)
+        num, den = _finite(blocks)
+        shift = max(p.bit_length() - d.bit_length() + 1
+                    for p, d in [(t.numerator, t.denominator), *zip(num, den)]) - _FLOAT_BITS
+        arrays, tol = _arrays(q, blocks, code), t.numerator / (t.denominator << shift)
     with np.errstate(invalid="ignore"):
         # the margin covers the rounding of each code, of a sum of two and
         # of the bound itself; infinite codes are exact and bound themselves
@@ -233,11 +447,28 @@ def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> Block:
     slot: dict[tuple, int] = {}  # a code tuple -> its position among the values
     keys = map(tuple, arr.reshape(-1, nf).tolist())
     positions = np.fromiter((slot.setdefault(k, len(slot)) for k in keys), np.intp, rows * cols)
+    positions = positions.reshape(rows, cols)
+    leaf = q._leaf
+    if not columnar(q):
+        def code(x):  # a pole as the quantale's own object, a finite code unscaled
+            return _NEG if x == _NEG else _POS if x == _POS else Fraction(x) / scale
 
-    def code(x):  # a pole as the quantale's own object, a finite code unscaled
-        return _NEG if x == _NEG else _POS if x == _POS else Fraction(x) / scale
-
-    return [_build(q, map(_decode, q._leaves, map(code, k))) for k in slot], positions.reshape(rows, cols)
+        return [_build(q, map(_decode, q._leaves, map(code, k))) for k in slot], positions
+    # rbot and lawvere: a finite code x in the carrier is the value
+    # sign * x / scale, written as two ints; any other code decodes to a pole
+    tags, nums, dens = [], [], []
+    for (x,) in slot:
+        if x == _NEG or x == _POS or x * leaf.sign < 0:  # a pole, or clamped to one
+            v = _decode(leaf, _NEG if x == _NEG else _POS if x == _POS else x)
+            t, p, d = (_FIN, 0, 1) if v.is_finite else (_SHARED.index(v), 0, 1)  # lawvere's top is 0
+        else:
+            p = int(x) * leaf.sign
+            g = math.gcd(p, scale)
+            t, p, d = _FIN, p // g, scale // g
+        tags.append(t)
+        nums.append(p)
+        dens.append(d)
+    return Column.of(tags, nums, dens), positions
 
 
 def product(m: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -295,19 +526,29 @@ def exact_codes(q: QuantaleDescriptor, *blocks: Block) -> tuple[list[np.ndarray]
     are float64 when none exceeds 2^52 and Python ints in object arrays
     otherwise.  The values must already lie in ``q``'s carrier, as the
     entries of a ``VCategory`` or ``VModule`` do."""
+    blocks = [(_factors(q, values), positions) for values, positions in blocks]
     code, scale, offset, dtype = _scale(q, blocks)
     return _arrays(q, blocks, code, dtype), np.full(len(q._leaves), offset, dtype), scale
 
 
-def _scale(q: QuantaleDescriptor, blocks: Sequence[Block]) -> tuple[Callable, int, int, type]:
+def _scale(q: QuantaleDescriptor, blocks: Sequence[Leaves]) -> tuple[Callable, int, int, type]:
     """:func:`exact_codes`'s scale step, before any array is built: the
-    code v -> v * L, L itself, the offset floor(t * L) of the base's one
-    tolerance t, and the dtype, float when no code or offset exceeds 2^52."""
-    finite = _finite_values(q, blocks)
-    scale = math.lcm(*{x.denominator for x in finite})
+    code num/den -> num * (L // den), L itself, the offset floor(t * L) of
+    the base's one tolerance t, and the dtype, float when no code or offset
+    exceeds 2^52."""
+    num, den = _finite(blocks)
+    scale = math.lcm(*set(den))
     offset = math.floor(q._tol * scale)
-    dtype = float if max(max(finite, default=0) * scale, offset) <= EXACT_LIMIT else object
-    return lambda x: x.numerator * (scale // x.denominator), scale, offset, dtype
+    top = max([p * (scale // d) for p, d in zip(num, den)], default=0)
+    dtype = float if max(top, offset) <= EXACT_LIMIT else object
+
+    def code(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        # below 2^52 every code, and so each int64 product, is exact
+        if dtype is float and scale < 2**63 and _small(num) and _small(den):
+            return num * (scale // den)
+        return np.array([p * (scale // d) for p, d in zip(num.tolist(), den.tolist())], object)
+
+    return code, scale, offset, dtype
 
 
 def _poles(x: np.ndarray) -> np.ndarray:

@@ -343,10 +343,14 @@ def _grid_codes(c: VCategory, grid: Iterable[QVal]):
     return vals, e, g[0], tol
 
 
-def _columns(c: VCategory, vals: tuple[QVal, ...], rows: list[list[int]]) -> list[VModule]:
-    """The modules I -/-> C whose entries are the grid values at ``rows``."""
+def _columns(c: VCategory, vals: tuple[QVal, ...], rows: np.ndarray) -> list[VModule]:
+    """The modules I -/-> C whose entries are the grid values at ``rows``:
+    on rbot and lawvere indexed into the grid's column, else built as rows."""
     i_cat = unit_category(c.quantale)
-    return [VModule(i_cat, c, tuple((vals[x],) for x in row)) for row in rows]
+    if maxplus.columnar(c.quantale):
+        grid = maxplus._stored(c.quantale, vals)  # its slots' values are the grid's objects
+        return [VModule(i_cat, c, None, (grid, row[:, None])) for row in rows]
+    return [VModule(i_cat, c, tuple((vals[x],) for x in row)) for row in rows.tolist()]
 
 
 def enumerate_modules_into(c: VCategory, grid: Iterable[QVal]) -> Iterator[VModule]:
@@ -359,7 +363,7 @@ def enumerate_modules_into(c: VCategory, grid: Iterable[QVal]) -> Iterator[VModu
     """
     vals, e, g, tol = _grid_codes(c, grid)
     for block in maxplus.module_blocks(e, g, tol):
-        yield from _columns(c, vals, block.tolist())
+        yield from _columns(c, vals, block)
 
 
 @dataclass(frozen=True)
@@ -394,9 +398,15 @@ class CompletenessReport:
 
     def to_json(self) -> dict:
         # each grid value is formatted once: the search draws every entry
-        # from the grid (format_value never returns "")
+        # from the grid (format_value never returns ""), and a column is
+        # read through its module's index
         text = {v: format_value(v) for v in self.grid}
-        columns = [[text.get(v) or format_value(v) for (v,) in f.module.mat] for f in self.findings]
+
+        def column(m: VModule) -> list[str]:
+            values, positions = m._index
+            return [text.get(v) or format_value(v) for v in map(values.__getitem__, positions[:, 0].tolist())]
+
+        columns = [column(f.module) for f in self.findings]
         return {
             "complete": self.complete,
             "grid": [text[v] for v in self.grid],
@@ -434,7 +444,7 @@ def cauchy_completeness_report(
         checked += len(block)
         rows, witness = maxplus.cauchy_columns(c.quantale, e, g[block], tol, -tol)
         reps = maxplus._first(maxplus._represents(e, g[block[rows]], tol))
-        columns = _columns(c, vals, block[rows].tolist())
+        columns = _columns(c, vals, block[rows])
         for module, z, w in zip(columns, reps, maxplus._first(witness[rows])):
             findings.append(CauchyFinding(module, objects[z], objects[w]))
     return CompletenessReport(c, vals, checked, tuple(findings))
@@ -456,14 +466,14 @@ def module_from_json(data: object, *, where: str = "module") -> VModule:
     for field in ("source", "target", "mat"):
         if field not in data:
             raise ValueError(f"{where}: missing field {field!r}")
-    memo: dict[str, QVal] = {}
+    memo: dict[str, object] = {}
     target = _category_from_json(data["target"], f"{where}.target", memo)
     raw_src = data["source"]
     if raw_src == "I":
         source = unit_category(target.quantale)
     else:
         source = _category_from_json(raw_src, f"{where}.source", memo)
-    mat = _parse_rows(data["mat"], f"{where}.mat", memo, len(source.objects))
+    mat = _parse_rows(data["mat"], f"{where}.mat", memo, len(source.objects), target.quantale)
     try:
         return VModule(source, target, *mat)
     except ValueError as exc:

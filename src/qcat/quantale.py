@@ -568,6 +568,24 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
     return parts
 
 
+def _digits(raw: str) -> tuple[int, int] | None:
+    """The numerator and denominator, not reduced, of a value written in
+    plain ASCII digits, ``d`` or ``d/d`` (around spaces), which
+    Fraction(str)'s regex would read as the same two integers; None for
+    any other text.  Raises ValueError as :func:`parse_value` does."""
+    text = raw.strip()
+    num, slash, den = text.partition("/")
+    if not (text.isascii() and num.isdigit() and (not slash or den.isdigit())):
+        return None
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError as exc:  # past the digit limit
+        raise ValueError(f"cannot parse {raw!r} as a value") from exc
+    if not q:
+        raise ValueError(f"cannot parse {raw!r} as a value")
+    return p, q
+
+
 def parse_value(raw: str | int | float | bool) -> QVal:
     """Parse one value in the shared textual syntax."""
     if isinstance(raw, bool):
@@ -588,15 +606,15 @@ def parse_value(raw: str | int | float | bool) -> QVal:
         return _trusted_finite(frac)
     if not isinstance(raw, str):
         raise ValueError(f"cannot parse {raw!r} as a value")
+    ratio = _digits(raw)
+    if ratio is not None:
+        return _trusted_finite(Fraction(*ratio))
+    return _parse_text(raw)
+
+
+def _parse_text(raw: str) -> QVal:
+    """:func:`parse_value` of a string that is not plain digits."""
     text = raw.strip()
-    # plain ASCII digits, "d" or "d/d": Fraction(str)'s regex would read
-    # the same two integers
-    num, slash, den = text.partition("/")
-    if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-        try:
-            return _trusted_finite(Fraction(int(num), int(den)) if slash else Fraction(int(num)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse {raw!r} as a value") from exc
     low = text.lower()
     if low in ("bot", "⊥"):
         return BOT

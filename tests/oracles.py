@@ -894,7 +894,7 @@ def leaf_tolerances(q: QuantaleDescriptor) -> list[Fraction]:
 
 
 def _scale(q, blocks):
-    finite = maxplus._finite_values(q, blocks)
+    finite = _finite_values(q, blocks)
     scale = math.lcm(*{x.denominator for x in finite})
     offsets = [math.floor(t * scale) for t in leaf_tolerances(q)]
     dtype = float if max([max(finite, default=0) * scale, *offsets]) <= maxplus.EXACT_LIMIT else object
@@ -907,8 +907,7 @@ def exact_offsets(q, *blocks) -> np.ndarray:
 
 
 def law_encode(q, *blocks):
-    _arrays, _finite_values, _FLOAT_BITS = maxplus._arrays, maxplus._finite_values, maxplus._FLOAT_BITS
-    _U, _ETA = maxplus._U, maxplus._ETA
+    _FLOAT_BITS, _U, _ETA = maxplus._FLOAT_BITS, maxplus._U, maxplus._ETA
     tols = [float(t) for t in leaf_tolerances(q)]
     if not any(tols):
         code, _, _, dtype = _scale(q, blocks)
@@ -962,3 +961,212 @@ def module_eq(a: VModule, b: VModule):
     if b.__class__ is a.__class__:
         return category_eq(a.source, b.source) and category_eq(a.target, b.target) and a.mat == b.mat
     return NotImplemented
+
+
+# ---------------------------------------------------------------------------
+# The value layer as it was when every index held a list of QVal: the file
+# parser building one QVal per distinct string, the law encoder and the
+# scale step reading each value's Fraction, the CLI's matrix writer
+# formatting each value, and the sprinkle's values built from the floats'
+# integer ratios.  Kept verbatim (the parser on the parse_value above) as
+# the references for tests/test_columns.py; ``_arrays`` and
+# ``_finite_values`` also serve the per-leaf law encoder above.
+# ---------------------------------------------------------------------------
+
+from numbers import Rational  # noqa: E402
+from typing import Callable  # noqa: E402
+
+from qcat.quantale import _NEG, _POS  # noqa: E402
+
+
+def parse_rows(rows: object, where: str, memo: dict[str, QVal], ncols: int) -> tuple:
+    if not isinstance(rows, list):
+        raise ValueError(f"{where}: expected a matrix")
+    values: list[QVal] = []
+    ids: dict[int, int] = {}  # id(v) -> its position in values
+    slot: dict[str, int] = {}  # a string of this matrix -> its value's position
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"{where}[{i}]: expected a row")
+        try:  # a row of strings seen before in this matrix
+            out.append(list(map(slot.__getitem__, row)))
+            continue
+        except (KeyError, TypeError):
+            pass
+        if all(map(str.__instancecheck__, row)):
+            # a row of strings: parse its new ones once each, in order of
+            # first appearance, so the first to fail is its first bad entry
+            for key in dict.fromkeys(row):
+                if key in slot:
+                    continue
+                v = memo.get(key)
+                if v is None:
+                    try:
+                        v = parse_value(key)
+                    except ValueError as exc:
+                        raise ValueError(f"{where}[{i}][{row.index(key)}]: {exc}") from None
+                    memo[key] = v
+                k = slot[key] = ids.setdefault(id(v), len(values))
+                if k == len(values):
+                    values.append(v)
+            out.append(list(map(slot.__getitem__, row)))
+            continue
+        ks = []
+        for j, raw in enumerate(row):
+            key = raw if isinstance(raw, str) else None
+            v = memo.get(key)
+            if v is None:
+                try:
+                    v = parse_value(raw)
+                except ValueError as exc:
+                    raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
+                if key is not None:
+                    memo[key] = v
+            k = ids.setdefault(id(v), len(values))
+            if k == len(values):
+                values.append(v)
+            if key is not None:
+                slot[key] = k
+            ks.append(k)
+        out.append(ks)
+    if any(len(ks) != ncols for ks in out):
+        return tuple(tuple(map(values.__getitem__, ks)) for ks in out), None
+    return None, (values, np.array(out, np.intp).reshape(len(out), ncols))
+
+
+def _leaves(v: QVal) -> tuple[QVal, ...]:
+    if v.tag is Tag.TUPLE:
+        return tuple(x for p in v.value for x in _leaves(p))
+    return (v,)
+
+
+def _arrays(
+    q: QuantaleDescriptor, blocks, code: Callable[[Rational], float | int], dtype=float
+) -> list[np.ndarray]:
+    leaves = q._leaves
+    nf, fin, neg, pos = len(leaves), Tag.FINITE, -math.inf, math.inf
+    out = []
+    for values, positions in blocks:
+        # (a column read as the list it stands for)
+        flat = list(values) if q._leaf is not None else [x for v in values for x in _leaves(v)]
+        arr = np.empty(len(flat), dtype)
+        for f, leaf in enumerate(leaves):
+            vals, low = flat[f::nf], leaf.bottom.tag
+            if leaf.sign is None:
+                arr[f::nf] = [0 if v.value else neg for v in vals]
+            elif leaf.sign > 0:
+                arr[f::nf] = [code(v.value) if v.tag is fin else neg if v.tag is low else pos for v in vals]
+            else:
+                arr[f::nf] = [-code(v.value) if v.tag is fin else neg if v.tag is low else pos for v in vals]
+        out.append(arr.reshape(len(values), nf)[positions])
+    return out
+
+
+def _finite_values(q: QuantaleDescriptor, blocks) -> list[Rational]:
+    return [x.value for values, _ in blocks for v in values for x in _leaves(v) if x.tag is Tag.FINITE]
+
+
+def scale_step(q: QuantaleDescriptor, blocks):
+    finite = _finite_values(q, blocks)
+    scale = math.lcm(*{x.denominator for x in finite})
+    offset = math.floor(q._tol * scale)
+    dtype = float if max(max(finite, default=0) * scale, offset) <= maxplus.EXACT_LIMIT else object
+    return lambda x: x.numerator * (scale // x.denominator), scale, offset, dtype
+
+
+def exact_codes(q: QuantaleDescriptor, *blocks):
+    code, scale, offset, dtype = scale_step(q, blocks)
+    return _arrays(q, blocks, code, dtype), np.full(len(q._leaves), offset, dtype), scale
+
+
+def one_tolerance_law_encode(q: QuantaleDescriptor, *blocks):
+    _FLOAT_BITS, _U, _ETA = maxplus._FLOAT_BITS, maxplus._U, maxplus._ETA
+    t = q._tol
+    if not t:
+        exact, _, _, dtype = scale_step(q, blocks)
+        if dtype is float:
+            codes = _arrays(q, blocks, exact)
+            return codes, codes
+    shift = 0
+
+    def code(x: Rational) -> float:  # x * 2^-shift, correctly rounded
+        return x.numerator / (x.denominator << shift)
+
+    try:
+        arrays, tol = _arrays(q, blocks, code), code(t)
+        fits = all(np.abs(a[np.isfinite(a)]).max(initial=tol) < 2.0**_FLOAT_BITS for a in arrays)
+    except OverflowError:  # a value of 2^1024 or more
+        fits = False
+    if not fits:
+        # 2^e bounds a fraction whose numerator and denominator have n
+        # and d bits, with e = n - d + 1
+        shift = max(x.numerator.bit_length() - x.denominator.bit_length() + 1
+                    for x in [t, *_finite_values(q, blocks)]) - _FLOAT_BITS
+        arrays, tol = _arrays(q, blocks, code), code(t)
+    with np.errstate(invalid="ignore"):
+        # the margin covers the rounding of each code, of a sum of two and
+        # of the bound itself; infinite codes are exact and bound themselves
+        bounds = [np.where(np.isfinite(c), c + tol - (8 * _U * (np.abs(c) + tol) + 16 * _ETA), c)
+                  for c in arrays]
+    return arrays, bounds
+
+
+def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int):
+    from qcat.quantale import _build, _decode
+
+    rows, cols, nf = arr.shape
+    slot: dict[tuple, int] = {}  # a code tuple -> its position among the values
+    keys = map(tuple, arr.reshape(-1, nf).tolist())
+    positions = np.fromiter((slot.setdefault(k, len(slot)) for k in keys), np.intp, rows * cols)
+
+    def code(x):  # a pole as the quantale's own object, a finite code unscaled
+        return _NEG if x == _NEG else _POS if x == _POS else Fraction(x) / scale
+
+    return [_build(q, map(_decode, q._leaves, map(code, k))) for k in slot], positions.reshape(rows, cols)
+
+
+def matrix(index, nl: str):
+    values, positions = index
+    if not positions.size:  # no rows, or rows of no entries
+        yield cli._text([[]] * len(positions), nl)
+        return
+    texts = np.empty(len(values), object)
+    texts[:] = [encode_basestring(format_value(v)) for v in values]
+    inner = nl + "  "
+    cell, row, close = "," + inner + "  ", "[" + inner + "  ", inner + "]"
+    lead = "[" + inner + row
+    for p in positions:
+        yield lead + cell.join(texts[p].tolist()) + close
+        lead = "," + inner + row
+    yield nl + "]"
+
+
+def minkowski_sample(n: int, seed: int, bounds=(0.0, 1.0, 0.0, 1.0)):
+    """The sprinkle's labels, distinct values (a list of QVal, after bot)
+    and positions, as ``qcat.minkowski_sample`` built them from the floats'
+    integer ratios."""
+    import random
+
+    from qcat.causal import Event2D
+
+    t0, t1, x0, x1 = bounds
+    rng = random.Random(seed)
+    events = []
+    for _ in range(n):
+        t = t0 + (t1 - t0) * rng.random()
+        x = x0 + (x1 - x0) * rng.random()
+        events.append(Event2D(t, x))
+    labels = tuple(f"p{i}" for i in range(n))
+    # interval_2d on every pair at once: the same IEEE operations, so the
+    # same square roots; one value per causal pair, after bot
+    t, x = np.array([(e.t, e.x) for e in events]).reshape(n, 2).T
+    dt, dx = t - t[:, None], np.abs(x - x[:, None])  # from the row's event to the column's
+    causal = dt >= dx
+    a, b, bot = dt[causal], dx[causal], int(not causal.all())
+    positions = np.zeros((n, n), np.intp)
+    positions[causal] = np.arange(bot, bot + len(a))
+    # dt >= dx >= 0, so every square root is a finite float >= 0
+    roots = np.sqrt(a * a - b * b).tolist()
+    values = [BOT] * bot + [_trusted_finite(Fraction(*s.as_integer_ratio())) for s in roots]
+    return labels, values, positions

@@ -461,6 +461,16 @@ class TestOutOfRangeValues:
         assert "long.json.hom[0][9]:" in result.payload["error"]
         assert "digits" in result.payload["error"]
 
+    def test_json_integer_too_long_to_read_names_the_file(self, tmp_path):
+        # json.loads itself refuses a bare integer past the digit limit
+        path = tmp_path / "long.json"
+        path.write_text('{"quantale": "rbot", "objects": ["a"], "hom": [[' + "1" * 5001 + "]]}")
+        for cmd in ("validate", "underlying", "complete"):
+            result = run([cmd, str(path)])
+            assert result.exit_code == 2
+            error = result.payload["error"]
+            assert error.startswith(f"{path}: Exceeds the limit (4300 digits)"), error
+
 
 class TestCompleteHugeGridValues:
     """Grid values whose common scale passes 2^52 run on Python-int codes

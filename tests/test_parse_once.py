@@ -21,6 +21,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +43,9 @@ from qcat import (
     parse_value,
     unit_category,
 )
+import qcat.category
 from qcat.category import _require_utf8
+from qcat.quantale import _digits
 from qcat.collage import LEFT, RIGHT
 
 import oracles
@@ -329,16 +332,29 @@ def test_collage_from_json_matches_per_entry_loop(data):
 @settings(max_examples=100, deadline=None)
 @given(category_files())
 def test_module_endpoints_share_one_memo(data):
+    # each distinct string of the file is read once: a digit string as two
+    # ints, which each matrix's column turns into a value of its own on
+    # first read, and any other string by parse_value, one object for all
     module = {"source": copy.deepcopy(data), "target": data, "mat": data.get("hom")}
+    read = []
+
+    def spy(raw):
+        read.append(raw)
+        return _digits(raw)
+
     try:
-        m = module_from_json(module)
+        with mock.patch.object(qcat.category, "_digits", spy):
+            m = module_from_json(module)
     except ValueError:
         return
+    assert len(read) == len(set(read))
     assert m.source == m.target
     for rows in zip(data["hom"], m.source.hom, m.target.hom, m.mat):
         for raw, s, t, v in zip(*rows):
             if isinstance(raw, str):
-                assert s is t is v
+                assert s == t == v
+                if _digits(raw) is None:
+                    assert s is t is v
 
 
 def test_twins_equal_under_eq_are_read_apart():
