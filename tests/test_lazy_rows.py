@@ -67,9 +67,11 @@ def test_the_spy_sees_a_read(gathers):
 
 def test_concurrent_first_reads_see_whole_rows():
     # the first read is an unlocked check-then-gather: threads that race
-    # on it may each gather, but every one must get the whole rows
+    # on it may each gather, but every one must get the whole rows, and
+    # the column's values, each built on its first read in whichever
+    # thread comes first, must be one object per slot in every thread
     c = minkowski_sample(40, 5)[0]
-    want = maxplus.rows(c._index)
+    want = maxplus.rows(minkowski_sample(40, 5)[0]._index)
     got = []
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -83,6 +85,9 @@ def test_concurrent_first_reads_see_whole_rows():
         sys.setswitchinterval(saved)
     assert not any(t.is_alive() for t in threads)
     assert len(got) == 8 and all(rows == want for rows in got)
+    values, positions = c._index
+    for rows in got:
+        assert all(x is values[k] for row, ks in zip(rows, positions.tolist()) for x, k in zip(row, ks))
 
 
 def test_rows_given_are_kept(gathers):
