@@ -447,28 +447,11 @@ def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> Block:
     slot: dict[tuple, int] = {}  # a code tuple -> its position among the values
     keys = map(tuple, arr.reshape(-1, nf).tolist())
     positions = np.fromiter((slot.setdefault(k, len(slot)) for k in keys), np.intp, rows * cols)
-    positions = positions.reshape(rows, cols)
-    leaf = q._leaf
-    if not columnar(q):
-        def code(x):  # a pole as the quantale's own object, a finite code unscaled
-            return _NEG if x == _NEG else _POS if x == _POS else Fraction(x) / scale
 
-        return [_build(q, map(_decode, q._leaves, map(code, k))) for k in slot], positions
-    # rbot and lawvere: a finite code x in the carrier is the value
-    # sign * x / scale, written as two ints; any other code decodes to a pole
-    tags, nums, dens = [], [], []
-    for (x,) in slot:
-        if x == _NEG or x == _POS or x * leaf.sign < 0:  # a pole, or clamped to one
-            v = _decode(leaf, _NEG if x == _NEG else _POS if x == _POS else x)
-            t, p, d = (_FIN, 0, 1) if v.is_finite else (_SHARED.index(v), 0, 1)  # lawvere's top is 0
-        else:
-            p = int(x) * leaf.sign
-            g = math.gcd(p, scale)
-            t, p, d = _FIN, p // g, scale // g
-        tags.append(t)
-        nums.append(p)
-        dens.append(d)
-    return Column.of(tags, nums, dens), positions
+    def code(x):  # a pole as the quantale's own object, a finite code unscaled
+        return _NEG if x == _NEG else _POS if x == _POS else Fraction(x) / scale
+
+    return [_build(q, map(_decode, q._leaves, map(code, k))) for k in slot], positions.reshape(rows, cols)
 
 
 def product(m: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -343,14 +343,10 @@ def _grid_codes(c: VCategory, grid: Iterable[QVal]):
     return vals, e, g[0], tol
 
 
-def _columns(c: VCategory, vals: tuple[QVal, ...], rows: np.ndarray) -> list[VModule]:
-    """The modules I -/-> C whose entries are the grid values at ``rows``:
-    on rbot and lawvere indexed into the grid's column, else built as rows."""
+def _columns(c: VCategory, vals: tuple[QVal, ...], rows: list[list[int]]) -> list[VModule]:
+    """The modules I -/-> C whose entries are the grid values at ``rows``."""
     i_cat = unit_category(c.quantale)
-    if maxplus.columnar(c.quantale):
-        grid = maxplus._stored(c.quantale, vals)  # its slots' values are the grid's objects
-        return [VModule(i_cat, c, None, (grid, row[:, None])) for row in rows]
-    return [VModule(i_cat, c, tuple((vals[x],) for x in row)) for row in rows.tolist()]
+    return [VModule(i_cat, c, tuple((vals[x],) for x in row)) for row in rows]
 
 
 def enumerate_modules_into(c: VCategory, grid: Iterable[QVal]) -> Iterator[VModule]:
@@ -363,7 +359,7 @@ def enumerate_modules_into(c: VCategory, grid: Iterable[QVal]) -> Iterator[VModu
     """
     vals, e, g, tol = _grid_codes(c, grid)
     for block in maxplus.module_blocks(e, g, tol):
-        yield from _columns(c, vals, block)
+        yield from _columns(c, vals, block.tolist())
 
 
 @dataclass(frozen=True)
@@ -398,15 +394,9 @@ class CompletenessReport:
 
     def to_json(self) -> dict:
         # each grid value is formatted once: the search draws every entry
-        # from the grid (format_value never returns ""), and a column is
-        # read through its module's index
+        # from the grid (format_value never returns "")
         text = {v: format_value(v) for v in self.grid}
-
-        def column(m: VModule) -> list[str]:
-            values, positions = m._index
-            return [text.get(v) or format_value(v) for v in map(values.__getitem__, positions[:, 0].tolist())]
-
-        columns = [column(f.module) for f in self.findings]
+        columns = [[text.get(v) or format_value(v) for (v,) in f.module.mat] for f in self.findings]
         return {
             "complete": self.complete,
             "grid": [text[v] for v in self.grid],
@@ -444,7 +434,7 @@ def cauchy_completeness_report(
         checked += len(block)
         rows, witness = maxplus.cauchy_columns(c.quantale, e, g[block], tol, -tol)
         reps = maxplus._first(maxplus._represents(e, g[block[rows]], tol))
-        columns = _columns(c, vals, block[rows])
+        columns = _columns(c, vals, block[rows].tolist())
         for module, z, w in zip(columns, reps, maxplus._first(witness[rows])):
             findings.append(CauchyFinding(module, objects[z], objects[w]))
     return CompletenessReport(c, vals, checked, tuple(findings))

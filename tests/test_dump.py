@@ -105,6 +105,27 @@ def test_dump_examples(x):
     assert _dump(x) == reference(x)
 
 
+def test_dump_of_thousands_of_rows():
+    # the rows path joins one comprehension per row: many rows of pairs
+    # and of single labels, escapes and non-ASCII text among them
+    names = [f"v{i}" for i in range(90)] + SPECIAL + ["a\\", '"b', " ", "é\\"]
+    pairs = [[a, b] for a in names for b in names if a != b]
+    assert len(pairs) > 10_000
+    x = {"edges": pairs, "objects": [[a] for a in names], "wide": [names] * 50}
+    assert _dump(x) == reference(x)
+
+
+def test_dump_of_a_chains_underlying_edges(tmp_path):
+    n = 120
+    dag = tmp_path / "chain.txt"
+    dag.write_text("".join(f"e{i} e{i + 1}\n" for i in range(n - 1)), encoding="utf-8")
+    cat = tmp_path / "chain.json"
+    assert run(["from-dag", str(dag), "-o", str(cat)]).exit_code == 0
+    payload = run(["underlying", str(cat)]).payload
+    assert len(payload["edges"]) == n * (n + 1) // 2  # the loops included
+    assert _dump(payload) == reference(payload)
+
+
 @pytest.mark.parametrize(
     "x, error",
     [
