@@ -272,7 +272,7 @@ def classify_endohoms(c: VCategory) -> EndohomReport:
     if c.quantale.kind is not Kind.RBOT:
         raise CarrierMismatch("endohom classification requires the causal base")
     values, positions = c._index
-    tol, fin_tag, tags = c.quantale._tol, Tag.FINITE, maxplus.column(values).tags
+    tol, fin_tag, tags = c.quantale._tol, Tag.FINITE, values.tags
     bot, fin = (tags == maxplus._BOT)[positions], (tags == maxplus._FIN)[positions]
     obj, fmt = c.objects, format_value
     diag = [values[p] for p in positions.diagonal().tolist()]
@@ -375,10 +375,10 @@ def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int,
     ``where[i][j]``.
 
     Returns the ``hom``/``mat`` and ``_index`` arguments of the
-    constructor: ``(None, index)``, values in order of first appearance,
-    a column (:class:`qcat.maxplus.Column`) on rbot and lawvere and a list
-    otherwise, or ``(rows, None)`` for its walk to raise when a row has not
-    ``ncols`` entries.
+    constructor: ``(None, index)``, values in order of first appearance
+    as a column (:class:`qcat.maxplus.Column`), or ``(rows, None)`` for its
+    walk to raise when a row has not ``ncols`` entries.  The constructor
+    checks the values against ``q``'s carrier.
 
     A string of plain digits, ``d`` or ``d/d``, is read as two ints, reduced
     by their gcd once the matrix is read, and builds no value; any other
@@ -460,8 +460,6 @@ def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int,
     values = maxplus.Column(np.array(tags, np.int8), *maxplus._reduced(nums, dens), built)
     if any(len(ks) != ncols for ks in out):
         return tuple(tuple(map(values.__getitem__, ks)) for ks in out), None
-    if not maxplus.columnar(q):
-        values = list(values)
     return None, (values, np.array(out, np.intp).reshape(len(out), ncols))
 
 

@@ -12,11 +12,13 @@ componentwise: the law sweep ORs the 2-D masks of the factors, and
 every factor reads the base's one tolerance.  A matrix comes indexed
 (:data:`Block`), by its producer or by :func:`check_matrix`: each
 distinct value is coded once and the codes are gathered at the entries'
-positions.  On rbot and lawvere the distinct values are a :class:`Column`
-of tag codes and integer numerators and denominators, which the coders
-read as arrays; a list of values, a product's leaves included, is read
-through the one adapter :func:`column`.  :func:`exact_codes` scales finite values by the least common
-multiple L of their denominators, so that every code is an integer:
+positions.  On every base the distinct values are a :class:`Column` of
+tag codes and integer numerators and denominators, which the coders
+read as arrays: a truth value is a tag code alone, and a product's
+tuple is a slot that keeps its value.  A list of values, a product's
+leaves included, is read through the one adapter :func:`column`.
+:func:`exact_codes` scales finite values by the least common multiple L
+of their denominators, so that every code is an integer:
 float64 when every |v*L| and the tolerance offset fit in 2^52, so that a
 sum of two codes is still exact, and Python ints in an object array
 otherwise.  :func:`law_encode` uses the float64 codes at tolerance 0 and
@@ -66,11 +68,6 @@ _ETA = 2.0**-1074
 # :func:`rows`): 128 KiB of float64,
 # so that a block reuses heap memory instead of raising the peak
 _CHUNK = 1 << 14
-
-# a matrix indexed: its distinct values, each used, and a (rows, cols)
-# integer array of each entry's position among them.  On rbot and lawvere
-# the values are a Column, on the other bases a list of QVal.
-Block = tuple[Sequence[QVal], np.ndarray]
 
 # A column's tag codes.  The poles and the truth values are one object
 # each; OTHER is a value that no plain base holds (a tuple), kept as given.
@@ -149,6 +146,11 @@ class Column(Sequence):
         return f"Column({len(self)} values)"
 
 
+# a matrix indexed: its distinct values, each used, as a Column on every
+# base, and a (rows, cols) integer array of each entry's position among them
+Block = tuple[Column, np.ndarray]
+
+
 def _entry(v: QVal) -> tuple[int, int, int]:
     """A value's tag code, numerator and denominator in a column."""
     t = v.tag
@@ -161,21 +163,19 @@ def _entry(v: QVal) -> tuple[int, int, int]:
 
 
 def column(values: Sequence[QVal]) -> Column:
-    """``values`` as a column, in one pass: the adapter through which every
-    pass over all of a matrix's values reads them.  A column is returned as
-    it is."""
+    """``values`` as a column, in one pass: the one adapter from a list of
+    values, which keeps the list's objects as its slots' values.  A column
+    is returned as it is."""
     if isinstance(values, Column):
         return values
     tags, nums, dens = zip(*map(_entry, values)) if len(values) else ((), (), ())
-    return Column.of(tags, nums, dens)
+    return Column(np.array(tags, np.int8), _ints(nums), _ints(dens), dict(enumerate(values)))
 
 
 def texts(values: Sequence[QVal]) -> list[str]:
-    """``format_value`` of each value; a column's are written from its tag
-    codes and its two ints, ``p/q`` or ``p``, without building a value."""
-    if not isinstance(values, Column):
-        return [format_value(v) for v in values]
-    c, out = values, []
+    """``format_value`` of each value, written from the column's tag codes
+    and its two ints, ``p/q`` or ``p``, without building a finite value."""
+    c, out = column(values), []
     for k, (t, p, q) in enumerate(zip(c.tags.tolist(), c.num.tolist(), c.den.tolist())):
         if t == _FIN:  # as Fraction.__str__ writes it
             out.append(str(p) if q == 1 else "%s/%s" % (p, q))
@@ -184,42 +184,21 @@ def texts(values: Sequence[QVal]) -> list[str]:
     return out
 
 
-def columnar(q: QuantaleDescriptor) -> bool:
-    """Whether an index over ``q`` stores its values as a column: on rbot
-    and lawvere; bool and product bases keep a list of QVal."""
-    return q._leaf is not None and q._leaf.sign is not None
+def _stored(q: QuantaleDescriptor, values: Sequence[QVal]) -> Column:
+    """``values`` as an index stores them, a column, checked against
+    ``q``'s carrier: ``carrier_check`` runs on each slot whose tag code is
+    outside it, which on a plain base raises at the first such slot."""
+    c = column(values)
+    for k in _OUTSIDE[id(q._leaf)][c.tags].nonzero()[0].tolist():
+        carrier_check(q, c[k])
+    return c
 
 
-def _stored(q: QuantaleDescriptor, values: Sequence[QVal]) -> Sequence[QVal]:
-    """``values`` checked against ``q``'s carrier, as an index stores them
-    (:func:`columnar`)."""
-    if isinstance(values, Column) and not columnar(q):
-        values = list(values)
-    _check_values(q, values)
-    if columnar(q) and not isinstance(values, Column):
-        values, given = column(values), values
-        values._built.update(enumerate(given))  # a list's objects stay its slots' values
-    return values
-
-
-def _check_values(q: QuantaleDescriptor, values: Sequence[QVal]) -> None:
-    """Raise at the first value outside ``q``'s carrier: on a plain base
-    a tag test per value, or on a column's tag codes at once; the full
-    ``carrier_check`` only to raise."""
-    if isinstance(values, Column):
-        ok = _ALLOWED[id(q._leaf)][values.tags]  # only rbot and lawvere store a column
-        if not ok.all():
-            carrier_check(q, values[int(np.argmin(ok))])
-        return
-    tags = () if q._leaf is None else q._leaf.tags
-    for v in values:
-        if v.tag not in tags:
-            carrier_check(q, v)
-
-
-# the tag codes that each plain base's carrier holds, by the id of its leaf
-# row (the rows live as long as the program)
-_ALLOWED = {id(leaf): np.array([t in leaf.tags for t in _TAG_OF]) for leaf in _LEAF_TABLE.values()}
+# the tag codes outside each plain base's carrier, by the id of its leaf row
+# (the rows live as long as the program); a product's leaf is None, and its
+# every slot, a tuple, is checked in full
+_OUTSIDE = {id(leaf): np.array([t not in leaf.tags for t in _TAG_OF]) for leaf in _LEAF_TABLE.values()}
+_OUTSIDE[id(None)] = np.ones(len(_TAG_OF), bool)
 
 
 def check_matrix(
@@ -231,7 +210,7 @@ def check_matrix(
 ) -> Block:
     """Check a value matrix and return it indexed, each distinct value
     checked once.  The ``index`` of a producer that made it is kept, its
-    values stored as the base stores them (:func:`columnar`).
+    values stored as a column (:func:`column`).
 
     Rows built by hand are indexed in one walk, their distinct values
     keyed by identity in order of first appearance.  It raises
@@ -248,7 +227,7 @@ def check_matrix(
     def walk() -> Iterator[int]:
         for i, row in enumerate(rows):
             if len(row) != ncols:
-                _check_values(q, values)  # a bad entry before the short row
+                _stored(q, values)  # a bad entry before the short row
                 raise ValueError(row_error(i, len(row)))
             for v in row:
                 k = slot.get(id(v))
@@ -301,9 +280,9 @@ class Rows:
 
 def same(a: Block, b: Block) -> bool:
     """Whether two indexed matrices over one base are equal entry by entry:
-    each distinct value is keyed once, a column's by its tag code and
-    reduced ints and a list's by ``QVal`` equality, and the keys are
-    compared at the positions."""
+    each distinct value is keyed once, a tuple slot (``_OTHER``) by its
+    ``QVal`` and any other by its tag code and reduced ints, and the keys
+    are compared at the positions."""
     (va, pa), (vb, pb) = a, b
     if pa.shape != pb.shape:
         return False
@@ -312,10 +291,10 @@ def same(a: Block, b: Block) -> bool:
     return bool((ka[pa] == kb[pb]).all())
 
 
-def _keys(values: Sequence[QVal]):
-    if isinstance(values, Column):
-        return zip(values.tags.tolist(), values.num.tolist(), values.den.tolist())
-    return values
+def _keys(values: Sequence[QVal]) -> list:
+    c = column(values)
+    return [c[k] if t == _OTHER else (t, p, q)
+            for k, (t, p, q) in enumerate(zip(c.tags.tolist(), c.num.tolist(), c.den.tolist()))]
 
 
 def _leaves(v: QVal) -> tuple[QVal, ...]:

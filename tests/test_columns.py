@@ -99,8 +99,7 @@ def category_files(draw, quantales=("rbot", "lawvere", "rbot")):
 def test_parse_matches_the_qval_parser(data):
     c = same_outcome(category_from_json, category_to_json, data)
     if c is not None:
-        values = c._index[0]
-        assert isinstance(values, maxplus.Column) == (c.quantale.kind.value in ("rbot", "lawvere"))
+        assert isinstance(c._index[0], maxplus.Column)
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,8 +369,56 @@ def test_the_qval_spy_counts_a_materialised_column(qvals):
 def test_which_bases_store_a_column(name):
     q = parse_quantale_name(name)
     c = VCategory(q, ("a",), [[quantale.unit(q)]])
-    assert isinstance(c._index[0], maxplus.Column) == (name in ("rbot", "lawvere"))
+    assert isinstance(c._index[0], maxplus.Column)
     assert c._index[0][0] == quantale.unit(q)
+
+
+def test_a_column_keeps_the_objects_of_its_list():
+    # a tuple is held by no tag code of a plain base: its slot reads back
+    # as the given value, not as a finite 0
+    v, w = quantale.tuple_val([quantale.finite(1), quantale.TRUE]), quantale.finite("1/2")
+    col = maxplus.column([v, w])
+    assert col.tags.tolist() == [maxplus._OTHER, maxplus._FIN]
+    assert col[0] is v and col[1] is w and col[0] != quantale.finite(0)
+
+
+@pytest.mark.parametrize("name", ["bool", "rbot,lawvere"])
+def test_a_hand_built_matrix_keeps_its_objects(name):
+    q = parse_quantale_name(name)
+    if name == "bool":  # equal to the shared truth values, but not them
+        a, b = quantale.QVal(quantale.Tag.BOOL, True), quantale.QVal(quantale.Tag.BOOL, False)
+    else:
+        a = quantale.tuple_val([quantale.finite(0), quantale.finite(0)])
+        b = quantale.tuple_val([quantale.BOT, quantale.finite("1/2")])
+    hom = [[a, b], [b, a]]
+    c = VCategory(q, ("x", "y"), hom)
+    values = c._index[0]
+    assert isinstance(values, maxplus.Column) and values[0] is a and values[1] is b
+    gathered = VCategory(q, c.objects, None, c._index)  # hom read back from the index
+    assert all(gathered.hom[i][j] is hom[i][j] for i in range(2) for j in range(2))
+    assert gathered == c and maxplus.texts(values) == [quantale.format_value(v) for v in (a, b)]
+
+
+@pytest.mark.parametrize("first, then", [
+    ("(1,2,3)", "bot"), ("bot", "(1,2,3)"), ("1", "true"), ("(bot,1)", "bot"),
+])
+def test_a_product_files_first_bad_entry_raises(first, then):
+    # on rbot,bool the first bad entry in row-major order is the one named
+    messages = {
+        "(1,2,3)": "category: QVal((1,2,3)) does not match the product shape",
+        "bot": "category: QVal(bot) does not match the product shape",
+        "1": "category: QVal(1) does not match the product shape",
+        "(bot,1)": "category: QVal(1) is not a truth value",
+    }
+    for a, b in [((0, 1), (1, 0)), ((1, 0), (1, 1)), ((0, 0), (0, 1))]:
+        hom = [["(0,true)", "(1,false)"], ["(bot,false)", "(0,true)"]]
+        hom[a[0]][a[1]], hom[b[0]][b[1]] = first, then
+        with pytest.raises(ValueError) as got:
+            category_from_json({"quantale": ["rbot", "bool"], "objects": ["x", "y"], "hom": hom})
+        assert str(got.value) == messages[first]
+    hom = [["(0,true)", "(1,true)x"], ["(1,2,3)", "(0,true)"]]  # an unreadable entry raises at parse
+    with pytest.raises(ValueError, match=r"^category\.hom\[0\]\[1\]: cannot parse '\(1,true\)x'"):
+        category_from_json({"quantale": ["rbot", "bool"], "objects": ["x", "y"], "hom": hom})
 
 
 @pytest.mark.parametrize("name", list(ENCODE) + list(WIDE))
