@@ -362,23 +362,22 @@ def _category_from_json(data: object, where: str, memo: dict[str, object]) -> VC
         raise ValueError(f"{where}.objects: expected a list of strings")
     for i, o in enumerate(objects):
         _require_utf8(o, f"{where}.objects[{i}]")
-    hom = _parse_rows(data["hom"], f"{where}.hom", memo, len(objects), q)
+    hom = _parse_rows(data["hom"], f"{where}.hom", memo, len(objects))
     try:
         return VCategory(q, tuple(objects), *hom)
     except (ValueError, CarrierMismatch) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int,
-                q: QuantaleDescriptor) -> tuple:
-    """Parse a JSON matrix of ``q``'s values; a bad entry raises naming
+def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int) -> tuple:
+    """Parse a JSON matrix of values; a bad entry raises naming
     ``where[i][j]``.
 
     Returns the ``hom``/``mat`` and ``_index`` arguments of the
     constructor: ``(None, index)``, values in order of first appearance
     as a column (:class:`qcat.maxplus.Column`), or ``(rows, None)`` for its
     walk to raise when a row has not ``ncols`` entries.  The constructor
-    checks the values against ``q``'s carrier.
+    checks the values against its base's carrier.
 
     A string of plain digits, ``d`` or ``d/d``, is read as two ints, reduced
     by their gcd once the matrix is read, and builds no value; any other

@@ -140,7 +140,10 @@ class Column(Sequence):
         return v
 
     def __iter__(self) -> Iterator[QVal]:
-        return map(self.__getitem__, range(len(self.tags)))
+        n = len(self.tags)
+        # once every slot is built, read them straight from the dict; until
+        # then through __getitem__, so that a racing first read keeps one object
+        return map((self._built if len(self._built) == n else self).__getitem__, range(n))
 
     def __repr__(self) -> str:
         return f"Column({len(self)} values)"
@@ -455,16 +458,48 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
     K, F); the sweep takes one middle index j at a time, and ORs the 2-D
     mask of each factor into that of the first.  A NaN sum is an
     absorbed bottom and never exceeds the bound.
+
+    Only the box of j's non-bottom rows i (a[i, j] > -inf in some factor)
+    and non-bottom columns k is swept: outside it every sum has a -inf
+    term, so it is -inf or NaN.  The rows of ``a`` are first put in
+    descending and the columns of ``b`` in ascending order of their
+    non-bottom counts (stable), which on a causal category are both
+    causal orders and keep each box small; any order gives the same
+    triples.  Without a bottom entry every box is the whole matrix, and
+    nothing is reordered.
     """
+    rows, mid, nf = a.shape
+    cols = b.shape[1]
     triples: list[tuple[int, int, int]] = []
-    (a0, b0, bound0), *rest = [(a[..., f], b[..., f], bound[..., f]) for f in range(a.shape[2])]
+    if not (rows and mid and cols):
+        return triples
+    live_a = (a > _NEG).any(axis=2)
+    live_b = live_a if b is a else (b > _NEG).any(axis=2)
+    in_a, in_b = live_a.sum(axis=0), live_b.sum(axis=1)  # per middle: its non-bottom rows, columns
+    rows_of, cols_of = in_a.tolist(), in_b.tolist()
+    if min(rows_of) == rows and min(cols_of) == cols:
+        row_at, col_at = range(rows), range(cols)
+        boxes = [(j, 0, rows, 0, cols) for j in range(mid)]
+    else:
+        # when b is a, the row counts of a are in_b and the column counts of b in_a
+        rp = (-(in_b if b is a else live_a.sum(axis=1))).argsort(kind="stable")
+        cp = (in_a if b is a else live_b.sum(axis=0)).argsort(kind="stable")
+        a, live_a, bound = a.take(rp, 0), live_a.take(rp, 0), bound.take(rp, 0).take(cp, 1)
+        b, live_b = b.take(cp, 1), live_b.take(cp, 1)
+        # the first non-bottom row and column of each middle, and the last from the end
+        r0, r1 = live_a.argmax(axis=0).tolist(), live_a[::-1].argmax(axis=0).tolist()
+        c0, c1 = live_b.argmax(axis=1).tolist(), live_b[:, ::-1].argmax(axis=1).tolist()
+        boxes = [(j, r0[j], rows - r1[j], c0[j], cols - c1[j])
+                 for j in range(mid) if rows_of[j] and cols_of[j]]
+        row_at, col_at = rp.tolist(), cp.tolist()
+    (a0, b0, bound0), *rest = [(a[..., f], b[..., f], bound[..., f]) for f in range(nf)]
     with np.errstate(invalid="ignore"):
-        for j in range(a.shape[1]):
-            bad = a0[:, j, None] + b0[j] > bound0
+        for j, i0, i1, k0, k1 in boxes:
+            bad = a0[i0:i1, j, None] + b0[j, k0:k1] > bound0[i0:i1, k0:k1]
             for x, y, z in rest:
-                bad |= x[:, j, None] + y[j] > z
+                bad |= x[i0:i1, j, None] + y[j, k0:k1] > z[i0:i1, k0:k1]
             if bad.any():
-                triples.extend((i, j, k) for i, k in np.argwhere(bad).tolist())
+                triples.extend((row_at[i0 + i], j, col_at[k0 + k]) for i, k in np.argwhere(bad).tolist())
     triples.sort()
     return triples
 

@@ -463,7 +463,7 @@ def module_from_json(data: object, *, where: str = "module") -> VModule:
         source = unit_category(target.quantale)
     else:
         source = _category_from_json(raw_src, f"{where}.source", memo)
-    mat = _parse_rows(data["mat"], f"{where}.mat", memo, len(source.objects), target.quantale)
+    mat = _parse_rows(data["mat"], f"{where}.mat", memo, len(source.objects))
     try:
         return VModule(source, target, *mat)
     except ValueError as exc:

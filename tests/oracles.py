@@ -785,6 +785,31 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
     return triples
 
 
+def dense_candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[int, int, int]]:
+    """``qcat.maxplus.candidates`` as it was before the ordered boxes:
+    every row and column of each middle index, one factor at a time.
+
+    Every (i, j, k) with a[i, j] + b[j, k] > bound[i, k] in some
+    factor, in lexicographic order.
+
+    ``a``, ``b`` and ``bound`` have shapes (I, J, F), (J, K, F) and (I,
+    K, F); the sweep takes one middle index j at a time, and ORs the 2-D
+    mask of each factor into that of the first.  A NaN sum is an
+    absorbed bottom and never exceeds the bound.
+    """
+    triples: list[tuple[int, int, int]] = []
+    (a0, b0, bound0), *rest = [(a[..., f], b[..., f], bound[..., f]) for f in range(a.shape[2])]
+    with np.errstate(invalid="ignore"):
+        for j in range(a.shape[1]):
+            bad = a0[:, j, None] + b0[j] > bound0
+            for x, y, z in rest:
+                bad |= x[:, j, None] + y[j] > z
+            if bad.any():
+                triples.extend((i, j, k) for i, k in np.argwhere(bad).tolist())
+    triples.sort()
+    return triples
+
+
 # ---------------------------------------------------------------------------
 # The CLI's writer before it streamed: every matrix as plain rows of str,
 # the whole document one string, each edge of the underlying preorder one

@@ -63,12 +63,9 @@ def outcome(parse, data):
 def reference(parse, data):
     """``parse(data)`` with the file layer's parser replaced by the copy of
     the one that built a QVal per distinct string."""
-    def parse_rows(rows, where, memo, ncols, q):
-        return oracles.parse_rows(rows, where, memo, ncols)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qcat.category, "_parse_rows", parse_rows)
-        mp.setattr(qcat.modules, "_parse_rows", parse_rows)
+        mp.setattr(qcat.category, "_parse_rows", oracles.parse_rows)
+        mp.setattr(qcat.modules, "_parse_rows", oracles.parse_rows)
         return outcome(parse, data)
 
 
@@ -279,6 +276,25 @@ def test_a_column_reads_as_a_sequence():
     assert sorted(col._built) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("read_first", [(), (2,), (0, 3), (0, 1, 2, 3)], ids=["unbuilt", "one", "two", "built"])
+def test_iteration_yields_the_objects_that_indexing_does(read_first):
+    # a finite slot builds its value on first read, through iteration or
+    # indexing alike; a product's tuples are the given objects
+    tags = [maxplus._FIN, maxplus._BOT, maxplus._FIN, maxplus._INF]
+    col = maxplus.Column.of(tags, [1, 0, 7, 0], [3, 1, 2, 1])
+    for k in read_first:
+        col[k]
+    assert len(col._built) == len(read_first)
+    got = list(col)
+    assert sorted(col._built) == [0, 1, 2, 3]
+    assert all(g is col[k] for k, g in enumerate(got))
+    assert all(g is h for g, h in zip(got, col))
+    assert got == [quantale.finite("1/3"), quantale.BOT, quantale.finite("7/2"), quantale.INF]
+    pairs = [quantale.tuple_val([quantale.finite(k), quantale.TRUE]) for k in range(3)]
+    tuples = maxplus.column(pairs)
+    assert all(g is p for g, p in zip(tuples, pairs)) and len(list(tuples)) == 3
+
+
 def test_equal_columns_of_two_tiers_are_one_matrix():
     small = maxplus.Column.of([maxplus._FIN, maxplus._BOT], [1, 0], [2, 1])
     big = maxplus.Column(np.array([maxplus._BOT, maxplus._FIN], np.int8), np.array([0, 1], object),
@@ -292,14 +308,17 @@ def test_equal_columns_of_two_tiers_are_one_matrix():
 
 
 def test_concurrent_first_reads_of_a_column_see_one_object():
-    # a slot's first read races in eight threads: every thread must get
-    # the one object that the slot keeps
+    # a slot's first read races in eight threads, some indexing and some
+    # iterating: every thread must get the one object that the slot keeps
     col = minkowski_sample(60, 5)[0]._index[0]
     got = [None] * 8
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         def read(t):
+            if t % 3 == 0:
+                got[t] = dict(enumerate(col))
+                return
             order = range(len(col)) if t % 2 else range(len(col) - 1, -1, -1)
             got[t] = {k: col[k] for k in order}
 

@@ -1,7 +1,8 @@
 """Differential tests of the one law sweep behind ``validate_category`` and
 ``validate_module`` against the plain scalar loops over every triple, and
-of its candidate scan, which skips clean middle indices, against the scan
-that listed every middle.
+of its candidate scan, which sweeps only the ordered non-bottom box of
+each middle index, against the scan that listed every middle and the
+dense scan of every row and column that the boxes replaced.
 
 The inputs sit where a floating-point filter can go wrong: composites
 exactly at c + tolerance and one ulp either side of it, denominators
@@ -265,10 +266,12 @@ def test_tolerance_zero_past_the_exact_limit_builds_no_object_codes(monkeypatch)
 
 
 def sweep(c):
-    """The candidate triples of ``c``'s composition law, and the reference
-    scan's."""
+    """The candidate triples of ``c``'s composition law, checked against
+    the dense scan's, and the reference scan's."""
     (a,), (bound,) = maxplus.law_encode(c.quantale, c._index)
-    return maxplus.candidates(a, a, bound), oracles.candidates(a, a, bound)
+    got = maxplus.candidates(a, a, bound)
+    assert got == oracles.dense_candidates(a, a, bound)
+    return got, oracles.candidates(a, a, bound)
 
 
 def discrete(q, n):
@@ -440,6 +443,8 @@ def test_rectangular_blocks_through_validate_module(q):
                 left, right = maxplus.candidates(ea, ma, bound), maxplus.candidates(ma, da, bound)
                 assert left == oracles.candidates(ea, ma, bound) == ([(y, x, a)] if n > 1 else [])
                 assert right == oracles.candidates(ma, da, bound) == ([(x, a, b)] if k > 1 else [])
+                assert (left, right) == (oracles.dense_candidates(ea, ma, bound),
+                                         oracles.dense_candidates(ma, da, bound))
                 report = validate_module(mod)
                 assert report == reference_module_report(mod)
                 assert len(report.left_violations) == len(left)
@@ -457,6 +462,232 @@ def test_no_objects_and_one_object(q):
         mat = tuple(tuple(bottom(q) for _ in range(k)) for _ in range(n))
         mod = VModule(planted(q, k, []), planted(q, n, []), mat)
         assert validate_module(mod) == reference_module_report(mod) == ModuleReport((), ())
+
+
+# ---------------------------------------------------------------------------
+# Ordered boxes: each middle index sweeps only the box of its non-bottom rows
+# and columns, after the rows are put in descending and the columns in
+# ascending order of their non-bottom counts.  The order only shrinks the
+# boxes, so the triples are those of the dense scan on any input: shuffled,
+# not transitive, with ties, rows and columns all bottom, or no objects.
+# ---------------------------------------------------------------------------
+
+CODES = (-math.inf, math.inf, -2.5, -1.0, 0.0, 1.0, 2.0, 3.5)
+
+
+def check_candidates(a, b, bound):
+    """``maxplus.candidates`` against both references; for a square ``a``
+    also with ``b`` a copy of it, so that the support is not shared."""
+    got = maxplus.candidates(a, b, bound)
+    assert got == oracles.dense_candidates(a, b, bound) == oracles.candidates(a, b, bound)
+    if b is a:
+        assert maxplus.candidates(a, a.copy(), bound) == got
+    return got
+
+
+@st.composite
+def raw_sweeps(draw):
+    """Code arrays of (I, J, F), (J, K, F) and (I, K, F), each code -inf
+    with a drawn share and otherwise any of ``CODES``: +inf beside -inf
+    sums to NaN, and a product entry may be -inf in some factors only.
+    Square ones pass ``a`` as ``b`` too, as ``validate_category`` does."""
+    rows, mid, cols = (draw(st.integers(0, 7)) for _ in range(3))
+    nf = draw(st.integers(1, 3))
+    square = draw(st.booleans())
+    if square:
+        mid = cols = rows
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from((0.0, 0.3, 0.6, 0.9, 1.0)))
+
+    def codes(*shape):
+        x = rng.choice(CODES, size=shape)
+        x[rng.random(shape) < share] = -math.inf
+        return x
+
+    a = codes(rows, mid, nf)
+    return a, a if square else codes(mid, cols, nf), rng.choice(CODES, size=(rows, cols, nf))
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_sweeps())
+def test_boxes_match_the_dense_scan(arrays):
+    check_candidates(*arrays)
+
+
+@pytest.mark.parametrize("nf", [1, 2])
+def test_empty_axes_and_single_entries(nf):
+    def full(shape, x):
+        return np.full((*shape, nf), x)
+
+    bottom_a = full((2, 2), -math.inf)
+    bottom_a[0, 0] = 0.0  # a bottom entry beside a non-bottom one
+    for a, b in ((bottom_a, full((2, 0), 0.0)), (full((0, 2), 0.0), bottom_a),
+                 (full((2, 0), 0.0), full((0, 3), 0.0)), (full((0, 0), 0.0), full((0, 0), 0.0))):
+        assert check_candidates(a, b, full((len(a), b.shape[1]), -math.inf)) == []
+    for x, y, z, want in ((1.0, 1.0, 1.5, [(0, 0, 0)]), (1.0, 1.0, 2.0, []), (-math.inf, 5.0, 0.0, []),
+                          (math.inf, -math.inf, -math.inf, []), (math.inf, 0.0, 3.0, [(0, 0, 0)])):
+        a, b = full((1, 1), x), full((1, 1), y)
+        assert check_candidates(a, b, full((1, 1), z)) == want
+        if x == y:
+            assert check_candidates(a, a, full((1, 1), z)) == want
+
+
+def shuffled(c, perm):
+    """``c`` with its objects listed in the order ``perm``."""
+    hom = c.hom
+    return VCategory(c.quantale, tuple(c.objects[p] for p in perm),
+                     tuple(tuple(hom[p][r] for r in perm) for p in perm))
+
+
+def check_shuffles(c, seed, shuffles=3):
+    """The sweep and the report of ``c`` under random orders of its
+    objects: the same violations, by label, in each."""
+    report = validate_category(c)
+    assert report == validate_exact(c)
+    rng = np.random.default_rng(seed)
+    for _ in range(shuffles):
+        s = shuffled(c, rng.permutation(len(c)).tolist())
+        got, want = sweep(s)
+        assert got == want
+        r = validate_category(s)
+        assert r == validate_exact(s)
+        assert set(r.unit_violations) == set(report.unit_violations)
+        assert set(r.composition_violations) == set(report.composition_violations)
+    return report
+
+
+def test_shuffled_causal_sets():
+    import random
+
+    from qcat import minkowski_sample
+    from qcat.causal import causal_space_from_dag
+    from randgen import random_dag
+
+    rng = random.Random(7)
+    for seed in range(6):
+        check_shuffles(causal_space_from_dag(random_dag(rng, 9)), seed)
+    check_shuffles(minkowski_sample(25, 3)[0], 11)
+
+
+def test_a_shuffled_sprinkle_with_a_planted_fault():
+    # the largest off-diagonal proper time halved, as the sprinkle
+    # benchmark plants its fault, in a sprinkle listed in random order
+    from qcat import minkowski_sample
+
+    cat = minkowski_sample(30, 5)[0]
+    hom = [list(row) for row in cat.hom]
+    _, i, k = max((v.value, i, k) for i, row in enumerate(hom) for k, v in enumerate(row)
+                  if i != k and v.is_finite)
+    hom[i][k] = finite(hom[i][k].value / 2)
+    faulty = VCategory(cat.quantale, cat.objects, hom)
+    report = check_shuffles(faulty, 1, shuffles=2)
+    assert report.composition_violations and not report.unit_violations
+    assert {(v[0], v[2]) for v in report.composition_violations} == {(cat.objects[i], cat.objects[k])}
+
+
+def test_a_cycle_lands_below_the_diagonal():
+    # a -> b -> c -> a: every row and column has two non-bottom entries,
+    # so the order is the listed one and hom(c, a) lies below the
+    # diagonal; no order of a cycle puts all of its support above it
+    one, zero = finite(1), finite(0)
+    hom = ((zero, one, BOT), (BOT, zero, one), (one, BOT, zero))
+    cat = VCategory(rbot(), ("a", "b", "c"), hom)
+    for perm in itertools.permutations(range(3)):
+        c = shuffled(cat, list(perm))
+        got, want = sweep(c)
+        assert got == want
+        report = validate_category(c)
+        assert report == validate_exact(c)
+        assert {v[:3] for v in report.composition_violations} == {("a", "b", "c"), ("b", "c", "a"),
+                                                                  ("c", "a", "b")}
+
+
+def test_ties_of_equal_count():
+    # three chains of three objects, hom(i, j) = j - i along each: counts
+    # tie level by level, so a stable order keeps the listed order among
+    # each level's objects
+    n = 9
+    hom = [[finite(j - i) if i // 3 == j // 3 and i <= j else BOT for j in range(n)] for i in range(n)]
+    hom[0][2] = finite(Fraction(1, 2))  # 1 + 1 > 1/2: the first chain fails at (0, 1, 2)
+    report = check_shuffles(VCategory(rbot(), labels("e", n), hom), 4)
+    assert [v[:3] for v in report.composition_violations] == [("e0", "e1", "e2")]
+
+
+def test_all_bottom_rows_and_columns():
+    # e1's row and column are bottom, its endohom too: a unit violation,
+    # and a middle index with an empty box
+    zero, one = finite(0), finite(1)
+    hom = ((zero, BOT, one, one), (BOT, BOT, BOT, BOT), (BOT, BOT, zero, one), (BOT, BOT, BOT, zero))
+    report = check_shuffles(VCategory(rbot(), labels("e", 4), hom), 2)
+    assert [o for o, _ in report.unit_violations] == ["e1"]
+    assert [v[:3] for v in report.composition_violations] == [("e0", "e2", "e3")]
+
+
+@pytest.mark.parametrize("q", [product(rbot(), BOOL), product(BOOL, rbot())], ids=["rbot,bool", "bool,rbot"])
+def test_a_product_pair_bottom_in_one_factor_only(q):
+    # x -> y -> z non-bottom in one factor only, x -> z bottom in both:
+    # the law fails at (x, y, z) in that factor, which alone puts the
+    # pair in the boxes
+    for f in range(2):
+        via = [unit(leaf) if g == f else bottom(leaf) for g, leaf in enumerate(leaves(q))]
+        nil = [bottom(leaf) for leaf in leaves(q)]
+        mats = discrete(q, 3)
+        for g in range(2):
+            mats[g][0][1], mats[g][1][2], mats[g][0][2] = via[g], via[g], nil[g]
+        cat = VCategory(q, labels("e", 3), assembled(q, mats))
+        assert [x == bottom(leaf) for x, leaf in zip(cat.hom[0][1].value, leaves(q))] == [g != f for g in range(2)]
+        check_sweep(cat, [(0, 1, 2)])
+        check_shuffles(cat, f)
+
+
+SPARSE_SHAPES = [(3, 2), (1, 3), (3, 1), (0, 2), (2, 0), (5, 4), (6, 6)]
+
+
+@st.composite
+def sparse_blocks(draw):
+    """A base and leaf matrices E (n x n), D (k x k) and M (n x k) in no
+    causal order, each entry the bottom with a drawn share, leaf by leaf:
+    supports that are not transitive, rows and columns all bottom, ties
+    of equal count, product entries bottom in one factor only, and rows
+    of M ordered apart from those of E."""
+    import random
+
+    q = draw(bases)
+    n, k = draw(st.sampled_from(SPARSE_SHAPES))
+    share = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = [finite(x) for x in NUMBERS[:5]]
+
+    def value(leaf):
+        if rng.random() < share:
+            return bottom(leaf)
+        if leaf.kind is Kind.BOOL:
+            return TRUE
+        return rng.choice(pool + [INF] * (leaf.kind is Kind.RBOT))
+
+    def block(rows, cols):
+        mats = [[[value(leaf) for _ in range(cols)] for _ in range(rows)] for leaf in leaves(q)]
+        return tuple(tuple(assemble(q, iter([m[i][j] for m in mats])) for j in range(cols))
+                     for i in range(rows))
+
+    return q, block(n, n), block(k, k), block(n, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_blocks())
+def test_sparse_categories_and_modules(inputs):
+    q, e, d, m = inputs
+    target, source = VCategory(q, labels("e", len(e)), e), VCategory(q, labels("d", len(d)), d)
+    got, want = sweep(target)
+    assert got == want
+    assert validate_category(target) == validate_exact(target)
+    mod = VModule(source, target, m)
+    (ea, da, ma), (eb, db, bound) = maxplus.law_encode(q, target._index, source._index, mod._index)
+    check_candidates(ea, ea, eb)
+    check_candidates(da, da, db)
+    check_candidates(ea, ma, bound)
+    check_candidates(ma, da, bound)
+    assert validate_module(mod) == reference_module_report(mod)
 
 
 # ---------------------------------------------------------------------------
