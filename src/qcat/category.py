@@ -379,15 +379,13 @@ def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int) -
     walk to raise when a row has not ``ncols`` entries.  The constructor
     checks the values against its base's carrier.
 
-    A string of plain digits, ``d`` or ``d/d``, is read as two ints, reduced
-    by their gcd once the matrix is read, and builds no value; any other
-    entry is read by ``parse_value``, and each distinct object it returns
-    is one slot.
-    ``memo`` maps each string parsed so far in the file to what it read, so
-    a string that repeats is parsed once.  Only strings are keys, because
-    JSON ``true``, ``1`` and ``1.0`` are equal keys that parse to different
-    values, and only successful parses are kept, so the first bad entry in
-    row-major order raises with its own position.
+    Each row reads its new keys once, in order of first appearance, so the
+    first bad entry in row-major order raises.  A string is its own key,
+    read once per file (``memo``): plain digits, ``d`` or ``d/d``, as two
+    ints, reduced by their gcd once the matrix is read, and any other text
+    by ``parse_value``.  Any other entry is keyed by its position, which no
+    entry equals, because JSON ``true``, ``1`` and ``1.0`` are equal keys
+    that parse to different values.
     """
     if not isinstance(rows, list):
         raise ValueError(f"{where}: expected a matrix")
@@ -396,25 +394,8 @@ def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int) -
     dens: list[int] = []
     built: dict[int, QVal] = {}  # the slots of values that parse_value built
     ids: dict[int, int] = {}  # id(v) -> its slot
-    slot: dict[str, int] = {}  # a string of this matrix -> its slot
-
-    def add(e) -> int:
-        """The slot of what an entry read, a (numerator, denominator) or
-        a value: new, unless it is a value seen before."""
-        k = len(tags)
-        if type(e) is tuple:
-            t, (p, d) = maxplus._FIN, e
-        else:
-            k = ids.setdefault(id(e), k)
-            if k < len(tags):
-                return k
-            built[k] = e
-            t, p, d = maxplus._entry(e)
-        tags.append(t)
-        nums.append(p)
-        dens.append(d)
-        return k
-
+    slot: dict[object, int] = {}  # a key of this matrix -> its slot
+    at = object()  # the mark of a position key, (at, i, j)
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
@@ -424,38 +405,35 @@ def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int) -
             continue
         except (KeyError, TypeError):
             pass
-        if all(map(str.__instancecheck__, row)):
-            # a row of strings: read its new ones once each, in order of
-            # first appearance, so the first to fail is its first bad entry
-            for key in dict.fromkeys(row):
-                if key not in slot:
+        keys = row if all(map(str.__instancecheck__, row)) else [
+            raw if isinstance(raw, str) else (at, i, j) for j, raw in enumerate(row)
+        ]
+        for key in dict.fromkeys(keys):
+            if key in slot:
+                continue
+            try:
+                if isinstance(key, str):
                     e = memo.get(key)
                     if e is None:
-                        try:
-                            e = memo[key] = _digits(key) or _parse_text(key)
-                        except ValueError as exc:
-                            raise ValueError(f"{where}[{i}][{row.index(key)}]: {exc}") from None
-                    slot[key] = add(e)
-            out.append(list(map(slot.__getitem__, row)))
-            continue
-        ks = []
-        for j, raw in enumerate(row):
-            key = raw if isinstance(raw, str) else None
-            k = slot.get(key)
-            if k is None:
-                e = memo.get(key)
-                if e is None:
-                    try:
-                        e = (_digits(key) or _parse_text(key)) if key is not None else parse_value(raw)
-                    except ValueError as exc:
-                        raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
-                    if key is not None:
-                        memo[key] = e
-                k = add(e)
-                if key is not None:
-                    slot[key] = k
-            ks.append(k)
-        out.append(ks)
+                        e = memo[key] = _digits(key) or _parse_text(key)
+                else:
+                    e = parse_value(row[key[2]])
+            except ValueError as exc:
+                j = row.index(key) if isinstance(key, str) else key[2]
+                raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
+            if type(e) is tuple:  # a (numerator, denominator): a new slot
+                slot[key] = len(tags)
+                t, (p, d) = maxplus._FIN, e
+            else:  # a value: a new slot, unless it was read before
+                k = slot[key] = ids.setdefault(id(e), len(tags))
+                if k < len(tags):
+                    continue
+                built[k] = e
+                t, p, d = maxplus._entry(e)
+            tags.append(t)
+            nums.append(p)
+            dens.append(d)
+        out.append(list(map(slot.__getitem__, keys)))
     values = maxplus.Column(np.array(tags, np.int8), *maxplus._reduced(nums, dens), built)
     if any(len(ks) != ncols for ks in out):
         return tuple(tuple(map(values.__getitem__, ks)) for ks in out), None

@@ -210,9 +210,12 @@ def interval_2d(e1: Event2D, e2: Event2D) -> QVal:
     in e1's future lightcone (dt >= |dx|), bot otherwise."""
     dt = e2.t - e1.t
     dx = abs(e2.x - e1.x)
-    if dt >= dx:
-        return finite(math.sqrt(dt * dt - dx * dx))
-    return BOT
+    if dt < dx:
+        return BOT
+    root = math.sqrt(dt * dt - dx * dx)
+    if not math.isfinite(root):
+        raise ValueError(f"interval from {e1} to {e2}: its square overflows a float")
+    return finite(root)
 
 
 def minkowski_sample(
@@ -244,13 +247,17 @@ def minkowski_sample(
     # interval_2d on every pair at once: the same IEEE operations, so the
     # same square roots; one value per causal pair, after bot
     t, x = np.array([(e.t, e.x) for e in events]).reshape(n, 2).T
-    dt, dx = t - t[:, None], np.abs(x - x[:, None])  # from the row's event to the column's
-    causal = dt >= dx
-    a, b, bot = dt[causal], dx[causal], int(not causal.all())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        dt, dx = t - t[:, None], np.abs(x - x[:, None])  # from the row's event to the column's
+        causal = dt >= dx
+        a, b, bot = dt[causal], dx[causal], int(not causal.all())
+        root = np.sqrt(a * a - b * b)
+    # dt >= dx >= 0: every root is a float >= 0, finite unless a square overflowed
+    if not np.isfinite(root).all():
+        raise ValueError(f"bounds {bounds} too wide: a squared interval overflows a float")
     positions = np.zeros((n, n), np.intp)
     positions[causal] = np.arange(bot, bot + len(a))
-    # dt >= dx >= 0, so every square root is a finite float >= 0
-    num, den = _binary_fractions(np.sqrt(a * a - b * b))
+    num, den = _binary_fractions(root)
     tags = np.full(bot + len(a), _FIN, np.int8)
     tags[:bot] = _BOT
     values = Column(tags, np.concatenate([np.zeros(bot, num.dtype), num]),

@@ -211,30 +211,28 @@ def _default_law_grid(q: QuantaleDescriptor):
     return tuple(_build(q, iter(p)) for p in iproduct(*(leaf.sample for leaf in q._leaves)))
 
 
+def _result(ok: bool, payload: dict) -> CommandResult:
+    """A command's result: status ok and exit code 0, or violations and
+    exit code 1, with the status put into ``payload``."""
+    status = OK if ok else VIOLATIONS
+    return CommandResult(status, {"status": status, **payload}, 0 if ok else 1)
+
+
 def _cmd_laws(args) -> CommandResult:
     q = parse_quantale_name(args.quantale)
     grid = _parse_grid(args.grid) if args.grid else _default_law_grid(q)
     report = check_laws(q, grid)
-    payload = {"status": OK if report.ok else VIOLATIONS, **report.to_json()}
-    return CommandResult(payload["status"], payload, 0 if report.ok else 1)
+    return _result(report.ok, report.to_json())
 
 
 def _cmd_validate(args) -> CommandResult:
     cat = category_from_json(_read_json(args.category), where=args.category)
     report = validate_category(cat)
-    payload = {
-        "status": OK if report.ok else VIOLATIONS,
-        "objects": list(cat.objects),
-        "report": report.to_json(),
-    }
-    ok = report.ok
-    if cat.quantale.kind is Kind.RBOT:
-        endo = classify_endohoms(cat)
-        payload["endohoms"] = endo.to_json()
-        ok = ok and endo.ok
-        if not ok:
-            payload["status"] = VIOLATIONS
-    return CommandResult(payload["status"], payload, 0 if ok else 1)
+    payload = {"objects": list(cat.objects), "report": report.to_json()}
+    if cat.quantale.kind is not Kind.RBOT:
+        return _result(report.ok, payload)
+    endo = classify_endohoms(cat)
+    return _result(report.ok and endo.ok, {**payload, "endohoms": endo.to_json()})
 
 
 def _cmd_compose(args) -> CommandResult:
@@ -242,24 +240,15 @@ def _cmd_compose(args) -> CommandResult:
     n = module_from_json(_read_json(args.second), where=args.second)
     out = compose(m, n)
     _write(args.output, _chunks(module_to_json(out, _rows=_Rows)))
-    payload = {
-        "status": OK,
-        "output": args.output,
-        "shape": [len(out.target.objects), len(out.source.objects)],
-    }
-    return CommandResult(OK, payload, 0)
+    shape = [len(out.target.objects), len(out.source.objects)]
+    return _result(True, {"output": args.output, "shape": shape})
 
 
 def _cmd_adjoint(args) -> CommandResult:
     m = module_from_json(_read_json(args.module), where=args.module)
     n = canonical_right_adjoint(m)
     report = check_adjunction(m, n)
-    payload = {
-        "status": OK if report.ok else VIOLATIONS,
-        "right_adjoint": module_to_json(n),
-        "adjunction": report.to_json(),
-    }
-    return CommandResult(payload["status"], payload, 0 if report.ok else 1)
+    return _result(report.ok, {"right_adjoint": module_to_json(n), "adjunction": report.to_json()})
 
 
 def _cmd_cauchy(args) -> CommandResult:
@@ -267,41 +256,36 @@ def _cmd_cauchy(args) -> CommandResult:
     cauchy, representing, witness = _cauchy_decision(m)  # raises unless the source is I
     if not cauchy:
         representing, witness = (), None
-    status = OK if representing else VIOLATIONS
-    payload = {
-        "status": status,
+    return _result(bool(representing), {
         "is_cauchy": cauchy,
         "representing": representing[0] if representing else None,
         "all_representing": list(representing),
         "witness": witness,
-    }
-    return CommandResult(status, payload, 0 if status == OK else 1)
+    })
 
 
 def _cmd_complete(args) -> CommandResult:
     cat = category_from_json(_read_json(args.category), where=args.category)
     grid = _parse_grid(args.grid) if args.grid else None
     report = cauchy_completeness_report(cat, grid)
-    payload = {"status": OK if report.complete else VIOLATIONS, **report.to_json()}
-    return CommandResult(payload["status"], payload, 0 if report.complete else 1)
+    return _result(report.complete, report.to_json())
 
 
 def _cmd_collage(args) -> CommandResult:
     m = module_from_json(_read_json(args.module), where=args.module)
     col = collage(m)
     _write(args.output, _chunks(collage_to_json(col, _rows=_Rows)))
-    payload = {"status": OK, "output": args.output, "objects": list(col.category.objects)}
-    return CommandResult(OK, payload, 0)
+    return _result(True, {"output": args.output, "objects": list(col.category.objects)})
 
 
 def _cmd_restrict(args) -> CommandResult:
     col = collage_from_json(_read_json(args.collage), where=args.collage)
     m = restrict(col)
-    payload = {"status": OK, "module": module_to_json(m)}
+    payload = {"module": module_to_json(m)}
     if args.output:
         _write(args.output, _chunks(module_to_json(m, _rows=_Rows)))
         payload["output"] = args.output
-    return CommandResult(OK, payload, 0)
+    return _result(True, payload)
 
 
 def _cmd_adjoin(args) -> CommandResult:
@@ -310,8 +294,7 @@ def _cmd_adjoin(args) -> CommandResult:
     _require_utf8(args.label, "--label")
     cat = adjoin_point(m, n, label=args.label)
     _write(args.output, _chunks(category_to_json(cat, _rows=_Rows)))
-    payload = {"status": OK, "output": args.output, "objects": list(cat.objects)}
-    return CommandResult(OK, payload, 0)
+    return _result(True, {"output": args.output, "objects": list(cat.objects)})
 
 
 def _cmd_from_dag(args) -> CommandResult:
@@ -332,8 +315,7 @@ def _cmd_from_dag(args) -> CommandResult:
     except CycleError as exc:
         raise ValueError(f"{args.edges}: {exc}") from None
     _write(args.output, _chunks(category_to_json(cat, _rows=_Rows)))
-    payload = {"status": OK, "output": args.output, "objects": list(cat.objects)}
-    return CommandResult(OK, payload, 0)
+    return _result(True, {"output": args.output, "objects": list(cat.objects)})
 
 
 def _cmd_minkowski(args) -> CommandResult:
@@ -346,31 +328,22 @@ def _cmd_minkowski(args) -> CommandResult:
         raise ValueError(f"--bounds expects numbers, got {args.bounds!r}") from None
     cat, events = minkowski_sample(args.n, args.seed, bounds)  # type: ignore[arg-type]
     _write(args.output, _chunks(category_to_json(cat, _rows=_Rows)))
-    payload = {
-        "status": OK,
-        "output": args.output,
-        "events": [[e.t, e.x] for e in events],
-        "seed": args.seed,
-    }
-    return CommandResult(OK, payload, 0)
+    coords = [[e.t, e.x] for e in events]
+    return _result(True, {"output": args.output, "events": coords, "seed": args.seed})
 
 
 def _cmd_underlying(args) -> CommandResult:
     cat = category_from_json(_read_json(args.category), where=args.category)
     edges = _sorted_underlying(cat)
-    if args.dot:
-        _write(args.dot, preorder_dot(cat.objects, edges))
-    payload = {"status": OK, "edges": edges}
-    if args.dot:
-        payload["dot"] = args.dot
-    return CommandResult(OK, payload, 0)
+    if not args.dot:
+        return _result(True, {"edges": edges})
+    _write(args.dot, preorder_dot(cat.objects, edges))
+    return _result(True, {"edges": edges, "dot": args.dot})
 
 
 def _cmd_counterexample_mixed(args) -> CommandResult:
     record = mixed_signature_check()
-    status = VIOLATIONS if record.violation else OK
-    payload = {"status": status, **record.to_json()}
-    return CommandResult(status, payload, 1 if record.violation else 0)
+    return _result(not record.violation, record.to_json())
 
 
 class _Command(NamedTuple):
@@ -476,7 +449,7 @@ def run(argv: Sequence[str]) -> CommandResult:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         if code == 0:  # --help
-            return CommandResult(OK, {"status": OK}, 0)
+            return _result(True, {})
         return CommandResult(ERROR, {"status": ERROR, "error": "invalid arguments"}, 2)
     try:
         return args.fn(args)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -216,6 +217,33 @@ class TestMinkowski:
         cat, events = minkowski_sample(0, 1)
         assert len(cat) == 0 and events == []
         assert validate_category(cat).ok
+
+    def test_overflowing_squares_raise(self):
+        # no RuntimeWarning either: the overflow is checked, not cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"bounds \(0\.0, 1e\+200, 0\.0, 1\.0\) too wide"):
+                minkowski_sample(4, 1, bounds=(0.0, 1e200, 0.0, 1.0))
+            with pytest.raises(ValueError, match="its square overflows a float"):
+                interval_2d(Event2D(0, 0), Event2D(1e200, 0))
+            with pytest.raises(ValueError, match="its square overflows a float"):
+                interval_2d(Event2D(0, 0), Event2D(1e200, 1e200))
+
+    def test_bounds_just_inside_the_limit_sample(self):
+        # sqrt(float max) is 1.3407...e154: every square here stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cat, events = minkowski_sample(12, 3, bounds=(0.0, 1.34e154, 0.0, 1.34e154))
+        assert max(e.t for e in events) > 1.3e154
+        assert [list(row) for row in cat.hom] == [
+            [interval_2d(a, b) for b in events] for a in events
+        ]
+
+    def test_overflowing_bounds_exit_two_and_write_nothing(self, tmp_path):
+        out = tmp_path / "big.json"
+        result = run(["minkowski", "--n", "4", "--seed", "1", "--bounds", "0,1e200,0,1", "-o", str(out)])
+        assert result.exit_code == 2 and "too wide" in result.payload["error"]
+        assert not out.exists()
 
 
 class TestCrossGenerator:

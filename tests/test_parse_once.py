@@ -483,3 +483,73 @@ def test_a_row_of_numbers_and_strings_raises_at_its_first_bad_entry():
     assert hom_error(rest[:1] + [[1, "x", "x", None]] + rest[1:]) == (
         "category.hom[1][1]: cannot parse 'x' as a value"
     )
+
+
+# ---- the one row loop: strings keyed by their text, other entries by position
+
+
+def same_rows(rows):
+    """``_parse_rows(rows)`` against the copy of the parser that built a
+    QVal per distinct string: the same error, or the same values in the
+    same slots at the same positions."""
+    ncols = len(rows[0]) if rows else 0
+    got = outcome(lambda r: qcat.category._parse_rows(r, "m", {}, ncols), rows)
+    want = outcome(lambda r: oracles.parse_rows(r, "m", {}, ncols), rows)
+    if want[0] == "error":
+        assert got == want
+        return got[2]
+    (_, (column, positions)), (_, (values, want_positions)) = got[1], want[1]
+    assert isinstance(column, qcat.maxplus.Column)
+    assert positions.tolist() == want_positions.tolist()
+    assert list(column) == values
+    assert [v.tag for v in column] == [v.tag for v in values]
+    return column, positions.tolist()
+
+
+def test_equal_json_keys_of_other_types_are_read_apart():
+    # 1, 1.0 and true are one dict key; each is read where it stands, so
+    # the numbers take a slot per entry and true its one shared value
+    rows = [[1, 1.0, True, "1"], [True, 1.0, 1, "1"], [1.0, True, "1", 1], ["1", "1", "1", "1"]]
+    column, positions = same_rows(rows)
+    assert len(column) == 8
+    assert [[format_value(column[k]) for k in row] for row in positions] == [
+        ["1", "1", "true", "1"], ["true", "1", "1", "1"], ["1", "true", "1", "1"], ["1"] * 4,
+    ]
+    assert positions[3] == [positions[0][3]] * 4  # the string's one slot, by the fast path
+
+
+def test_a_row_of_seen_strings_with_a_new_number_reads_the_number():
+    column, positions = same_rows([["0", "1", "0"], ["1", "0", 1], ["0", 0.5, "1"]])
+    assert positions == [[0, 1, 0], [1, 0, 2], [0, 3, 1]]
+    assert [format_value(v) for v in column] == ["0", "1", "1", "1/2"]
+
+
+def test_a_string_first_read_in_a_mixed_row_is_found_by_the_fast_path():
+    read = []
+
+    def spy(raw):
+        read.append(raw)
+        return _digits(raw)
+
+    with mock.patch.object(qcat.category, "_digits", spy):
+        _, positions = same_rows([[0, "2/4", "bot"], ["2/4", "bot", "2/4"], ["bot", "bot", "2/4"]])
+    assert read == ["2/4", "bot"]
+    assert positions == [[0, 1, 2], [1, 2, 1], [2, 2, 1]]
+
+
+def test_a_bad_entry_of_either_kind_raises_in_row_major_order():
+    for rows, where in (
+        ([["0", None, "x"]], "[0][1]"),  # a bad non-string, then a bad string
+        ([["0", "x", None]], "[0][1]"),  # a bad string, then a bad non-string
+        ([["0", "1"], ["1", -1, "0", "x"]], "[1][1]"),  # after seen strings
+        ([["0", "1"], ["x", "1", -1, "x"]], "[1][0]"),
+        ([["0", "1"], ["1", "0", "x", -1]], "[1][2]"),
+    ):
+        assert same_rows(rows).startswith(f"m{where}: ")
+
+
+def test_no_entry_equals_a_position_key():
+    # a tuple, which no JSON file holds, is not mistaken for where an
+    # earlier row's number stood
+    error = "m[1][0]: cannot parse (0, 0) as a value"
+    assert same_rows([[1, "0"], [(0, 0), "0"]]) == error
