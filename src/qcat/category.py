@@ -196,36 +196,73 @@ def underlying_preorder(c: VCategory) -> frozenset[tuple[str, str]]:
     For a valid category the result is reflexive and transitive: the
     underlying preorder (the causal set of a causal space).
     """
-    return frozenset(map(tuple, _sorted_underlying(c)))
+    i, j, labels = _underlying_pairs(c)
+    return frozenset(zip(labels[i].tolist(), labels[j].tolist()))
 
 
 def _sorted_underlying(c: VCategory) -> list[list[str]]:
-    """``sorted(underlying_preorder(c))`` as ``[a, b]`` rows: ``unit <= v``
-    is read once per distinct value from its column
-    (:func:`qcat.maxplus.unit_below`), and the positions are permuted into
-    label order, so that only the objects are sorted as strings and the
-    edges come out of ``np.nonzero`` in order."""
+    """``sorted(underlying_preorder(c))`` as ``[a, b]`` rows, gathered
+    from :func:`_underlying_pairs`."""
+    i, j, labels = _underlying_pairs(c)
+    return np.stack((labels[i], labels[j]), axis=1).tolist()
+
+
+def _underlying_pairs(c: VCategory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of the underlying preorder as positions ``(i, j)`` into
+    ``labels``, the objects sorted as strings in an object array, with the
+    edges in label order.  ``unit <= v`` is read once per distinct value
+    from its column (:func:`qcat.maxplus.unit_below`), and the positions
+    are permuted into label order, so that only the objects are sorted as
+    strings and the edges come out of ``np.nonzero`` in order."""
     obj = c.objects
     values, positions = c._index
     perm = np.array(sorted(range(len(obj)), key=obj.__getitem__), np.intp)
     i, j = np.nonzero(maxplus.unit_below(c.quantale, values)[positions[np.ix_(perm, perm)]])
     labels = np.empty(len(obj), object)
     labels[:] = sorted(obj)
-    return np.stack((labels[i], labels[j]), axis=1).tolist()
+    return i, j, labels
+
+
+def _edge_runs(text: Sequence[str], i: np.ndarray, j: np.ndarray,
+               head: str, mid: str, tail: str, sep: str) -> str:
+    """``sep.join(head + text[a] + mid + text[b] + tail for a, b in zip(i,
+    j))``, for ``i`` in order.  The edges from one source are a run, and
+    each run is one C-level join over a gather of its targets' texts."""
+    if not len(i):
+        return ""
+    targets = np.array(text, object)[j].tolist()
+    cut = (np.flatnonzero(np.diff(i)) + 1).tolist()
+    runs = []
+    for a, s, e in zip(i[[0, *cut]].tolist(), [0, *cut], [*cut, len(i)]):
+        lead = head + text[a] + mid
+        runs.append(lead + (tail + sep + lead).join(targets[s:e]) + tail)
+    return sep.join(runs)
 
 
 def preorder_dot(objects: Sequence[str], edges: Iterable[tuple[str, str]]) -> str:
     """Render a preorder in DOT: one node per object, one edge per
-    non-identity relation, sorted for byte stability.  Each distinct
-    label is quoted once."""
-    edges = sorted(edges)
-    labels = set(objects).union(itertools.chain.from_iterable(edges))
-    q = {s: '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in labels}
-    lines = ["digraph preorder {"]
-    lines += [f"  {q[o]};" for o in objects]
-    lines += [f"  {q[a]} -> {q[b]};" for a, b in edges if a != b]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    non-identity relation, sorted for byte stability.  The edges may come
+    in any order, repeat, or name labels that are not objects: each is
+    read as a pair of positions into the sorted labels, and the pairs are
+    sorted and rendered by :func:`_dot`."""
+    edges = list(edges)
+    labels = sorted(set(objects).union(itertools.chain.from_iterable(edges)))
+    rank = {s: k for k, s in enumerate(labels)}
+    pairs = np.array(sorted((rank[a], rank[b]) for a, b in edges), np.intp).reshape(-1, 2)
+    return _dot(objects, labels, pairs[:, 0], pairs[:, 1])
+
+
+def _dot(objects: Sequence[str], labels: Sequence[str], i: np.ndarray, j: np.ndarray) -> str:
+    """The text of :func:`preorder_dot` from its edges as positions
+    ``(i, j)`` into the sorted ``labels``, in order.  Each label is
+    quoted once, and the arrows are written a source at a time
+    (:func:`_edge_runs`)."""
+    quoted = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in labels]
+    q = dict(zip(labels, quoted))
+    arrow = i != j
+    arrows = _edge_runs(quoted, i[arrow], j[arrow], "  ", " -> ", ";", "\n")
+    nodes = "".join(["  " + q[o] + ";\n" for o in objects])
+    return "digraph preorder {\n" + nodes + (arrows + "\n" if arrows else "") + "}\n"
 
 
 REGULAR = "regular"
@@ -365,8 +402,16 @@ def _category_from_json(data: object, where: str, memo: dict[str, object]) -> VC
     hom = _parse_rows(data["hom"], f"{where}.hom", memo, len(objects))
     try:
         return VCategory(q, tuple(objects), *hom)
-    except (ValueError, CarrierMismatch) as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        raise _located(exc, where, "hom") from None
+
+
+def _located(exc: ValueError, where: str, name: str) -> ValueError:
+    """``exc``, raised building an object from the file at ``where``, with
+    ``where`` in its message: a carrier mismatch names its entry of the
+    ``name`` matrix."""
+    at = getattr(exc, "at", None)
+    return ValueError(f"{where}.{name}[{at[0]}][{at[1]}]: {exc}" if at else f"{where}: {exc}")
 
 
 def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int) -> tuple:

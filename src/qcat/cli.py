@@ -23,12 +23,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .category import (
+    _dot,
+    _edge_runs,
     _require_utf8,
-    _sorted_underlying,
+    _underlying_pairs,
     category_from_json,
     category_to_json,
     classify_endohoms,
-    preorder_dot,
     validate_category,
 )
 from .causal import (
@@ -81,6 +82,18 @@ class _Rows:
     index: Block
 
 
+@dataclass(frozen=True)
+class _Pairs:
+    """Edges as positions ``(i, j)`` into ``labels``, in order, to be
+    written as the list of ``[labels[i], labels[j]]`` rows that
+    :func:`_text` would write; only :func:`_encode` renders it, as one
+    chunk (:func:`qcat.category._edge_runs`)."""
+
+    labels: Sequence[str]
+    i: np.ndarray
+    j: np.ndarray
+
+
 def _dump(data: dict) -> str:
     """``json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)``
     plus a newline, byte for byte, at C speed per row: ``indent`` puts
@@ -97,10 +110,12 @@ def _chunks(data: object) -> Iterator[str]:
 def _encode(o: object, nl: str) -> Iterator[str]:
     # nl is the newline plus the indent of o's own line.  A dict keyed by
     # str yields each key with its value's chunks, and a _Rows one chunk
-    # per row; anything else is one chunk, from _text.
+    # per row; anything else is one chunk, from _pairs or _text.
     t = type(o)
     if t is _Rows:
         yield from _matrix(o.index, nl)
+    elif t is _Pairs:
+        yield _pairs(o, nl)
     elif t is dict and o and set(map(type, o)) == {str}:
         inner = nl + "  "
         lead = "{" + inner
@@ -161,6 +176,18 @@ def _matrix(index: Block, nl: str) -> Iterator[str]:
         yield lead + cell.join(text[p].tolist()) + close
         lead = "," + inner + row
     yield nl + "]"
+
+
+def _pairs(p: _Pairs, nl: str) -> str:
+    """``_text([[p.labels[a], p.labels[b]] for a, b in zip(p.i, p.j)], nl)``,
+    escaping each label once."""
+    if not len(p.i):
+        return "[]"
+    inner = nl + "  "
+    cell = inner + "  "
+    rows = _edge_runs(list(map(encode_basestring, p.labels)), p.i, p.j,
+                      "[" + cell, "," + cell, inner + "]", "," + inner)
+    return "[" + inner + rows + nl + "]"
 
 
 def _loads(text: str, path: str) -> object:
@@ -334,10 +361,11 @@ def _cmd_minkowski(args) -> CommandResult:
 
 def _cmd_underlying(args) -> CommandResult:
     cat = category_from_json(_read_json(args.category), where=args.category)
-    edges = _sorted_underlying(cat)
+    i, j, labels = _underlying_pairs(cat)
+    edges = _Pairs(labels, i, j)
     if not args.dot:
         return _result(True, {"edges": edges})
-    _write(args.dot, preorder_dot(cat.objects, edges))
+    _write(args.dot, _dot(cat.objects, labels, i, j))
     return _result(True, {"edges": edges, "dot": args.dot})
 
 

@@ -47,6 +47,7 @@ from .quantale import (
     FALSE,
     INF,
     TRUE,
+    CarrierMismatch,
     QuantaleDescriptor,
     QVal,
     Tag,
@@ -187,13 +188,20 @@ def texts(values: Sequence[QVal]) -> list[str]:
     return out
 
 
-def _stored(q: QuantaleDescriptor, values: Sequence[QVal]) -> Column:
+def _stored(q: QuantaleDescriptor, values: Sequence[QVal],
+            first: Callable[[int], tuple[int, int]]) -> Column:
     """``values`` as an index stores them, a column, checked against
     ``q``'s carrier: ``carrier_check`` runs on each slot whose tag code is
-    outside it, which on a plain base raises at the first such slot."""
+    outside it, which on a plain base raises at the first such slot.  The
+    :class:`qcat.quantale.CarrierMismatch` it raises gets ``at``, the
+    position ``first(k)`` of the first entry that holds slot ``k``."""
     c = column(values)
     for k in _OUTSIDE[id(q._leaf)][c.tags].nonzero()[0].tolist():
-        carrier_check(q, c[k])
+        try:
+            carrier_check(q, c[k])
+        except CarrierMismatch as exc:
+            exc.at = first(k)
+            raise
     return c
 
 
@@ -220,17 +228,23 @@ def check_matrix(
     ``ValueError(row_error(i, len(row)))`` at the first row ``i`` without
     ``ncols`` entries, and :class:`qcat.quantale.CarrierMismatch` at the
     first entry outside ``q``'s carrier, whichever comes first in
-    row-major order.
+    row-major order.  The mismatch's ``at`` is the first entry of its
+    slot; where the slots are in order of first appearance, as in a walk
+    or a parse, that is the first bad entry.
     """
     if index is not None:
-        return _stored(q, index[0]), index[1]
+        positions = index[1]
+        return _stored(q, index[0], lambda k: tuple(np.argwhere(positions == k)[0].tolist())), positions
     values: list[QVal] = []
     slot: dict[int, int] = {}  # id(v) -> its position in values
+
+    def first(k: int) -> tuple[int, int]:
+        return next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v is values[k])
 
     def walk() -> Iterator[int]:
         for i, row in enumerate(rows):
             if len(row) != ncols:
-                _stored(q, values)  # a bad entry before the short row
+                _stored(q, values, first)  # a bad entry before the short row
                 raise ValueError(row_error(i, len(row)))
             for v in row:
                 k = slot.get(id(v))
@@ -244,7 +258,7 @@ def check_matrix(
     # fromiter stops at its count: finish the walk, so that with no
     # columns every row's length is still checked
     next(it, None)
-    return _stored(q, values), positions.reshape(len(rows), ncols)
+    return _stored(q, values, first), positions.reshape(len(rows), ncols)
 
 
 def rows(block: Block) -> tuple[tuple[QVal, ...], ...]:

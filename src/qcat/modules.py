@@ -32,6 +32,7 @@ from .category import (
     _category_from_json,
     _format_rows,
     _law_violations,
+    _located,
     _parse_rows,
     category_to_json,
     unit_category,
@@ -467,5 +468,5 @@ def module_from_json(data: object, *, where: str = "module") -> VModule:
     try:
         return VModule(source, target, *mat)
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        raise _located(exc, where, "mat") from None
 

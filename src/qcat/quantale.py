@@ -54,7 +54,11 @@ class Tag(Enum):
 
 
 class CarrierMismatch(ValueError):
-    """A value's shape does not belong to the descriptor's carrier."""
+    """A value's shape does not belong to the descriptor's carrier.
+    Raised checking a matrix, ``at`` is the ``(i, j)`` of the first entry
+    that holds the value (:func:`qcat.maxplus.check_matrix`)."""
+
+    at: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True, eq=False)

@@ -422,19 +422,20 @@ def test_a_hand_built_matrix_keeps_its_objects(name):
     ("(1,2,3)", "bot"), ("bot", "(1,2,3)"), ("1", "true"), ("(bot,1)", "bot"),
 ])
 def test_a_product_files_first_bad_entry_raises(first, then):
-    # on rbot,bool the first bad entry in row-major order is the one named
+    # on rbot,bool the first bad entry in row-major order is the one named,
+    # by its position
     messages = {
-        "(1,2,3)": "category: QVal((1,2,3)) does not match the product shape",
-        "bot": "category: QVal(bot) does not match the product shape",
-        "1": "category: QVal(1) does not match the product shape",
-        "(bot,1)": "category: QVal(1) is not a truth value",
+        "(1,2,3)": "QVal((1,2,3)) does not match the product shape",
+        "bot": "QVal(bot) does not match the product shape",
+        "1": "QVal(1) does not match the product shape",
+        "(bot,1)": "QVal(1) is not a truth value",
     }
     for a, b in [((0, 1), (1, 0)), ((1, 0), (1, 1)), ((0, 0), (0, 1))]:
         hom = [["(0,true)", "(1,false)"], ["(bot,false)", "(0,true)"]]
         hom[a[0]][a[1]], hom[b[0]][b[1]] = first, then
         with pytest.raises(ValueError) as got:
             category_from_json({"quantale": ["rbot", "bool"], "objects": ["x", "y"], "hom": hom})
-        assert str(got.value) == messages[first]
+        assert str(got.value) == f"category.hom[{a[0]}][{a[1]}]: {messages[first]}"
     hom = [["(0,true)", "(1,true)x"], ["(1,2,3)", "(0,true)"]]  # an unreadable entry raises at parse
     with pytest.raises(ValueError, match=r"^category\.hom\[0\]\[1\]: cannot parse '\(1,true\)x'"):
         category_from_json({"quantale": ["rbot", "bool"], "objects": ["x", "y"], "hom": hom})

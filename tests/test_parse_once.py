@@ -95,7 +95,21 @@ def ref_category_from_json(data: object, *, where: str = "category") -> VCategor
     try:
         return VCategory(q, tuple(objects), tuple(hom))
     except (ValueError, CarrierMismatch) as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        raise ref_located(exc, where, "hom", q, hom) from None
+
+
+def ref_located(exc: ValueError, where: str, name: str, q, rows) -> ValueError:
+    """A carrier mismatch names the first entry of the matrix, in
+    row-major order, that the per-entry carrier check rejects; any other
+    error names the file alone."""
+    if isinstance(exc, CarrierMismatch):
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                try:
+                    oracles.carrier_check(q, v)
+                except CarrierMismatch as bad:
+                    return ValueError(f"{where}.{name}[{i}][{j}]: {bad}")
+    return ValueError(f"{where}: {exc}")
 
 
 def ref_module_from_json(data: object, *, where: str = "module") -> VModule:
@@ -127,7 +141,7 @@ def ref_module_from_json(data: object, *, where: str = "module") -> VModule:
     try:
         return VModule(source, target, tuple(mat))
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        raise ref_located(exc, where, "mat", target.quantale, mat) from None
 
 
 def ref_collage_from_json(data: object, *, where: str = "collage") -> Collage:
@@ -360,7 +374,7 @@ def test_module_endpoints_share_one_memo(data):
 def test_twins_equal_under_eq_are_read_apart():
     target = {"quantale": "rbot", "objects": ["a"], "hom": [[1]], "tolerance": 0}
     for source, expect in (
-        ({**target, "hom": [[True]]}, "module.source: "),  # true is not in rbot's carrier
+        ({**target, "hom": [[True]]}, "module.source.hom[0][0]: "),  # true is not in rbot's carrier
         ({**target, "tolerance": False}, "module.source.tolerance"),
     ):
         assert source == target
