@@ -200,13 +200,6 @@ def underlying_preorder(c: VCategory) -> frozenset[tuple[str, str]]:
     return frozenset(zip(labels[i].tolist(), labels[j].tolist()))
 
 
-def _sorted_underlying(c: VCategory) -> list[list[str]]:
-    """``sorted(underlying_preorder(c))`` as ``[a, b]`` rows, gathered
-    from :func:`_underlying_pairs`."""
-    i, j, labels = _underlying_pairs(c)
-    return np.stack((labels[i], labels[j]), axis=1).tolist()
-
-
 def _underlying_pairs(c: VCategory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges of the underlying preorder as positions ``(i, j)`` into
     ``labels``, the objects sorted as strings in an object array, with the

@@ -4,7 +4,8 @@ Every subcommand is a thin adapter over one library operation, reading
 and writing the JSON schemas of the library.  Output is canonical
 (sorted keys, fixed array orders) so runs are byte-identical for
 identical inputs and flags.  Exit codes: 0 clean, 1 mathematical
-violations or negative findings, 2 malformed input.
+violations or negative findings, 2 malformed input (or input too large
+for memory).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from itertools import product as iproduct
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -85,13 +85,17 @@ class _Rows:
 @dataclass(frozen=True)
 class _Pairs:
     """Edges as positions ``(i, j)`` into ``labels``, in order, to be
-    written as the list of ``[labels[i], labels[j]]`` rows that
-    :func:`_text` would write; only :func:`_encode` renders it, as one
-    chunk (:func:`qcat.category._edge_runs`)."""
+    written as :func:`_encode` writes the list of ``[labels[i],
+    labels[j]]`` rows; it renders it as one chunk
+    (:func:`qcat.category._edge_runs`)."""
 
     labels: Sequence[str]
     i: np.ndarray
     j: np.ndarray
+
+
+# the exact types that json.dumps writes alike with and without indent
+_SCALARS = frozenset((int, float, bool, type(None)))
 
 
 def _dump(data: dict) -> str:
@@ -108,64 +112,50 @@ def _chunks(data: object) -> Iterator[str]:
 
 
 def _encode(o: object, nl: str) -> Iterator[str]:
-    # nl is the newline plus the indent of o's own line.  A dict keyed by
-    # str yields each key with its value's chunks, and a _Rows one chunk
-    # per row; anything else is one chunk, from _pairs or _text.
+    # nl is the newline plus the indent of o's own line.  A _Rows yields
+    # one chunk per row, and dicts keyed by str and lists recurse; a list
+    # of str is one join over C-level encode_basestring, and an exact
+    # scalar is written by the stdlib's C encoder, whose bytes are those of
+    # the indenting call.  Everything else goes to that call, re-indented:
+    # JSON escapes every newline inside a string, so each "\n" it writes
+    # is structural.
     t = type(o)
+    inner = nl + "  "
     if t is _Rows:
         yield from _matrix(o.index, nl)
     elif t is _Pairs:
         yield _pairs(o, nl)
     elif t is dict and o and set(map(type, o)) == {str}:
-        inner = nl + "  "
         lead = "{" + inner
         for k in sorted(o):
             yield lead + encode_basestring(k) + ": "
             yield from _encode(o[k], inner)
             lead = "," + inner
         yield nl + "}"
+    elif t is list and o and set(map(type, o)) == {str}:
+        yield "[" + inner + ("," + inner).join(map(encode_basestring, o)) + nl + "]"
+    elif t is list and o:
+        lead = "[" + inner
+        for x in o:
+            yield lead
+            yield from _encode(x, inner)
+            lead = "," + inner
+        yield nl + "]"
+    elif t is str:
+        yield encode_basestring(o)
+    elif t in _SCALARS:  # an int past the digit limit raises, as the stdlib does
+        yield json.dumps(o)
     else:
-        yield _text(o, nl)
-
-
-def _text(o: object, nl: str) -> str:
-    # Lists recurse; lists of str and lists of non-empty rows of str are
-    # joined over C-level encode_basestring, one comprehension step per row;
-    # None, bools and ints are written as the stdlib writes them.
-    # Everything else goes to the stdlib, re-indented: JSON escapes every
-    # newline inside a string, so each "\n" it writes is structural.
-    inner = nl + "  "
-    sep = "," + inner
-    t = type(o)
-    if t is str:
-        return encode_basestring(o)
-    if o is None:
-        return "null"
-    if t is bool:
-        return "true" if o else "false"
-    if t is int:  # the stdlib's own call, which raises past the digit limit
-        return int.__repr__(o)
-    if t is dict and o and set(map(type, o)) == {str}:
-        return "".join(_encode(o, nl))
-    if t is list and o:
-        types = set(map(type, o))
-        if types == {str}:
-            return "[" + inner + sep.join(map(encode_basestring, o)) + nl + "]"
-        if types == {list} and all(o) and set(map(type, chain.from_iterable(o))) == {str}:
-            cell, row = "," + inner + "  ", "[" + inner + "  "
-            cells = [cell.join([encode_basestring(x) for x in r]) for r in o]
-            return "[" + inner + row + (inner + "]" + sep + row).join(cells) + inner + "]" + nl + "]"
-        return "[" + inner + sep.join(_text(x, inner) for x in o) + nl + "]"
-    return json.dumps(o, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", nl)
+        yield json.dumps(o, indent=2, sort_keys=True, ensure_ascii=False).replace("\n", nl)
 
 
 def _matrix(index: Block, nl: str) -> Iterator[str]:
-    """The chunks of ``_text(_format_rows(index), nl)``, one per row: each
-    distinct value is formatted and escaped once, and each row is one
+    """The text of ``_encode(_format_rows(index), nl)``, one chunk per row:
+    each distinct value is formatted and escaped once, and each row is one
     join over a gather of those texts by the row's positions."""
     values, positions = index
     if not positions.size:  # no rows, or rows of no entries
-        yield _text([[]] * len(positions), nl)
+        yield from _encode([[]] * len(positions), nl)
         return
     text = np.empty(len(values), object)
     text[:] = list(map(encode_basestring, texts(values)))
@@ -179,7 +169,7 @@ def _matrix(index: Block, nl: str) -> Iterator[str]:
 
 
 def _pairs(p: _Pairs, nl: str) -> str:
-    """``_text([[p.labels[a], p.labels[b]] for a, b in zip(p.i, p.j)], nl)``,
+    """``_encode([[p.labels[a], p.labels[b]] for a, b in zip(p.i, p.j)], nl)``,
     escaping each label once."""
     if not len(p.i):
         return "[]"
@@ -201,12 +191,15 @@ def _loads(text: str, path: str) -> object:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_json(path: str) -> object:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return _loads(text, path)
+
+
+def _read_json(path: str) -> object:
+    return _loads(_read_text(path), path)
 
 
 def _write(path: str, text: str | Iterable[str]) -> None:
@@ -224,8 +217,9 @@ def _write(path: str, text: str | Iterable[str]) -> None:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except OSError as exc:  # named by the target, not by the temp file
+        why = f"[Errno {exc.errno}] {exc.strerror}" if exc.errno is not None else str(exc)
+        raise ValueError(f"{path}: {why}") from None
 
 
 def _parse_grid(text: str):
@@ -325,12 +319,8 @@ def _cmd_adjoin(args) -> CommandResult:
 
 
 def _cmd_from_dag(args) -> CommandResult:
-    try:
-        text = Path(args.edges).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"{args.edges}: {exc}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    text = _read_text(args.edges)
+    if text.lstrip().startswith("{"):
         dag = dag_from_json(_loads(text, args.edges), where=args.edges)
     else:
         try:
@@ -483,6 +473,9 @@ def run(argv: Sequence[str]) -> CommandResult:
         return args.fn(args)
     except (ValueError, KeyError) as exc:
         return CommandResult(ERROR, {"status": ERROR, "error": str(exc)}, 2)
+    except MemoryError as exc:  # numpy's says what it could not allocate
+        error = f"out of memory: {exc}" if str(exc) else "out of memory"
+        return CommandResult(ERROR, {"status": ERROR, "error": error}, 2)
 
 
 def main() -> None:

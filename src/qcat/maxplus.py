@@ -454,14 +454,8 @@ def product(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Max-plus matrix product: out[x, p] = max over a of m[x, a] + n[a, p],
     -inf absorbing, on float64 or int codes alike; an empty middle
     leaves -inf, the bottom."""
-    rows, mid, nf = m.shape
-    cols = n.shape[1]
-    out = np.full((rows, cols, nf), _NEG, np.result_type(m, n))
-    step = max(1, _CHUNK // max(1, rows * cols * nf))
-    for a0 in range(0, mid, step):
-        s = _tensor(m[:, a0 : a0 + step, None, :], n[None, a0 : a0 + step, :, :])
-        np.maximum(out, np.maximum.reduce(s, axis=1), out=out)
-    return out
+    return _by_rows(lambda mk: np.maximum.reduce(
+        _tensor(mk[:, :, None], n[None]), axis=1, initial=_NEG), m, n.size)
 
 
 def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[int, int, int]]:

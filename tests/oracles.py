@@ -1154,7 +1154,7 @@ def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int):
 def matrix(index, nl: str):
     values, positions = index
     if not positions.size:  # no rows, or rows of no entries
-        yield cli._text([[]] * len(positions), nl)
+        yield _encode([[]] * len(positions), nl)
         return
     texts = np.empty(len(values), object)
     texts[:] = [encode_basestring(format_value(v)) for v in values]

@@ -1,6 +1,10 @@
 import argparse
+import errno
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +87,15 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "hom[0][0]" in result.payload["error"]
         assert "badval.json" in result.payload["error"]
+
+    @pytest.mark.parametrize("argv", [["validate"], ["from-dag", "-o", "x.json"]])
+    def test_undecodable_file_is_named(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.bin").write_bytes(b"\xff\xfe{")
+        result = run([argv[0], "bad.bin", *argv[1:]])
+        assert result.exit_code == 2
+        assert result.payload["error"].startswith("bad.bin: 'utf-8' codec can't decode byte 0xff")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.bin"]
 
     @pytest.mark.parametrize(
         "field,value,fragment",
@@ -374,12 +387,73 @@ class TestAtomicWrite:
         assert result.exit_code == 2
         assert str(out) in result.payload["error"]
 
+    def test_missing_directory_names_the_target(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "d.txt"
+        src.write_text("a b\n")
+        out = tmp_path / "nonexistent" / "x.json"
+        monkeypatch.setattr(sys, "argv", ["qcat", "from-dag", str(src), "-o", str(out)])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        error = f"{out}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+        stdout, err = capsys.readouterr()
+        assert (exit_.value.code, err) == (2, f"error: {error}\n")
+        assert json.loads(stdout)["error"] == error
+
     def test_replaces_existing_file(self, tmp_path, chain_file):
         out = tmp_path / "g.dot"
         out.write_text("stale, and longer than the new graph " * 20)
         assert run(["underlying", chain_file, "--dot", str(out)]).exit_code == 0
         assert out.read_text().startswith("digraph preorder {")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.json", "g.dot"]
+
+
+class TestOutOfMemory:
+    """A MemoryError is an input error (exit 2) that says memory ran out;
+    nothing here allocates more than a test's usual memory."""
+
+    @staticmethod
+    def _no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB")
+
+    def test_while_computing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "minkowski_sample", self._no_memory)
+        result = run(["minkowski", "--n", "20000", "--seed", "1", "-o", str(tmp_path / "big.json")])
+        assert result.exit_code == 2
+        assert result.payload == {"status": "error", "error": "out of memory: Unable to allocate 2.98 GiB"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_while_writing(self, tmp_path, monkeypatch):
+        matrix = cli._matrix
+
+        def first_row_only(index, nl):
+            yield next(matrix(index, nl))
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_matrix", first_row_only)
+        out = tmp_path / "big.json"
+        out.write_text("previous\n")
+        result = run(["minkowski", "--n", "20", "--seed", "1", "-o", str(out)])
+        assert (result.exit_code, result.payload["error"]) == (2, "out of memory")
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
+
+    def test_no_traceback(self, tmp_path):
+        script = (
+            "from qcat import cli\n"
+            "def sample(*args):\n"
+            "    raise MemoryError\n"
+            "cli.minkowski_sample = sample\n"
+            "cli.main()\n"
+        )
+        src_dir = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src_dir), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "minkowski", "--n", "20000", "--seed", "1", "-o", "big.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
+        assert json.loads(proc.stdout) == {"status": "error", "error": "out of memory"}
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -4,10 +4,12 @@ the stdlib call it stands for.
 ``_dump`` promises the bytes of ``json.dumps(x, indent=2,
 sort_keys=True, ensure_ascii=False) + "\\n"`` on this interpreter, and
 the same exception where that call raises.  The trees mix the shapes
-the writer joins at C level (dicts keyed by ``str``, lists of ``str``,
-lists of non-empty rows of ``str``) with everything it hands back to the
-stdlib: scalars, empty and ragged rows, tuples, ``str`` subclasses and
-dicts with non-``str`` or mixed keys.
+the writer walks itself (dicts keyed by ``str``, lists, lists of
+``str``, rows of ``str``), the exact scalars it gives the stdlib's C
+encoder (NaN, the infinities, ``-0.0``, ints at the digit limit), and
+everything it hands back to the indenting call: empty and ragged rows,
+tuples, ``str``, ``int`` and ``float`` subclasses and dicts with
+non-``str`` or mixed keys.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ class Label(str):
     pass
 
 
+class Count(int):
+    pass
+
+
+class Number(float):
+    pass
+
+
 SPECIAL = ['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", "∞", "😀"]
 SPECIAL += ["\u2028", "\u2029", "\ud800", "\udfff"]  # line separators, lone surrogates
 chars = st.one_of(st.sampled_from(SPECIAL), st.characters(exclude_categories=()))
@@ -53,6 +63,8 @@ scalars = st.one_of(
     st.integers(4295, 4305).map(lambda digits: 10 ** (digits - 1)),  # the str() digit limit
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.builds(Count, st.integers()),
+    st.builds(Number, st.floats(allow_nan=True, allow_infinity=True)),
     labels,
 )
 other_keys = st.one_of(st.integers(), st.floats(), st.booleans())
@@ -99,6 +111,7 @@ def test_dump_matches_stdlib(x):
         {"a": [Label("x")], "b": [[Label("y")]], Label("c"): 1},
         {1: "a", 2.5: [["b"]], True: {"c": []}},
         {None: [1, -0.0, float("nan"), float("inf")]},
+        {"a": [Count(7), Number(-0.0), Number("nan")], "b": Count(-3), "c": [2.5, None, True]},
         [[["deep"]], [["er"], "x"]],
     ],
 )
@@ -107,8 +120,8 @@ def test_dump_examples(x):
 
 
 def test_dump_of_thousands_of_rows():
-    # the rows path joins one comprehension per row: many rows of pairs
-    # and of single labels, escapes and non-ASCII text among them
+    # each row of strings is one join: many rows of pairs and of single
+    # labels, escapes and non-ASCII text among them
     names = [f"v{i}" for i in range(90)] + SPECIAL + ["a\\", '"b', " ", "é\\"]
     pairs = [[a, b] for a in names for b in names if a != b]
     assert len(pairs) > 10_000

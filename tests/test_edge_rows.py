@@ -35,7 +35,7 @@ from qcat import (
     unit_category,
 )
 from qcat import cli
-from qcat.category import _dot, _edge_runs, _sorted_underlying, _underlying_pairs, underlying_preorder
+from qcat.category import _dot, _edge_runs, _underlying_pairs, underlying_preorder
 
 import oracles
 import randgen
@@ -92,7 +92,6 @@ def test_pairs_are_the_sorted_underlying_edges(name, c):
     edges = oracles.sorted_underlying(c)
     assert list(labels) == sorted(c.objects)
     assert list(zip(labels[i].tolist(), labels[j].tolist())) == edges
-    assert _sorted_underlying(c) == list(map(list, edges))
     assert underlying_preorder(c) == frozenset(edges)
 
 

@@ -3,15 +3,15 @@
 The CLI writes each hom matrix and module ``mat`` from its index, one
 chunk per row (``cli._Rows``, rendered by ``cli._encode``), and streams
 the chunks into a temp file that is renamed over the target.  Payload
-rows, such as the edges of ``qcat underlying``, are joined at C level,
-and ``_sorted_underlying`` gathers its labels from an object array, in
-rows that ``preorder_dot`` also takes.  Every byte is compared here
-with verbatim copies of the old code in ``oracles``
-(``dump``, ``_encode``, ``format_rows``, ``sorted_underlying``,
-``preorder_dot``), on labels that need escaping, int32 positions,
-transposed views, empty and one-object categories, modules over I and
-product values.  Golden tests pin streamed files and stdout, and the
-failure tests break a write midway.
+rows of strings, such as the edges of ``qcat underlying`` gathered from
+``_underlying_pairs``'s object array of labels, are joined at C level
+one row at a time, and ``preorder_dot`` takes the same rows.  Every
+byte is compared here with verbatim copies of the old code in
+``oracles`` (``dump``, ``_encode``, ``format_rows``,
+``sorted_underlying``, ``preorder_dot``), on labels that need escaping,
+int32 positions, transposed views, empty and one-object categories,
+modules over I and product values.  Golden tests pin streamed files and
+stdout, and the failure tests break a write midway.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from qcat import (
     unit_category,
 )
 from qcat import cli
-from qcat.category import _sorted_underlying
+from qcat.category import _underlying_pairs
 from qcat.quantale import tuple_val
 
 import oracles
@@ -125,11 +125,13 @@ def test_category_matches_the_old_writer(name, c):
 @pytest.mark.parametrize("name, c", CATEGORIES, ids=IDS)
 def test_underlying_matches_the_old_writer(name, c):
     edges = oracles.sorted_underlying(c)
-    assert _sorted_underlying(c) == list(map(list, edges))
+    i, j, labels = _underlying_pairs(c)
+    rows = [[labels[a], labels[b]] for a, b in zip(i.tolist(), j.tolist())]
+    assert rows == list(map(list, edges))
     assert underlying_preorder(c) == frozenset(edges)
-    dot = preorder_dot(c.objects, _sorted_underlying(c))
+    dot = preorder_dot(c.objects, rows)
     assert dot == oracles.preorder_dot(c.objects, edges) == oracles.preorder_dot_oracle(c.objects, edges)
-    payload = {"status": "ok", "edges": _sorted_underlying(c)}
+    payload = {"status": "ok", "edges": rows}
     assert cli._dump(payload) == oracles.dump(payload)
 
 
