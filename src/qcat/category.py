@@ -157,13 +157,14 @@ def validate_category(c: VCategory) -> CategoryReport:
 
 
 def _report(c: VCategory, triples: Iterable[tuple[int, int, int]]) -> CategoryReport:
-    """The unit violations of ``c`` and the composition violations among
-    the given (i, j, k) positions, with their scalar composites."""
+    """The unit violations of ``c`` (:func:`qcat.maxplus.unit_below`) and the
+    composition violations among the given (i, j, k) positions, with their
+    scalar composites."""
     q, obj, index = c.quantale, c.objects, c._index
-    u = unit(q)
     values, positions = index
-    diag = [values[p] for p in positions.diagonal().tolist()]
-    unit_v = tuple((o, v) for o, v in zip(obj, diag) if not leq(q, u, v))
+    diag = positions.diagonal().tolist()
+    bad = np.flatnonzero(~maxplus.unit_below(q, values)[diag]).tolist()
+    unit_v = tuple((obj[i], values[diag[i]]) for i in bad)
     return CategoryReport(unit_v, _law_violations(q, index, index, index, (obj, obj, obj), triples))
 
 

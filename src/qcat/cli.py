@@ -191,11 +191,18 @@ def _loads(text: str, path: str) -> object:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _named(path: str, exc: OSError | UnicodeDecodeError) -> ValueError:
+    """``exc`` as an input error that names ``path`` once: an OSError as
+    ``[Errno n] strerror``, since its own text repeats the file name."""
+    why = f"[Errno {exc.errno}] {exc.strerror}" if getattr(exc, "errno", None) is not None else str(exc)
+    return ValueError(f"{path}: {why}")
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise _named(path, exc) from None
 
 
 def _read_json(path: str) -> object:
@@ -218,8 +225,7 @@ def _write(path: str, text: str | Iterable[str]) -> None:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:  # named by the target, not by the temp file
-        why = f"[Errno {exc.errno}] {exc.strerror}" if exc.errno is not None else str(exc)
-        raise ValueError(f"{path}: {why}") from None
+        raise _named(path, exc) from None
 
 
 def _parse_grid(text: str):

@@ -314,12 +314,6 @@ def _keys(values: Sequence[QVal]) -> list:
             for k, (t, p, q) in enumerate(zip(c.tags.tolist(), c.num.tolist(), c.den.tolist()))]
 
 
-def _leaves(v: QVal) -> tuple[QVal, ...]:
-    if v.tag is Tag.TUPLE:
-        return tuple(x for p in v.value for x in _leaves(p))
-    return (v,)
-
-
 def _factors(q: QuantaleDescriptor, values: Sequence[QVal]) -> list[Column]:
     """The column of each leaf of ``values``, depth first, through
     :func:`column`: a plain base's values are one."""
@@ -473,8 +467,7 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
     descending and the columns of ``b`` in ascending order of their
     non-bottom counts (stable), which on a causal category are both
     causal orders and keep each box small; any order gives the same
-    triples.  Without a bottom entry every box is the whole matrix, and
-    nothing is reordered.
+    triples.
     """
     rows, mid, nf = a.shape
     cols = b.shape[1]
@@ -485,21 +478,17 @@ def candidates(a: np.ndarray, b: np.ndarray, bound: np.ndarray) -> list[tuple[in
     live_b = live_a if b is a else (b > _NEG).any(axis=2)
     in_a, in_b = live_a.sum(axis=0), live_b.sum(axis=1)  # per middle: its non-bottom rows, columns
     rows_of, cols_of = in_a.tolist(), in_b.tolist()
-    if min(rows_of) == rows and min(cols_of) == cols:
-        row_at, col_at = range(rows), range(cols)
-        boxes = [(j, 0, rows, 0, cols) for j in range(mid)]
-    else:
-        # when b is a, the row counts of a are in_b and the column counts of b in_a
-        rp = (-(in_b if b is a else live_a.sum(axis=1))).argsort(kind="stable")
-        cp = (in_a if b is a else live_b.sum(axis=0)).argsort(kind="stable")
-        a, live_a, bound = a.take(rp, 0), live_a.take(rp, 0), bound.take(rp, 0).take(cp, 1)
-        b, live_b = b.take(cp, 1), live_b.take(cp, 1)
-        # the first non-bottom row and column of each middle, and the last from the end
-        r0, r1 = live_a.argmax(axis=0).tolist(), live_a[::-1].argmax(axis=0).tolist()
-        c0, c1 = live_b.argmax(axis=1).tolist(), live_b[:, ::-1].argmax(axis=1).tolist()
-        boxes = [(j, r0[j], rows - r1[j], c0[j], cols - c1[j])
-                 for j in range(mid) if rows_of[j] and cols_of[j]]
-        row_at, col_at = rp.tolist(), cp.tolist()
+    # when b is a, the row counts of a are in_b and the column counts of b in_a
+    rp = (-(in_b if b is a else live_a.sum(axis=1))).argsort(kind="stable")
+    cp = (in_a if b is a else live_b.sum(axis=0)).argsort(kind="stable")
+    a, live_a, bound = a.take(rp, 0), live_a.take(rp, 0), bound.take(rp, 0).take(cp, 1)
+    b, live_b = b.take(cp, 1), live_b.take(cp, 1)
+    # the first non-bottom row and column of each middle, and the last from the end
+    r0, r1 = live_a.argmax(axis=0).tolist(), live_a[::-1].argmax(axis=0).tolist()
+    c0, c1 = live_b.argmax(axis=1).tolist(), live_b[:, ::-1].argmax(axis=1).tolist()
+    boxes = [(j, r0[j], rows - r1[j], c0[j], cols - c1[j])
+             for j in range(mid) if rows_of[j] and cols_of[j]]
+    row_at, col_at = rp.tolist(), cp.tolist()
     (a0, b0, bound0), *rest = [(a[..., f], b[..., f], bound[..., f]) for f in range(nf)]
     with np.errstate(invalid="ignore"):
         for j, i0, i1, k0, k1 in boxes:

@@ -300,14 +300,13 @@ def cauchy_witness(m: VModule, n: VModule) -> str | None:
 _GRID_CAP = 64
 
 
-def _closure_values(q, values: set[QVal], cap: int) -> set[QVal]:
+def _closure_values(q, values: Sequence[QVal], cap: int) -> set[QVal]:
     """The values whose leaves lie in each leaf's closure: its values in
     ``values``, bottom, unit and top, closed under the leaf residual."""
     too_many = ValueError(f"default module grid exceeded {cap} values; pass an explicit grid")
-    parts = [maxplus._leaves(v) for v in values]
     closures = []
-    for f, leaf in enumerate(q._leaves):
-        seen = {p[f] for p in parts} | {leaf.bottom, _decode(leaf, _ZERO), leaf.top}
+    for leaf, column in zip(q._leaves, maxplus._factors(q, values)):
+        seen = set(column) | {leaf.bottom, _decode(leaf, _ZERO), leaf.top}
         while len(seen) <= cap:
             fresh = {_decode(leaf, _diff(_code(leaf, a), _code(leaf, b))) for a in seen for b in seen}
             if fresh <= seen:
@@ -329,19 +328,20 @@ def default_module_grid(c: VCategory, cap: int = _GRID_CAP) -> tuple[QVal, ...]:
 
     Raises if the closure exceeds ``cap`` distinct values.
     """
-    values = set(c._index[0]) or {unit(c.quantale)}
+    values = c._index[0] or [unit(c.quantale)]
     return tuple(sorted(_closure_values(c.quantale, values, cap), key=qval_sort_key))
 
 
 def _grid_codes(c: VCategory, grid: Iterable[QVal]):
-    """The grid in order, checked against C's carrier, and the exact
-    codes of C's homs and of the grid, (n, n, F) and (K, F), with the
-    tolerance offsets (:func:`qcat.maxplus.exact_codes`)."""
-    q = c.quantale
-    vals = tuple(sorted(set(grid), key=qval_sort_key))
-    row = check_matrix(q, (vals,), len(vals), lambda i, k: f"grid has {k} values")
-    (e, g), tol, _ = maxplus.exact_codes(q, c._index, row)
-    return vals, e, g[0], tol
+    """The grid in order, checked against C's carrier before the sort,
+    whose key orders one carrier's values only, and the exact codes of C's
+    homs and of the grid, (n, n, F) and (K, F), with the tolerance offsets
+    (:func:`qcat.maxplus.exact_codes`)."""
+    given = tuple(dict.fromkeys(grid))
+    column, _ = check_matrix(c.quantale, (given,), len(given), lambda i, k: f"grid has {k} values")
+    order = sorted(range(len(given)), key=lambda k: qval_sort_key(given[k]))
+    (e, g), tol, _ = maxplus.exact_codes(c.quantale, c._index, (column, np.array([order], np.intp)))
+    return tuple(given[k] for k in order), e, g[0], tol
 
 
 def _columns(c: VCategory, vals: tuple[QVal, ...], rows: list[list[int]]) -> list[VModule]:

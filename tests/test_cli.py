@@ -88,6 +88,36 @@ class TestExitCodes:
         assert "hom[0][0]" in result.payload["error"]
         assert "badval.json" in result.payload["error"]
 
+    @pytest.mark.parametrize("make,code", [(os.mkdir, errno.EISDIR), (lambda path: None, errno.ENOENT)],
+                             ids=["directory", "missing"])
+    def test_read_error_names_the_path_once(self, tmp_path, monkeypatch, capsys, make, code):
+        monkeypatch.chdir(tmp_path)
+        make("d")
+        monkeypatch.setattr(sys, "argv", ["qcat", "validate", "d"])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        error = f"d: [Errno {code}] {os.strerror(code)}"
+        stdout, err = capsys.readouterr()
+        assert (exit_.value.code, err) == (2, f"error: {error}\n")
+        assert json.loads(stdout)["error"] == error
+
+    @pytest.mark.parametrize("quantale,hom,grid,bad", [
+        ("rbot", [["0", "3"], ["bot", "0"]], "0,(1,2)", "(1,2)"),
+        (["rbot", "bool"], [["(0,true)", "(3,true)"], ["(bot,false)", "(0,true)"]],
+         "(0,true),((0,1),true)", "(0,1)"),
+    ], ids=["rbot", "rbot,bool"])
+    def test_grid_of_another_shape_is_two_without_a_traceback(self, tmp_path, quantale, hom, grid, bad):
+        (tmp_path / "c.json").write_text(json.dumps({"quantale": quantale, "objects": ["a", "b"], "hom": hom}))
+        src_dir = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src_dir), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from qcat.cli import main; main()", "complete", "c.json", "--grid", grid],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        error = f"QVal({bad}) is not an element of the causal base"
+        assert (proc.returncode, proc.stderr) == (2, f"error: {error}\n")
+        assert json.loads(proc.stdout) == {"status": "error", "error": error}
+
     @pytest.mark.parametrize("argv", [["validate"], ["from-dag", "-o", "x.json"]])
     def test_undecodable_file_is_named(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)

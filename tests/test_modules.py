@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qcat import (
     INF,
     RBOT,
     TRUE,
+    CarrierMismatch,
     VCategory,
     VModule,
     canonical_right_adjoint,
@@ -416,8 +418,29 @@ class TestCompletenessReport:
             cauchy_completeness_report(bad)
 
     def test_grid_outside_carrier_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(CarrierMismatch):
             cauchy_completeness_report(CHAIN, [TRUE])
+
+    @pytest.mark.parametrize("cat,grid,bad", [
+        (CHAIN, [finite(0), tuple_val([finite(1), finite(2)])], "QVal((1,2))"),
+        (VCategory(product(RBOT, BOOL), ("a",), ((tuple_val([finite(0), TRUE]),),)),
+         [tuple_val([finite(0), TRUE]), tuple_val([tuple_val([finite(0), finite(1)]), TRUE])], "QVal((0,1))"),
+    ], ids=["rbot", "rbot,bool"])
+    def test_grid_value_of_another_shape_rejected(self, cat, grid, bad):
+        # checked before the sort, whose key orders one carrier's values only
+        with pytest.raises(CarrierMismatch, match=re.escape(f"{bad} is not an element of the causal base")):
+            cauchy_completeness_report(cat, grid)
+        with pytest.raises(CarrierMismatch, match=re.escape(bad)):
+            next(enumerate_modules_into(cat, grid))
+
+    def test_grid_order_and_duplicates_do_not_matter(self):
+        grid = [BOT, finite(0), finite(1), finite(3), INF]
+        want = cauchy_completeness_report(CHAIN, grid)
+        shuffled = [INF, finite(3), BOT, finite(0), finite(3), finite(1), INF, finite(0)]
+        got = cauchy_completeness_report(CHAIN, shuffled)
+        assert got == want and got.grid == tuple(grid)
+        assert got.to_json() == want.to_json()
+        assert list(enumerate_modules_into(CHAIN, shuffled)) == list(enumerate_modules_into(CHAIN, grid))
 
 
 def _counting(monkeypatch, module, name):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcat.quantale
 from qcat import (
     BOOL,
     BOT,
@@ -219,25 +220,27 @@ def test_check_laws_clean(q, grid):
     assert report.ok, report.to_json()
 
 
-def test_check_laws_flags_corrupted_residual():
-    def bad_residual(a, c):
+def test_check_laws_flags_corrupted_residual(monkeypatch):
+    def bad_residual(q, a, c):
         if a == finite(3) and c == finite(5):
             return finite(1)
-        return residual(RBOT, a, c)
+        return residual(q, a, c)
 
-    report = check_laws(RBOT, (finite(2), finite(3), finite(5)), residual_fn=bad_residual)
+    monkeypatch.setattr(qcat.quantale, "residual", bad_residual)
+    report = check_laws(RBOT, (finite(2), finite(3), finite(5)))
     assert not report.ok
     hits = [v for v in report.violations if v.law == "residuation"]
     assert (finite(3), finite(2), finite(5)) in [v.operands for v in hits]
 
 
-def test_check_laws_flags_corrupted_tensor():
-    def bad_tensor(a, b):
+def test_check_laws_flags_corrupted_tensor(monkeypatch):
+    def bad_tensor(q, a, b):
         if a == b == finite(1):
             return finite(3)
-        return tensor(RBOT, a, b)
+        return tensor(q, a, b)
 
-    report = check_laws(RBOT, (finite(0), finite(1), finite(2)), tensor_fn=bad_tensor)
+    monkeypatch.setattr(qcat.quantale, "tensor", bad_tensor)
+    report = check_laws(RBOT, (finite(0), finite(1), finite(2)))
     assert not report.ok
     assert any(v.law == "residuation" for v in report.violations)
 

@@ -12,6 +12,7 @@ whose least common multiple overflows the exact encoding, values of
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,7 @@ from qcat.quantale import bottom, unit
 
 import oracles
 from oracles import validate_exact
+from randgen import random_category
 
 TOLERANCES = (0.0, 1e-9, 0.5)
 NUMBERS = (
@@ -557,8 +559,6 @@ def check_shuffles(c, seed, shuffles=3):
 
 
 def test_shuffled_causal_sets():
-    import random
-
     from qcat import minkowski_sample
     from qcat.causal import causal_space_from_dag
     from randgen import random_dag
@@ -650,8 +650,6 @@ def sparse_blocks(draw):
     supports that are not transitive, rows and columns all bottom, ties
     of equal count, product entries bottom in one factor only, and rows
     of M ordered apart from those of E."""
-    import random
-
     q = draw(bases)
     n, k = draw(st.sampled_from(SPARSE_SHAPES))
     share = draw(st.sampled_from((0.2, 0.5, 0.8)))
@@ -765,3 +763,116 @@ def test_a_factor_is_raised_to_the_products_tolerance():
     assert product(rbot(), tolerance=0.5).factors[0]._tol == Fraction(1, 2)
     q = rbot(1)  # an int tolerance
     assert q._tol == 1 and leq(q, finite(2), finite(1)) and not leq(q, finite(3), finite(1))
+
+
+# ---------------------------------------------------------------------------
+# Full support: a matrix with no bottom entry (a lawvere metric, or a
+# product with a lawvere factor) runs the same ordered boxes as any other.
+# Its counts are all equal, so the stable order is the identity and each
+# box is the whole matrix: the triples are the dense scan's.
+# ---------------------------------------------------------------------------
+
+FULL_CODES = CODES[1:]  # no -inf: every entry is above the bottom
+
+
+def full_support(*arrays):
+    return all((x > -math.inf).any(axis=2).all() for x in arrays)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_full_support_matches_the_dense_scan(rows, mid, cols, nf, square, seed):
+    rng = np.random.default_rng(seed)
+    if square:
+        mid = cols = rows
+    a = rng.choice(FULL_CODES, size=(rows, mid, nf))
+    b = a if square else rng.choice(FULL_CODES, size=(mid, cols, nf))
+    bound = rng.choice(CODES, size=(rows, cols, nf))
+    assert full_support(a, b)
+    assert maxplus.candidates(a, b, bound) == oracles.dense_candidates(a, b, bound)
+
+
+def check_full_support(cat):
+    a, b, bound = sweep_arrays(cat)
+    assert full_support(a)
+    got = maxplus.candidates(a, b, bound)
+    assert got == oracles.dense_candidates(a, b, bound)
+    report = validate_category(cat)
+    assert report == validate_exact(cat)
+    return got, report
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_a_lawvere_metric_with_a_planted_violation(tol):
+    q = QuantaleDescriptor(Kind.LAWVERE, tol)
+    for seed in range(5):
+        cat = random_category(random.Random(seed), q, 6, edge_p=1.0)
+        assert check_full_support(cat)[1].ok
+        hom = [list(row) for row in cat.hom]
+        hom[0][2] = finite(hom[0][1].value + hom[1][2].value + 1)  # d(0, 2) > d(0, 1) + d(1, 2)
+        got, report = check_full_support(VCategory(q, cat.objects, hom))
+        assert (0, 1, 2) in got
+        assert ("e0", "e1", "e2") in [v[:3] for v in report.composition_violations]
+
+
+def test_a_full_support_product():
+    for q in (product(rbot(), LAWVERE), product(LAWVERE, BOOL, tolerance=0.5)):
+        for seed in range(5):
+            cat = random_category(random.Random(seed), q, 5, edge_p=1.0)
+            check_full_support(cat)
+            hom = [list(row) for row in cat.hom]
+            hom[3][1] = tuple_val([unit(f) if f.kind is Kind.LAWVERE else bottom(f) for f in q.factors])
+            check_full_support(VCategory(q, cat.objects, hom))
+
+
+@pytest.mark.parametrize("nf", [1, 2])
+def test_a_full_support_one_by_one(nf):
+    for x, z in itertools.product(FULL_CODES, CODES):
+        a, bound = np.full((1, 1, nf), x), np.full((1, 1, nf), z)
+        b = np.full((1, 1, nf), x)
+        for rhs in (a, b):
+            assert maxplus.candidates(a, rhs, bound) == oracles.dense_candidates(a, rhs, bound)
+
+
+# ---------------------------------------------------------------------------
+# The unit law reads maxplus.unit_below at the diagonal: the same
+# violations, in object order, with the same value objects, as the scalar
+# leq(unit, E(X, X)) of the reference.
+# ---------------------------------------------------------------------------
+
+UNIT_BASES = {
+    "rbot": rbot(),
+    "lawvere": LAWVERE,
+    "bool": BOOL,
+    "rbot,lawvere": product(rbot(), LAWVERE),
+    "[[rbot,bool],lawvere]": product(product(rbot(), BOOL), LAWVERE),
+}
+
+
+def endohoms(leaf, t):
+    """A leaf's candidate endohoms: its poles, and over the reals 0, 1,
+    and values exactly at the tolerance t and just past it."""
+    if leaf.kind is Kind.BOOL:
+        return [FALSE, TRUE]
+    near = [finite(t), finite(t + Fraction(1, 2**80)), finite(0), finite(1), INF]
+    return near + [BOT] if leaf.kind is Kind.RBOT else near
+
+
+@pytest.mark.parametrize("tol", (0.0, 0.5, 1e-9))
+@pytest.mark.parametrize("q", UNIT_BASES.values(), ids=UNIT_BASES)
+def test_unit_law_matches_the_scalar_leq(q, tol):
+    q = product(*q.factors, tolerance=tol) if q.kind is Kind.PRODUCT else QuantaleDescriptor(q.kind, tol)
+    t = Fraction(tol)
+    rng = random.Random(f"{q}")
+    for n in (0, 1, 2, 3, 5):
+        for _ in range(8):
+            mats = discrete(q, n)
+            for f, leaf in enumerate(leaves(q)):
+                for i in range(n):
+                    mats[f][i][i] = rng.choice(endohoms(leaf, t))
+            cat = VCategory(q, labels("e", n), assembled(q, mats))
+            got = validate_category(cat).unit_violations
+            want = validate_exact(cat).unit_violations
+            assert got == want
+            assert all(v is cat.hom[cat.index(o)][cat.index(o)] for o, v in got)
