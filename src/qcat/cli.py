@@ -247,7 +247,7 @@ def _result(ok: bool, payload: dict) -> CommandResult:
 
 def _cmd_laws(args) -> CommandResult:
     q = parse_quantale_name(args.quantale)
-    grid = _parse_grid(args.grid) if args.grid else _default_law_grid(q)
+    grid = _parse_grid(args.grid) if args.grid is not None else _default_law_grid(q)
     report = check_laws(q, grid)
     return _result(report.ok, report.to_json())
 
@@ -293,7 +293,7 @@ def _cmd_cauchy(args) -> CommandResult:
 
 def _cmd_complete(args) -> CommandResult:
     cat = category_from_json(_read_json(args.category), where=args.category)
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = _parse_grid(args.grid) if args.grid is not None else None
     report = cauchy_completeness_report(cat, grid)
     return _result(report.complete, report.to_json())
 

@@ -51,8 +51,7 @@ from .quantale import (
     QuantaleDescriptor,
     QVal,
     Tag,
-    _build,
-    _decode,
+    _decoded,
     _trusted_finite,
     carrier_check,
     format_value,
@@ -441,7 +440,7 @@ def decode(q: QuantaleDescriptor, arr: np.ndarray, scale: int) -> Block:
     def code(x):  # a pole as the quantale's own object, a finite code unscaled
         return _NEG if x == _NEG else _POS if x == _POS else Fraction(x) / scale
 
-    return [_build(q, map(_decode, q._leaves, map(code, k))) for k in slot], positions.reshape(rows, cols)
+    return [_decoded(q, map(code, k)) for k in slot], positions.reshape(rows, cols)
 
 
 def product(m: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -315,7 +315,7 @@ def _closure_values(q, values: Sequence[QVal], cap: int) -> set[QVal]:
         if len(seen) > cap:
             raise too_many
         closures.append(seen)
-    if q._leaf is None and math.prod(map(len, closures)) > cap:
+    if math.prod(map(len, closures)) > cap:
         raise too_many
     return {_build(q, iter(p)) for p in iproduct(*closures)}
 

@@ -331,6 +331,11 @@ def _build(q: QuantaleDescriptor, leaves: Iterator[QVal]) -> QVal:
     return QVal(Tag.TUPLE, tuple(_build(f, leaves) for f in q.factors))
 
 
+def _decoded(q: QuantaleDescriptor, codes: Iterable) -> QVal:
+    """The value of ``q`` whose leaves, depth first, decode ``codes``."""
+    return _build(q, iter([_decode(f, x) for f, x in zip(q._leaves, codes)]))
+
+
 def carrier_check(q: QuantaleDescriptor, v: QVal) -> None:
     """Raise :class:`CarrierMismatch` unless ``v`` lives in ``q``'s carrier."""
     _codes(q, v)
@@ -343,9 +348,7 @@ def leq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
 
     Total order for RBOT and LAWVERE, componentwise for products.
     """
-    leaf, t = q._leaf, q._tol
-    if leaf is not None:
-        return _le(t, _code(leaf, a), _code(leaf, b))
+    t = q._tol
     return all([_le(t, x, y) for x, y in zip(_codes(q, a), _codes(q, b))])
 
 
@@ -357,7 +360,7 @@ def eq(q: QuantaleDescriptor, a: QVal, b: QVal) -> bool:
 def tensor(q: QuantaleDescriptor, a: QVal, b: QVal) -> QVal:
     """Monoidal tensor: addition (bot absorbing) on the numeric bases,
     conjunction on truth values, componentwise on products."""
-    return _pointwise(q, _add, a, b)
+    return _decoded(q, map(_add, _codes(q, a), _codes(q, b)))
 
 
 def residual(q: QuantaleDescriptor, a: QVal, c: QVal) -> QVal:
@@ -368,53 +371,39 @@ def residual(q: QuantaleDescriptor, a: QVal, c: QVal) -> QVal:
     subtract when they can.  On the metric base it is truncated
     subtraction; on truth values, implication.
     """
-    return _pointwise(q, _diff, a, c)
-
-
-def _pointwise(q: QuantaleDescriptor, op, a: QVal, b: QVal) -> QVal:
-    """The value whose leaves decode ``op`` of the leaf codes of ``a``
-    and ``b``; ``a`` is coded in full before ``b``."""
-    leaf = q._leaf
-    if leaf is not None:
-        return _decode(leaf, op(_code(leaf, a), _code(leaf, b)))
-    codes = zip(q._leaves, _codes(q, a), _codes(q, b))
-    return _build(q, iter([_decode(f, op(x, y)) for f, x, y in codes]))
+    return _decoded(q, map(_diff, _codes(q, a), _codes(q, c)))
 
 
 def unit(q: QuantaleDescriptor) -> QVal:
-    return _build(q, (_decode(f, _ZERO) for f in q._leaves))
+    return _decoded(q, [_ZERO] * len(q._leaves))
 
 
 def bottom(q: QuantaleDescriptor) -> QVal:
-    return _build(q, (f.bottom for f in q._leaves))
+    return _decoded(q, [_NEG] * len(q._leaves))
 
 
 def top(q: QuantaleDescriptor) -> QVal:
-    return _build(q, (f.top for f in q._leaves))
+    return _decoded(q, [_POS] * len(q._leaves))
 
 
 def join(q: QuantaleDescriptor, family: Iterable[QVal]) -> QVal:
-    """Least upper bound of a finite family; the empty join is bottom."""
-    return _extreme(q, list(family), max, bottom)
+    """Least upper bound of a finite family, each leaf's largest code
+    decoded; the empty join is bottom."""
+    return _extreme(q, family, max, _NEG)
 
 
 def meet(q: QuantaleDescriptor, family: Iterable[QVal]) -> QVal:
-    """Greatest lower bound of a finite family; the empty meet is top."""
-    return _extreme(q, list(family), min, top)
+    """Greatest lower bound of a finite family, each leaf's smallest
+    code decoded; the empty meet is top."""
+    return _extreme(q, family, min, _POS)
 
 
-def _extreme(q: QuantaleDescriptor, vals: list[QVal], pick, empty) -> QVal:
-    """The member whose code ``pick`` (max or min) selects, the last one
-    on ties, exactly (the tolerance plays no part); on a product the
-    value of each leaf's pick; ``empty(q)`` for no members."""
-    if not vals:
-        return empty(q)
-    leaf = q._leaf
-    if leaf is not None:
-        codes = [_code(leaf, v) for v in vals]
-        return vals[pick(range(len(vals) - 1, -1, -1), key=codes.__getitem__)]
-    columns = zip(*[_codes(q, v) for v in vals])
-    return _build(q, iter([_decode(f, pick(col)) for f, col in zip(q._leaves, columns)]))
+def _extreme(q: QuantaleDescriptor, family: Iterable[QVal], pick, empty) -> QVal:
+    """The value whose every leaf decodes ``pick`` (max or min) of the
+    members' codes there, exactly (the tolerance plays no part), or
+    ``empty`` (-inf or +inf) where there are no members."""
+    codes = [_codes(q, v) for v in family]
+    return _decoded(q, [pick([c[i] for c in codes], default=empty) for i in range(len(q._leaves))])
 
 
 def join_witness(q: QuantaleDescriptor, family: Iterable[QVal]) -> bool:
@@ -538,8 +527,8 @@ def qval_sort_key(v: QVal):
 MAX_NESTING = 32
 
 
-def split_top_level(text: str, sep: str = ",") -> list[str]:
-    """Split on ``sep`` at paren depth zero."""
+def split_top_level(text: str) -> list[str]:
+    """Split on commas at paren depth zero."""
     parts: list[str] = []
     depth = 0
     cur: list[str] = []
@@ -552,7 +541,7 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced parentheses in {text!r}")
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:

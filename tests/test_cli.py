@@ -118,6 +118,28 @@ class TestExitCodes:
         assert (proc.returncode, proc.stderr) == (2, f"error: {error}\n")
         assert json.loads(proc.stdout) == {"status": "error", "error": error}
 
+    @pytest.mark.parametrize("argv", [["laws", "--quantale", "rbot"], ["complete", "c.json"]],
+                             ids=["laws", "complete"])
+    def test_empty_grid_is_two(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"quantale": "rbot", "objects": ["a"], "hom": [["0"]]}))
+        monkeypatch.setattr(sys, "argv", ["qcat", *argv, "--grid", ""])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        error = "cannot parse '' as a value"
+        stdout, err = capsys.readouterr()
+        assert (exit_.value.code, err) == (2, f"error: {error}\n")
+        assert json.loads(stdout) == {"status": "error", "error": error}
+
+    def test_empty_grid_message_on_stderr(self, tmp_path):
+        src_dir = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src_dir), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from qcat.cli import main; main()", "laws", "--quantale", "rbot", "--grid", ""],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "error: cannot parse '' as a value\n")
+
     @pytest.mark.parametrize("argv", [["validate"], ["from-dag", "-o", "x.json"]])
     def test_undecodable_file_is_named(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -812,6 +834,72 @@ COMPOSE_JSON = """\
 }
 """
 
+LAWS_RBOT_STDOUT = """\
+{
+  "ok": true,
+  "quantale": "rbot",
+  "sample": [
+    "bot",
+    "0",
+    "1",
+    "5/2",
+    "7",
+    "inf"
+  ],
+  "status": "ok",
+  "tolerance": 0.0,
+  "violations": []
+}
+"""
+
+LAWS_LAWVERE_STDOUT = """\
+{
+  "ok": true,
+  "quantale": "lawvere",
+  "sample": [
+    "0",
+    "1",
+    "5/2",
+    "7",
+    "inf"
+  ],
+  "status": "ok",
+  "tolerance": 0.0,
+  "violations": []
+}
+"""
+
+LAWS_BOOL_STDOUT = """\
+{
+  "ok": true,
+  "quantale": "bool",
+  "sample": [
+    "false",
+    "true"
+  ],
+  "status": "ok",
+  "tolerance": 0.0,
+  "violations": []
+}
+"""
+
+LAWS_RBOT_TIES_STDOUT = """\
+{
+  "ok": true,
+  "quantale": "rbot",
+  "sample": [
+    "bot",
+    "0",
+    "1/2",
+    "1/2",
+    "inf"
+  ],
+  "status": "ok",
+  "tolerance": 0.0,
+  "violations": []
+}
+"""
+
 LAWS_RBOT_BOOL_STDOUT = """\
 {
   "ok": true,
@@ -953,6 +1041,15 @@ class TestGoldenBytes:
     def test_laws_default_product_grid(self, monkeypatch, capsys):
         out = self._stdout(monkeypatch, capsys, ["laws", "--quantale", "rbot,bool"])
         assert out == LAWS_RBOT_BOOL_STDOUT
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--quantale", "rbot"], LAWS_RBOT_STDOUT),
+        (["--quantale", "lawvere"], LAWS_LAWVERE_STDOUT),
+        (["--quantale", "bool"], LAWS_BOOL_STDOUT),
+        (["--quantale", "rbot", "--grid", "bot,0,1/2,2/4,inf"], LAWS_RBOT_TIES_STDOUT),
+    ], ids=["rbot", "lawvere", "bool", "rbot-ties"])
+    def test_laws_plain_base(self, monkeypatch, capsys, argv, want):
+        assert self._stdout(monkeypatch, capsys, ["laws", *argv]) == want
 
     def test_complete_product_counterexamples(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

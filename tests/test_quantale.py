@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import qcat.quantale
 from qcat import (
     BOOL,
@@ -14,6 +15,7 @@ from qcat import (
     RBOT,
     TRUE,
     CarrierMismatch,
+    Kind,
     QuantaleDescriptor,
     QVal,
     Tag,
@@ -37,7 +39,7 @@ from qcat import (
     tuple_val,
     unit,
 )
-from qcat.quantale import _trusted_finite
+from qcat.quantale import _trusted_finite, split_top_level
 
 BOOL2 = product(BOOL, BOOL)
 RBOT_GRID = (BOT, finite(0), finite(1), finite(Fraction(5, 2)), finite(7), INF)
@@ -243,6 +245,32 @@ def test_check_laws_flags_corrupted_tensor(monkeypatch):
     report = check_laws(RBOT, (finite(0), finite(1), finite(2)))
     assert not report.ok
     assert any(v.law == "residuation" for v in report.violations)
+
+
+# tolerant bases, each sample with poles, a tie (1/2 and 2/4) and values
+# exactly the tolerance apart; rbot's 0, 4/5, 1 breaks residuation
+TOLERANT_LAW_SAMPLES = [
+    (rbot(0.5), "bot,0,1/2,2/4,1,inf"),
+    (rbot(0.5), "0,4/5,1"),
+    (QuantaleDescriptor(Kind.LAWVERE, 0.5), "0,1/2,2/4,1,inf"),
+    (BOOL, "false,true"),
+    (product(RBOT, LAWVERE, tolerance=0.5), "(bot,inf),(0,0),(1/2,2/4),(2/4,1),(1,1/2),(inf,0)"),
+    (product(product(RBOT, BOOL), LAWVERE, tolerance=0.5),
+     "((bot,false),inf),((0,true),1/2),((2/4,true),0),((1,false),2/4),((inf,true),1)"),
+]
+
+
+@pytest.mark.parametrize("q,text", TOLERANT_LAW_SAMPLES,
+                         ids=["rbot", "rbot-residuation", "lawvere", "bool", "rbot,lawvere", "nested"])
+def test_check_laws_on_tolerant_bases_matches_oracle(monkeypatch, q, text):
+    sample = [parse_value(p) for p in split_top_level(text)]
+    got = check_laws(q, sample).to_json()
+    for name in ("leq", "eq", "tensor", "residual", "join", "unit"):
+        monkeypatch.setattr(qcat.quantale, name, getattr(oracles, name))
+    assert got == check_laws(q, sample).to_json()
+    if text == "0,4/5,1":
+        details = [v["detail"] for v in got["violations"] if v["law"] == "residuation"]
+        assert details and all("residual(a, c) = bot" in d for d in details)
 
 
 class TestJoinWitness:
