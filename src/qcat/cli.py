@@ -43,6 +43,7 @@ from .causal import (
 from .collage import adjoin_point, collage, collage_from_json, collage_to_json, restrict
 from .maxplus import Block, texts
 from .modules import (
+    _InvalidCategory,
     _cauchy_decision,
     canonical_right_adjoint,
     cauchy_completeness_report,
@@ -294,7 +295,10 @@ def _cmd_cauchy(args) -> CommandResult:
 def _cmd_complete(args) -> CommandResult:
     cat = category_from_json(_read_json(args.category), where=args.category)
     grid = _parse_grid(args.grid) if args.grid is not None else None
-    report = cauchy_completeness_report(cat, grid)
+    try:
+        report = cauchy_completeness_report(cat, grid)
+    except _InvalidCategory as exc:
+        raise ValueError(f"{args.category}: {exc}") from None
     return _result(report.complete, report.to_json())
 
 

@@ -344,10 +344,13 @@ def _grid_codes(c: VCategory, grid: Iterable[QVal]):
     return tuple(given[k] for k in order), e, g[0], tol
 
 
-def _columns(c: VCategory, vals: tuple[QVal, ...], rows: list[list[int]]) -> list[VModule]:
-    """The modules I -/-> C whose entries are the grid values at ``rows``."""
+def _columns(c: VCategory, vals: tuple[QVal, ...], blocks: Iterable[np.ndarray]) -> Iterator[VModule]:
+    """The modules I -/-> C whose entries are the grid values at each row
+    of ``blocks``, all against one unit category."""
     i_cat = unit_category(c.quantale)
-    return [VModule(i_cat, c, tuple((vals[x],) for x in row)) for row in rows]
+    for block in blocks:
+        for row in block.tolist():
+            yield VModule(i_cat, c, tuple((vals[x],) for x in row))
 
 
 def enumerate_modules_into(c: VCategory, grid: Iterable[QVal]) -> Iterator[VModule]:
@@ -359,8 +362,7 @@ def enumerate_modules_into(c: VCategory, grid: Iterable[QVal]) -> Iterator[VModu
     (:func:`qcat.maxplus.module_blocks`).
     """
     vals, e, g, tol = _grid_codes(c, grid)
-    for block in maxplus.module_blocks(e, g, tol):
-        yield from _columns(c, vals, block.tolist())
+    yield from _columns(c, vals, maxplus.module_blocks(e, g, tol))
 
 
 @dataclass(frozen=True)
@@ -370,7 +372,6 @@ class CauchyFinding:
     witness: str | None
 
 
-@dataclass(frozen=True)
 class CompletenessReport:
     """Result of an exhaustive Cauchy-completeness search over a grid.
 
@@ -378,12 +379,36 @@ class CompletenessReport:
     object and unit witness when they exist; ``counterexamples`` are
     the Cauchy modules that no object represents.  Deterministic: both
     are sorted by matrix order regardless of evaluation order.
+
+    Each finding is held as a row of positions into the report's values
+    (the grid's, then, for findings given by hand, their entries), with
+    its representing and witness labels.  The search gives only those;
+    the modules are built on the first read of ``findings``, all against
+    one unit category, and kept.  Equality compares the category,
+    the grid, ``modules_checked`` and the findings.
     """
 
-    category: VCategory
-    grid: tuple[QVal, ...]
-    modules_checked: int
-    findings: tuple[CauchyFinding, ...]
+    def __init__(self, category: VCategory, grid: Sequence[QVal], modules_checked: int,
+                 findings: Sequence[CauchyFinding]) -> None:
+        findings, grid = tuple(findings), tuple(grid)
+        entries = tuple(v for f in findings for (v,) in f.module.mat)
+        rows = np.arange(len(grid), len(grid) + len(entries)).reshape(len(findings), len(category))
+        self._hold(category, grid, modules_checked, grid + entries, rows,
+                   tuple(f.representing for f in findings), tuple(f.witness for f in findings))
+        self._findings = findings
+
+    def _hold(self, category: VCategory, grid: tuple[QVal, ...], modules_checked: int,
+              values: tuple[QVal, ...], rows: np.ndarray, reps: tuple, wits: tuple) -> None:
+        self.category, self.grid, self.modules_checked = category, grid, modules_checked
+        self._values, self._rows, self._reps, self._wits = values, rows, reps, wits
+        self._findings = None
+
+    @property
+    def findings(self) -> tuple[CauchyFinding, ...]:
+        if self._findings is None:
+            modules = _columns(self.category, self._values, (self._rows,))
+            self._findings = tuple(map(CauchyFinding, modules, self._reps, self._wits))
+        return self._findings
 
     @property
     def counterexamples(self) -> tuple[VModule, ...]:
@@ -391,26 +416,37 @@ class CompletenessReport:
 
     @property
     def complete(self) -> bool:
-        return not self.counterexamples
+        return None not in self._reps
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or ((self.category, self.grid, self.modules_checked, self.findings)
+                                 == (other.category, other.grid, other.modules_checked, other.findings))
+
+    def __hash__(self) -> int:
+        return hash((self.category, self.grid, self.modules_checked))
 
     def to_json(self) -> dict:
-        # each grid value is formatted once: the search draws every entry
-        # from the grid (format_value never returns "")
-        text = {v: format_value(v) for v in self.grid}
-        columns = [[text.get(v) or format_value(v) for (v,) in f.module.mat] for f in self.findings]
+        # each value is formatted once, and each finding's column gathered
+        # from those texts by its row
+        text = np.array(maxplus.texts(self._values), object)
+        columns = text[self._rows].tolist()
         return {
             "complete": self.complete,
-            "grid": [text[v] for v in self.grid],
+            "grid": text[: len(self.grid)].tolist(),
             "modules_checked": self.modules_checked,
-            "cauchy_count": len(self.findings),
+            "cauchy_count": len(columns),
             "cauchy": [
-                {"column": col, "representing": f.representing, "witness": f.witness}
-                for f, col in zip(self.findings, columns)
+                {"column": col, "representing": z, "witness": w}
+                for col, z, w in zip(columns, self._reps, self._wits)
             ],
-            "counterexamples": [
-                list(col) for f, col in zip(self.findings, columns) if f.representing is None
-            ],
+            "counterexamples": [list(col) for col, z in zip(columns, self._reps) if z is None],
         }
+
+
+class _InvalidCategory(ValueError):
+    """A search asked of a category that fails its own laws."""
 
 
 def cauchy_completeness_report(
@@ -420,25 +456,28 @@ def cauchy_completeness_report(
     and report the Cauchy ones no object represents.
 
     Modules are enumerated and decided in blocks on exact codes
-    (:func:`qcat.maxplus.cauchy_columns`); a ``VModule`` is built only
-    for a Cauchy one.  Enumeration order is matrix order, so the
+    (:func:`qcat.maxplus.cauchy_columns`).  The report keeps each Cauchy
+    one as its row of grid indices, with the labels of its representing
+    object and unit witness; no ``VModule`` is built until its
+    ``findings`` are read.  Enumeration order is matrix order, so the
     findings come sorted.
     """
-    report = validate_category(c)
-    if not report.ok:
-        raise ValueError("cauchy_completeness_report requires a valid category")
+    if not validate_category(c).ok:
+        raise _InvalidCategory("cauchy_completeness_report requires a valid category")
     vals, e, g, tol = _grid_codes(c, default_module_grid(c) if grid is None else grid)
-    objects = c.objects + (None,)  # index n: no such object
+    label = (c.objects + (None,)).__getitem__  # index n: no such object
     checked = 0
-    findings: list[CauchyFinding] = []
+    rows, reps, wits = [np.empty((0, len(c)), np.intp)], [], []
     for block in maxplus.module_blocks(e, g, tol):
         checked += len(block)
-        rows, witness = maxplus.cauchy_columns(c.quantale, e, g[block], tol, -tol)
-        reps = maxplus._first(maxplus._represents(e, g[block[rows]], tol))
-        columns = _columns(c, vals, block[rows].tolist())
-        for module, z, w in zip(columns, reps, maxplus._first(witness[rows])):
-            findings.append(CauchyFinding(module, objects[z], objects[w]))
-    return CompletenessReport(c, vals, checked, tuple(findings))
+        cauchy, witness = maxplus.cauchy_columns(c.quantale, e, g[block], tol, -tol)
+        found = block[cauchy]
+        rows.append(found)
+        reps += map(label, maxplus._first(maxplus._represents(e, g[found], tol)).tolist())
+        wits += map(label, maxplus._first(witness[cauchy]).tolist())
+    report = CompletenessReport.__new__(CompletenessReport)
+    report._hold(c, vals, checked, vals, np.concatenate(rows), tuple(reps), tuple(wits))
+    return report
 
 
 def module_to_json(m: VModule, *, _rows: Callable = _format_rows) -> dict:

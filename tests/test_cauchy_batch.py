@@ -262,3 +262,57 @@ def test_many_objects_and_values_keep_few_tables():
     assert report.modules_checked == 64  # the constant columns
     assert [f.module.mat for f in report.findings] == [((finite(0),),) * n]
     assert report.findings[0].representing == report.findings[0].witness == "e0"
+
+
+@pytest.mark.parametrize(
+    "name,grid_kind",
+    [(name, kind) for kind in ("default", "explicit", "huge", "coprime") for name in BASES
+     if (name, kind) != ("rbot,lawvere~1/2", "default")],
+)
+def test_report_read_lazily_matches_the_per_module_search(name, grid_kind):
+    """The report holds its findings as grid rows and builds their modules
+    on first read: findings, counterexamples, complete, to_json and == all
+    agree with the per-module search, and a report rebuilt by hand from
+    those findings renders the same."""
+    q = BASES[name]
+    rng = random.Random(f"lazy/{name}/{grid_kind}")
+    for n in (1, 2, 3, 4):
+        c, grid = _small_case(rng, q, n, grid_kind)
+        try:
+            want = oracles.cauchy_completeness_report(c, grid)
+        except ValueError:  # the default grid exceeded its cap
+            continue
+        got = cauchy_completeness_report(c, grid)
+        assert got.complete == want.complete
+        assert got.to_json() == want.to_json()
+        assert got.findings == want.findings
+        assert got.counterexamples == want.counterexamples
+        assert got == want and want == got
+        by_hand = qcat.modules.CompletenessReport(c, got.grid, got.modules_checked, got.findings)
+        assert by_hand.to_json() == want.to_json() and by_hand == got
+
+
+def test_the_report_builds_no_module_until_its_findings_are_read(monkeypatch):
+    """qcat complete's path (the search, complete, to_json) builds no
+    VModule; the first read of findings builds one per finding, all
+    against one unit category, and a second read returns the same tuple."""
+    built = []
+    post_init = VModule.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    c = VCategory(product(BOOL, BOOL), ("a", "b"), (
+        (tuple_val((TRUE, TRUE)), tuple_val((FALSE, FALSE))),
+        (tuple_val((FALSE, FALSE)), tuple_val((TRUE, TRUE)))))
+    monkeypatch.setattr(VModule, "__post_init__", counted)
+    report = cauchy_completeness_report(c)
+    assert not report.complete
+    data = report.to_json()
+    assert built == [] and data["cauchy_count"] == 4 and len(data["counterexamples"]) == 2
+    findings = report.findings
+    assert report.findings is findings and len(built) == len(findings) == 4
+    assert len({id(f.module.source) for f in findings}) == 1
+    assert report.counterexamples == tuple(f.module for f in findings if f.representing is None)
+    assert len(built) == 4

@@ -131,6 +131,18 @@ class TestExitCodes:
         assert (exit_.value.code, err) == (2, f"error: {error}\n")
         assert json.loads(stdout) == {"status": "error", "error": error}
 
+    def test_complete_on_an_invalid_category_names_the_file(self, tmp_path, monkeypatch, capsys):
+        # the endohom 5 is not the unit: the search refuses the category
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text(json.dumps({"quantale": "rbot", "objects": ["x"], "hom": [["5"]]}))
+        monkeypatch.setattr(sys, "argv", ["qcat", "complete", "bad.json"])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        error = "bad.json: cauchy_completeness_report requires a valid category"
+        stdout, err = capsys.readouterr()
+        assert (exit_.value.code, err) == (2, f"error: {error}\n")
+        assert json.loads(stdout) == {"status": "error", "error": error}
+
     def test_empty_grid_message_on_stderr(self, tmp_path):
         src_dir = Path(cli.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src_dir), PYTHONDONTWRITEBYTECODE="1")
