@@ -14,6 +14,7 @@ the metric base they are points of a generalized metric space.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -418,26 +419,21 @@ def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int) -
     walk to raise when a row has not ``ncols`` entries.  The constructor
     checks the values against its base's carrier.
 
-    Each row reads its new keys once, in order of first appearance, so the
-    first bad entry in row-major order raises.  A string is its own key,
-    read once per file (``memo``): plain digits, ``d`` or ``d/d``, as two
-    ints, reduced by their gcd once the matrix is read, and any other text
-    by ``parse_value``.  Any other entry is keyed by its position, which no
-    entry equals, because JSON ``true``, ``1`` and ``1.0`` are equal keys
-    that parse to different values.
+    Two passes: the row loop gives each new key a slot, in order of first
+    appearance, and reads nothing; then :func:`_read_keys` reads the keys,
+    and the first bad entry in row-major order raises.  A string is its own
+    key, read once per file (``memo``).  Any other entry is keyed by its
+    position, which no entry equals, because JSON ``true``, ``1`` and
+    ``1.0`` are equal keys that parse to different values.
     """
     if not isinstance(rows, list):
         raise ValueError(f"{where}: expected a matrix")
-    tags: list[int] = []
-    nums: list[int] = []
-    dens: list[int] = []
-    built: dict[int, QVal] = {}  # the slots of values that parse_value built
-    ids: dict[int, int] = {}  # id(v) -> its slot
     slot: dict[object, int] = {}  # a key of this matrix -> its slot
     at = object()  # the mark of a position key, (at, i, j)
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
+            _read_keys(list(slot), rows, memo, where)  # an earlier bad entry raises first
             raise ValueError(f"{where}[{i}]: expected a row")
         try:  # a row of strings seen before in this matrix
             out.append(list(map(slot.__getitem__, row)))
@@ -447,36 +443,117 @@ def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int) -
         keys = row if all(map(str.__instancecheck__, row)) else [
             raw if isinstance(raw, str) else (at, i, j) for j, raw in enumerate(row)
         ]
-        for key in dict.fromkeys(keys):
-            if key in slot:
-                continue
-            try:
-                if isinstance(key, str):
-                    e = memo.get(key)
-                    if e is None:
-                        e = memo[key] = _digits(key) or _parse_text(key)
-                else:
-                    e = parse_value(row[key[2]])
-            except ValueError as exc:
-                j = row.index(key) if isinstance(key, str) else key[2]
-                raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
-            if type(e) is tuple:  # a (numerator, denominator): a new slot
-                slot[key] = len(tags)
-                t, (p, d) = maxplus._FIN, e
-            else:  # a value: a new slot, unless it was read before
-                k = slot[key] = ids.setdefault(id(e), len(tags))
-                if k < len(tags):
-                    continue
-                built[k] = e
-                t, p, d = maxplus._entry(e)
-            tags.append(t)
-            nums.append(p)
-            dens.append(d)
+        new = itertools.filterfalse(slot.__contains__, dict.fromkeys(keys))
+        slot.update(zip(new, itertools.count(len(slot))))
         out.append(list(map(slot.__getitem__, keys)))
-    values = maxplus.Column(np.array(tags, np.int8), *maxplus._reduced(nums, dens), built)
+    values, slots = _read_keys(list(slot), rows, memo, where)
+    if slots is not None:
+        out = [list(map(slots.__getitem__, ks)) for ks in out]
     if any(len(ks) != ncols for ks in out):
         return tuple(tuple(map(values.__getitem__, ks)) for ks in out), None
     return None, (values, np.array(out, np.intp).reshape(len(out), ncols))
+
+
+def _read_keys(keys: list, rows: list, memo: dict[str, object],
+               where: str) -> tuple[maxplus.Column, list[int] | None]:
+    """The values of a matrix's keys, in order, as a column; and, where
+    keys read as one value object (a pole or a truth value), which takes
+    its first key's slot, the slot of each key, else None.
+
+    The strings that ``memo`` lacks, written ``d`` or ``d/d`` in ASCII
+    digits, are read at once by :func:`_read_digits`, as two ints each,
+    reduced by their gcd with the rest.  Every other key is read by
+    itself, in order: a string through ``memo``, with ``_digits`` or
+    ``_parse_text``, and a position key by ``parse_value``.  When a digit
+    string does not read, every key is read by itself, so that the first
+    bad entry in row-major order raises."""
+    n = len(keys)
+    # a key that the memo holds, or no string, stands as "-": not digits
+    texts = keys if not memo and all(map(str.__instancecheck__, keys)) else [
+        k if isinstance(k, str) and k not in memo else "-" for k in keys
+    ]
+    read = _read_digits(texts)
+    if read is None:
+        nums, dens, others = [0] * n, [1] * n, range(n)
+    else:
+        nums, dens, digits = read
+        memo.update(itertools.compress(zip(texts, zip(nums, dens)), digits))
+        others = itertools.compress(range(n), map(operator.not_, digits))
+    tags = [maxplus._FIN] * n
+    built: dict[int, QVal] = {}  # the keys whose values parse_value built
+    ids: dict[int, int] = {}  # id(v) -> its first key
+    merged: dict[int, int] = {}  # a later key of a value -> its first key
+    for k in others:
+        key = keys[k]
+        try:
+            if isinstance(key, str):
+                e = memo.get(key)
+                if e is None:
+                    e = memo[key] = _digits(key) or _parse_text(key)
+            else:
+                e = parse_value(rows[key[1]][key[2]])
+        except ValueError as exc:  # at the key's first entry
+            i, j = key[1:] if not isinstance(key, str) else next(
+                (i, row.index(key)) for i, row in enumerate(rows) if isinstance(row, list) and key in row
+            )
+            raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
+        if type(e) is tuple:  # a (numerator, denominator)
+            nums[k], dens[k] = e
+            continue
+        first = ids.setdefault(id(e), k)
+        if first != k:
+            merged[k] = first
+            continue
+        built[k] = e
+        tags[k], nums[k], dens[k] = maxplus._entry(e)
+    slot = None
+    if merged:
+        keep = [k not in merged for k in range(n)]
+        slot = list(itertools.accumulate(keep, initial=-1))[1:]
+        for k, first in merged.items():
+            slot[k] = slot[first]
+        tags, nums, dens = (list(itertools.compress(xs, keep)) for xs in (tags, nums, dens))
+        built = {slot[k]: v for k, v in built.items()}
+    values = maxplus.Column(np.array(tags, np.int8), *maxplus._reduced(nums, dens), built)
+    return values, slot
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_READS = frozenset((b"", b"/"))  # what a text of ASCII digits, d or d/d, leaves
+
+
+def _read_digits(texts: list[str]) -> tuple[list[int], list[int], list[bool]] | None:
+    """The texts written in ASCII digits alone, ``d`` or ``d/d``, read at
+    once: the numerator and denominator (not reduced) of each text, 0 and 1
+    for any other, and whether each is such a text.  None when there is
+    none, or one of them does not read (an empty part, a zero denominator
+    or a part past the digit limit), or a text holds a newline.
+
+    A text's non-digits say what it is.  ``np.fromstring`` reads every
+    part; a part past int64 comes back as int64's maximum, without an
+    error, and is read again by ``int``."""
+    rest = "\n".join(texts).encode("utf-8", "surrogatepass").translate(None, b"0123456789").split(b"\n")
+    if len(rest) != len(texts):
+        return None
+    digits = list(map(_READS.__contains__, rest))
+    if True not in digits:
+        return None
+    pieces = [t + "/1" if not r else t if d else "0/1" for t, r, d in zip(texts, rest, digits)]
+    read = np.fromstring(" ".join(pieces).replace("/", " "), np.int64, sep=" ")
+    parts = read.tolist()
+    if len(parts) != 2 * len(texts):
+        return None
+    nums, dens = parts[0::2], parts[1::2]
+    if _INT64_MAX in parts:
+        try:
+            for k in (np.flatnonzero(read == _INT64_MAX) // 2).tolist():
+                p, _, q = texts[k].partition("/")
+                nums[k], dens[k] = int(p), int(q or 1)
+        except ValueError:  # past the digit limit
+            return None
+    if 0 in dens:
+        return None
+    return nums, dens, digits
 
 
 def _require_utf8(label: str, where: str) -> None:

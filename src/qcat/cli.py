@@ -43,6 +43,7 @@ from .causal import (
 from .collage import adjoin_point, collage, collage_from_json, collage_to_json, restrict
 from .maxplus import Block, texts
 from .modules import (
+    _GridTooLarge,
     _InvalidCategory,
     _cauchy_decision,
     canonical_right_adjoint,
@@ -299,6 +300,8 @@ def _cmd_complete(args) -> CommandResult:
         report = cauchy_completeness_report(cat, grid)
     except _InvalidCategory as exc:
         raise ValueError(f"{args.category}: {exc}") from None
+    except _GridTooLarge as exc:
+        raise ValueError(f"{args.category}: {exc} with --grid") from None
     return _result(report.complete, report.to_json())
 
 

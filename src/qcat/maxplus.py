@@ -92,12 +92,14 @@ def _small(x: np.ndarray) -> bool:
 
 def _reduced(nums: Sequence[int], dens: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Numerators and denominators >= 1, divided by their gcd, as the
-    arrays of a column."""
+    arrays of a column; as they are when every gcd is 1."""
     num, den = _ints(nums), _ints(dens)
     if _small(num) and _small(den):
         g = np.gcd(num, den)
-        return num // g, den // g
+        return (num, den) if (g == 1).all() else (num // g, den // g)
     gs = list(map(math.gcd, nums, dens))
+    if gs.count(1) == len(gs):
+        return num, den
     return _ints(list(map(operator.floordiv, nums, gs))), _ints(list(map(operator.floordiv, dens, gs)))
 
 

@@ -300,10 +300,14 @@ def cauchy_witness(m: VModule, n: VModule) -> str | None:
 _GRID_CAP = 64
 
 
+class _GridTooLarge(ValueError):
+    """A default module grid past its cap."""
+
+
 def _closure_values(q, values: Sequence[QVal], cap: int) -> set[QVal]:
     """The values whose leaves lie in each leaf's closure: its values in
     ``values``, bottom, unit and top, closed under the leaf residual."""
-    too_many = ValueError(f"default module grid exceeded {cap} values; pass an explicit grid")
+    too_many = _GridTooLarge(f"default module grid exceeded {cap} values; pass an explicit grid")
     closures = []
     for leaf, column in zip(q._leaves, maxplus._factors(q, values)):
         seen = set(column) | {leaf.bottom, _decode(leaf, _ZERO), leaf.top}

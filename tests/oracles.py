@@ -1195,3 +1195,100 @@ def minkowski_sample(n: int, seed: int, bounds=(0.0, 1.0, 0.0, 1.0)):
     roots = np.sqrt(a * a - b * b).tolist()
     values = [BOT] * bot + [_trusted_finite(Fraction(*s.as_integer_ratio())) for s in roots]
     return labels, values, positions
+
+
+# ---------------------------------------------------------------------------
+# The file layer's matrix parser as it was when each new string of a row was
+# read by itself, in the row loop: ``memo.get``, then ``_digits`` or
+# ``_parse_text``; and the column's gcd step as it was when it divided
+# every pair.  Kept verbatim, but for their names, as the references for
+# tests/test_parse_once.py; ``parse_value`` here is the copy above, which
+# reads every non-string as the library does.
+# ---------------------------------------------------------------------------
+
+import operator  # noqa: E402
+
+from qcat.maxplus import _ints, _small  # noqa: E402
+from qcat.quantale import _digits, _parse_text  # noqa: E402
+
+
+def reduced(nums: Sequence[int], dens: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators and denominators >= 1, divided by their gcd, as the
+    arrays of a column."""
+    num, den = _ints(nums), _ints(dens)
+    if _small(num) and _small(den):
+        g = np.gcd(num, den)
+        return num // g, den // g
+    gs = list(map(math.gcd, nums, dens))
+    return _ints(list(map(operator.floordiv, nums, gs))), _ints(list(map(operator.floordiv, dens, gs)))
+
+
+def parse_rows_per_key(rows: object, where: str, memo: dict[str, object], ncols: int) -> tuple:
+    """Parse a JSON matrix of values; a bad entry raises naming
+    ``where[i][j]``.
+
+    Returns the ``hom``/``mat`` and ``_index`` arguments of the
+    constructor: ``(None, index)``, values in order of first appearance
+    as a column (:class:`qcat.maxplus.Column`), or ``(rows, None)`` for its
+    walk to raise when a row has not ``ncols`` entries.  The constructor
+    checks the values against its base's carrier.
+
+    Each row reads its new keys once, in order of first appearance, so the
+    first bad entry in row-major order raises.  A string is its own key,
+    read once per file (``memo``): plain digits, ``d`` or ``d/d``, as two
+    ints, reduced by their gcd once the matrix is read, and any other text
+    by ``parse_value``.  Any other entry is keyed by its position, which no
+    entry equals, because JSON ``true``, ``1`` and ``1.0`` are equal keys
+    that parse to different values.
+    """
+    if not isinstance(rows, list):
+        raise ValueError(f"{where}: expected a matrix")
+    tags: list[int] = []
+    nums: list[int] = []
+    dens: list[int] = []
+    built: dict[int, QVal] = {}  # the slots of values that parse_value built
+    ids: dict[int, int] = {}  # id(v) -> its slot
+    slot: dict[object, int] = {}  # a key of this matrix -> its slot
+    at = object()  # the mark of a position key, (at, i, j)
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"{where}[{i}]: expected a row")
+        try:  # a row of strings seen before in this matrix
+            out.append(list(map(slot.__getitem__, row)))
+            continue
+        except (KeyError, TypeError):
+            pass
+        keys = row if all(map(str.__instancecheck__, row)) else [
+            raw if isinstance(raw, str) else (at, i, j) for j, raw in enumerate(row)
+        ]
+        for key in dict.fromkeys(keys):
+            if key in slot:
+                continue
+            try:
+                if isinstance(key, str):
+                    e = memo.get(key)
+                    if e is None:
+                        e = memo[key] = _digits(key) or _parse_text(key)
+                else:
+                    e = parse_value(row[key[2]])
+            except ValueError as exc:
+                j = row.index(key) if isinstance(key, str) else key[2]
+                raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
+            if type(e) is tuple:  # a (numerator, denominator): a new slot
+                slot[key] = len(tags)
+                t, (p, d) = maxplus._FIN, e
+            else:  # a value: a new slot, unless it was read before
+                k = slot[key] = ids.setdefault(id(e), len(tags))
+                if k < len(tags):
+                    continue
+                built[k] = e
+                t, p, d = maxplus._entry(e)
+            tags.append(t)
+            nums.append(p)
+            dens.append(d)
+        out.append(list(map(slot.__getitem__, keys)))
+    values = maxplus.Column(np.array(tags, np.int8), *maxplus._reduced(nums, dens), built)
+    if any(len(ks) != ncols for ks in out):
+        return tuple(tuple(map(values.__getitem__, ks)) for ks in out), None
+    return None, (values, np.array(out, np.intp).reshape(len(out), ncols))

@@ -143,6 +143,20 @@ class TestExitCodes:
         assert (exit_.value.code, err) == (2, f"error: {error}\n")
         assert json.loads(stdout) == {"status": "error", "error": error}
 
+    def test_complete_past_the_default_grid_cap_names_the_file_and_the_flag(self, tmp_path, monkeypatch, capsys):
+        # a valid chain whose homs 1/7, 5/2 and 6 close to more than 64
+        # residuals: the search refuses the default grid
+        monkeypatch.chdir(tmp_path)
+        hom = [["0", "1/7", "5/2", "6"], ["bot", "0", "2", "5"], ["bot", "bot", "0", "3"], ["bot", "bot", "bot", "0"]]
+        (tmp_path / "wide.json").write_text(json.dumps({"quantale": "rbot", "objects": list("abcd"), "hom": hom}))
+        monkeypatch.setattr(sys, "argv", ["qcat", "complete", "wide.json"])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        error = "wide.json: default module grid exceeded 64 values; pass an explicit grid with --grid"
+        stdout, err = capsys.readouterr()
+        assert (exit_.value.code, err) == (2, f"error: {error}\n")
+        assert json.loads(stdout) == {"status": "error", "error": error}
+
     def test_empty_grid_message_on_stderr(self, tmp_path):
         src_dir = Path(cli.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src_dir), PYTHONDONTWRITEBYTECODE="1")

@@ -13,9 +13,14 @@ row of strings parses each of its new strings once.
 ``parse_value`` reads a plain digit string, ``d`` or ``d/d``, as two
 ints; it is compared with the parser that sent every string through
 ``Fraction``'s own reader.
+
+The row loop gives each new key a slot and reads nothing; the keys are
+read after it, the digit strings in bulk.  That is compared with the
+verbatim per-key row loop it replaced (``oracles.parse_rows_per_key``).
 """
 
 import copy
+import itertools
 import json
 import math
 import random
@@ -44,7 +49,7 @@ from qcat import (
     unit_category,
 )
 import qcat.category
-from qcat.category import _require_utf8
+from qcat.category import _read_digits, _require_utf8
 from qcat.quantale import _digits
 from qcat.collage import LEFT, RIGHT
 
@@ -343,6 +348,23 @@ def test_collage_from_json_matches_per_entry_loop(data):
     assert got == outcome(ref_collage_from_json, data)
 
 
+def reads(read: list):
+    """Patch the file layer's two string readers to log, in ``read``, each
+    string they read: ``_digits`` one at a time, ``_read_digits`` in bulk."""
+
+    def one(raw):
+        read.append(raw)
+        return _digits(raw)
+
+    def bulk(texts):
+        got = _read_digits(texts)
+        if got is not None:
+            read.extend(itertools.compress(texts, got[2]))
+        return got
+
+    return mock.patch.multiple(qcat.category, _digits=one, _read_digits=bulk)
+
+
 @settings(max_examples=100, deadline=None)
 @given(category_files())
 def test_module_endpoints_share_one_memo(data):
@@ -351,13 +373,8 @@ def test_module_endpoints_share_one_memo(data):
     # first read, and any other string by parse_value, one object for all
     module = {"source": copy.deepcopy(data), "target": data, "mat": data.get("hom")}
     read = []
-
-    def spy(raw):
-        read.append(raw)
-        return _digits(raw)
-
     try:
-        with mock.patch.object(qcat.category, "_digits", spy):
+        with reads(read):
             m = module_from_json(module)
     except ValueError:
         return
@@ -540,12 +557,7 @@ def test_a_row_of_seen_strings_with_a_new_number_reads_the_number():
 
 def test_a_string_first_read_in_a_mixed_row_is_found_by_the_fast_path():
     read = []
-
-    def spy(raw):
-        read.append(raw)
-        return _digits(raw)
-
-    with mock.patch.object(qcat.category, "_digits", spy):
+    with reads(read):
         _, positions = same_rows([[0, "2/4", "bot"], ["2/4", "bot", "2/4"], ["bot", "bot", "2/4"]])
     assert read == ["2/4", "bot"]
     assert positions == [[0, 1, 2], [1, 2, 1], [2, 2, 1]]
@@ -567,3 +579,138 @@ def test_no_entry_equals_a_position_key():
     # earlier row's number stood
     error = "m[1][0]: cannot parse (0, 0) as a value"
     assert same_rows([[1, "0"], [(0, 0), "0"]]) == error
+
+
+# ---- the two passes against the per-key row loop
+
+INT64_MAX = 2**63 - 1
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+PARTS = ("0", "7", "007", "1" * 18, "9" * 18, "1" * 19, "9" * 19, "1" * 25,
+         str(INT64_MAX), str(INT64_MAX + 1), "1" * (LIMIT + 1))
+ODD = (
+    "0/0", "3/0", "١/٢", "１", "١", " 1/2 ", "1//2", "/2", "2/", "/", "", "+1", "1_0", "1 2",
+    "1\n", "\n1/2", "1/2\n", "bot", "⊥", " BOT", "inf", "x", "true", "(1,true)", "1.5", "1e3",
+    "-1", 1, 1.0, True, False, -1, None, [1], 2**70,
+)
+
+
+@st.composite
+def digit_strings(draw):
+    text = draw(st.sampled_from(PARTS))
+    if draw(st.booleans()):
+        text += "/" + draw(st.sampled_from(PARTS))
+    return text
+
+
+@st.composite
+def odd_matrices(draw):
+    """Rows of digit strings, ``d`` and ``d/d`` with parts of 1 to past
+    the digit limit, among text, numbers and bad entries; now and then a row
+    that is no list, a short row or a bad entry planted before one."""
+    entry = st.one_of(digit_strings(), digit_strings(), st.sampled_from(ODD))
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+    shape = draw(st.integers(0, 9))
+    if shape == 0 and rows:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(("x", 1, None))))
+    elif shape == 1 and rows and m:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i][draw(st.integers(0, m - 1))] = draw(st.sampled_from(("3/0", "x", "1" * (LIMIT + 1))))
+        rows.insert(draw(st.integers(i + 1, len(rows))), "row")
+    elif shape == 2 and rows:
+        del rows[draw(st.integers(0, len(rows) - 1))][-1:]
+    return rows
+
+
+def same_parse(rows, memo=None, memo_ref=None):
+    """``_parse_rows(rows)`` against the per-key row loop it replaced: the
+    same error, or the same slots, tags, ints and positions, and the same
+    memo after."""
+    ncols = len(rows[0]) if rows and isinstance(rows[0], list) else 0
+    memo = {} if memo is None else memo
+    memo_ref = {} if memo_ref is None else memo_ref
+    got = outcome(lambda r: qcat.category._parse_rows(r, "m", memo, ncols), rows)
+    want = outcome(lambda r: oracles.parse_rows_per_key(r, "m", memo_ref, ncols), rows)
+    if want[0] == "error":
+        assert got == want
+        return
+    assert got[0] == "ok"
+    (given, index), (want_given, want_index) = got[1], want[1]
+    if want_index is None:
+        assert index is None and given == want_given
+        return
+    (column, positions), (values, want_positions) = index, want_index
+    assert positions.tolist() == want_positions.tolist()
+    for a, b in ((column.tags, values.tags), (column.num, values.num), (column.den, values.den)):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert sorted(column._built) == sorted(values._built)
+    assert list(column) == list(values)
+    assert memo.keys() == memo_ref.keys()
+    assert all(memo[k] == memo_ref[k] for k in memo)
+
+
+@settings(max_examples=600, deadline=None)
+@given(odd_matrices())
+def test_two_passes_match_the_per_key_loop(rows):
+    same_parse(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_matrices(), odd_matrices())
+def test_a_later_matrix_reads_the_memo_as_the_per_key_loop_did(first, rows):
+    memo, memo_ref = {}, {}
+    ncols = len(first[0]) if first and isinstance(first[0], list) else 0
+    try:
+        oracles.parse_rows_per_key(first, "m", memo_ref, ncols)
+        qcat.category._parse_rows(first, "m", memo, ncols)
+    except ValueError:
+        return
+    same_parse(rows, memo, memo_ref)
+
+
+def test_parts_past_int64_and_bad_entries_before_a_row():
+    big = str(INT64_MAX + 1)
+    for rows in (
+        [["1" * 18, "1" * 19, "1" * 25], [str(INT64_MAX), big, "0"], ["bot", "1/" + big, big + "/3"]],
+        [["1/" + "9" * 19, "9" * 19 + "/" + "9" * 19, "18446744073709551617/2"]],
+        [["0", "3/0"], "row"],  # the bad entry, not the row, raises
+        [["0", "0/0"], ["1", "0"]],
+        [["0", "1"], ["1", "1" * (LIMIT + 1)]],
+        [["١/٢", "１"], [" 1/2 ", "1"]],
+        [["1//2", "0"]], [["0", "/2"]], [["2/", "0"]], [["+1", "1_0"]],
+        [["1\n", "2"], ["\n1/2", "bot"]],
+        [["0", "x", None], "row"],
+        [["1", 1, "1", True], [1.0, "1", True, "bot"], ["⊥", "bot", "2", "2/4"], ["2", "0", "1", "1"]],
+    ):
+        same_parse(rows)
+    assert outcome(lambda r: qcat.category._parse_rows(r, "m", {}, 2), [["0", "3/0"], "row"]) == (
+        "error", ValueError, "m[0][1]: cannot parse '3/0' as a value"
+    )
+
+
+def test_fromstring_saturates_past_int64():
+    # the bulk reader reads every part with np.fromstring, and reads a part
+    # that comes back as int64's maximum again with int(): this pins that a
+    # part past int64 comes back as that maximum, with no error or warning
+    import warnings
+
+    import numpy as np
+
+    text = " ".join(("5", str(INT64_MAX), str(INT64_MAX + 1), "9" * 25, "1" * 5000, "7"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parts = np.fromstring(text, np.int64, sep=" ").tolist()
+    assert parts == [5, INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX, 7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((0, 1, 2, 3, 6, 2**52, 2**62, 2**63, 3 * 2**61, 10**25)),
+                          st.sampled_from((1, 2, 3, 4, 2**53, 2**62, 2**63, 2**64, 3 * 2**60, 10**20)))))
+def test_reduced_skips_no_pair_it_must_divide(pairs):
+    # every gcd 1 returns the arrays as read; the same ints and dtypes as
+    # the step that divided every pair
+    nums, dens = [p for p, _ in pairs], [q for _, q in pairs]
+    got, want = qcat.maxplus._reduced(nums, dens), oracles.reduced(nums, dens)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert [Fraction(p, q) for p, q in zip(*(a.tolist() for a in got))] == [Fraction(p, q) for p, q in pairs]
