@@ -29,8 +29,6 @@ from .quantale import (
     QuantaleDescriptor,
     QVal,
     Tag,
-    _digits,
-    _parse_text,
     descriptor_from_json,
     descriptor_to_json,
     format_value,
@@ -371,7 +369,7 @@ def category_from_json(data: object, *, where: str = "category") -> VCategory:
     return _category_from_json(data, where, {})
 
 
-def _category_from_json(data: object, where: str, memo: dict[str, object]) -> VCategory:
+def _category_from_json(data: object, where: str, memo: dict[str, QVal]) -> VCategory:
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object")
     for field in ("quantale", "objects", "hom"):
@@ -409,7 +407,7 @@ def _located(exc: ValueError, where: str, name: str) -> ValueError:
     return ValueError(f"{where}.{name}[{at[0]}][{at[1]}]: {exc}" if at else f"{where}: {exc}")
 
 
-def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int) -> tuple:
+def _parse_rows(rows: object, where: str, memo: dict[str, QVal], ncols: int) -> tuple:
     """Parse a JSON matrix of values; a bad entry raises naming
     ``where[i][j]``.
 
@@ -422,8 +420,9 @@ def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int) -
     Two passes: the row loop gives each new key a slot, in order of first
     appearance, and reads nothing; then :func:`_read_keys` reads the keys,
     and the first bad entry in row-major order raises.  A string is its own
-    key, read once per file (``memo``).  Any other entry is keyed by its
-    position, which no entry equals, because JSON ``true``, ``1`` and
+    key: a digit string is read in bulk in each matrix that holds it, and
+    any other string once per file (``memo``).  Any other entry is keyed by
+    its position, which no entry equals, because JSON ``true``, ``1`` and
     ``1.0`` are equal keys that parse to different values.
     """
     if not isinstance(rows, list):
@@ -454,30 +453,29 @@ def _parse_rows(rows: object, where: str, memo: dict[str, object], ncols: int) -
     return None, (values, np.array(out, np.intp).reshape(len(out), ncols))
 
 
-def _read_keys(keys: list, rows: list, memo: dict[str, object],
+def _read_keys(keys: list, rows: list, memo: dict[str, QVal],
                where: str) -> tuple[maxplus.Column, list[int] | None]:
     """The values of a matrix's keys, in order, as a column; and, where
     keys read as one value object (a pole or a truth value), which takes
     its first key's slot, the slot of each key, else None.
 
-    The strings that ``memo`` lacks, written ``d`` or ``d/d`` in ASCII
-    digits, are read at once by :func:`_read_digits`, as two ints each,
-    reduced by their gcd with the rest.  Every other key is read by
-    itself, in order: a string through ``memo``, with ``_digits`` or
-    ``_parse_text``, and a position key by ``parse_value``.  When a digit
-    string does not read, every key is read by itself, so that the first
-    bad entry in row-major order raises."""
+    The strings written ``d`` or ``d/d`` in ASCII digits are read at once
+    by :func:`_read_digits`, as two ints each, reduced by their gcd with
+    the rest, and kept out of ``memo``.  Every other key is read by
+    itself, in order: a string by ``parse_value`` once per file (``memo``
+    keeps its value), and a position key by ``parse_value``.  When a
+    digit string does not read, every key is read by itself, so that the
+    first bad entry in row-major order raises."""
     n = len(keys)
-    # a key that the memo holds, or no string, stands as "-": not digits
-    texts = keys if not memo and all(map(str.__instancecheck__, keys)) else [
-        k if isinstance(k, str) and k not in memo else "-" for k in keys
+    # a position key stands as "-": not digits
+    texts = keys if all(map(str.__instancecheck__, keys)) else [
+        k if isinstance(k, str) else "-" for k in keys
     ]
     read = _read_digits(texts)
     if read is None:
         nums, dens, others = [0] * n, [1] * n, range(n)
     else:
         nums, dens, digits = read
-        memo.update(itertools.compress(zip(texts, zip(nums, dens)), digits))
         others = itertools.compress(range(n), map(operator.not_, digits))
     tags = [maxplus._FIN] * n
     built: dict[int, QVal] = {}  # the keys whose values parse_value built
@@ -489,7 +487,7 @@ def _read_keys(keys: list, rows: list, memo: dict[str, object],
             if isinstance(key, str):
                 e = memo.get(key)
                 if e is None:
-                    e = memo[key] = _digits(key) or _parse_text(key)
+                    e = memo[key] = parse_value(key)
             else:
                 e = parse_value(rows[key[1]][key[2]])
         except ValueError as exc:  # at the key's first entry
@@ -497,9 +495,6 @@ def _read_keys(keys: list, rows: list, memo: dict[str, object],
                 (i, row.index(key)) for i, row in enumerate(rows) if isinstance(row, list) and key in row
             )
             raise ValueError(f"{where}[{i}][{j}]: {exc}") from None
-        if type(e) is tuple:  # a (numerator, denominator)
-            nums[k], dens[k] = e
-            continue
         first = ids.setdefault(id(e), k)
         if first != k:
             merged[k] = first

@@ -495,12 +495,14 @@ def module_to_json(m: VModule, *, _rows: Callable = _format_rows) -> dict:
 
 
 def module_from_json(data: object, *, where: str = "module") -> VModule:
+    """The module of a file.  Its target, source and matrix share one memo
+    of ``parse_value``'s values; digit strings skip it (``_parse_rows``)."""
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected an object")
     for field in ("source", "target", "mat"):
         if field not in data:
             raise ValueError(f"{where}: missing field {field!r}")
-    memo: dict[str, object] = {}
+    memo: dict[str, QVal] = {}
     target = _category_from_json(data["target"], f"{where}.target", memo)
     raw_src = data["source"]
     if raw_src == "I":

@@ -1,5 +1,5 @@
 """Differential tests of the file layer, which parses each distinct string
-of a file once, checks each distinct product value once and formats each
+of a matrix once, checks each distinct product value once and formats each
 distinct value object once, against verbatim copies of the per-entry
 loops it replaced.
 
@@ -15,8 +15,10 @@ ints; it is compared with the parser that sent every string through
 ``Fraction``'s own reader.
 
 The row loop gives each new key a slot and reads nothing; the keys are
-read after it, the digit strings in bulk.  That is compared with the
-verbatim per-key row loop it replaced (``oracles.parse_rows_per_key``).
+read after it, the digit strings in bulk in each matrix and every other
+string once per file.  That is compared with the verbatim per-key row
+loop it replaced (``oracles.parse_rows_per_key``), which read a digit
+string once per file, as two ints.
 """
 
 import copy
@@ -24,6 +26,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -43,14 +46,16 @@ from qcat import (
     descriptor_from_json,
     descriptor_to_json,
     format_value,
+    minkowski_sample,
     module_from_json,
     module_to_json,
     parse_value,
     unit_category,
 )
 import qcat.category
+from qcat.cli import _chunks, run
 from qcat.category import _read_digits, _require_utf8
-from qcat.quantale import _digits
+from qcat.quantale import QVal, _digits
 from qcat.collage import LEFT, RIGHT
 
 import oracles
@@ -348,29 +353,40 @@ def test_collage_from_json_matches_per_entry_loop(data):
     assert got == outcome(ref_collage_from_json, data)
 
 
-def reads(read: list):
-    """Patch the file layer's two string readers to log, in ``read``, each
-    string they read: ``_digits`` one at a time, ``_read_digits`` in bulk."""
+def reads(read: list, bulk: list | None = None):
+    """Patch the file layer's two string readers to log each string they
+    read: ``parse_value`` one at a time in ``read``, and ``_read_digits``
+    in bulk in ``bulk`` (in ``read`` too when ``bulk`` is not given)."""
+    bulk = read if bulk is None else bulk
 
     def one(raw):
-        read.append(raw)
-        return _digits(raw)
+        if isinstance(raw, str):
+            read.append(raw)
+        return parse_value(raw)
 
-    def bulk(texts):
+    def in_bulk(texts):
         got = _read_digits(texts)
         if got is not None:
-            read.extend(itertools.compress(texts, got[2]))
+            bulk.extend(itertools.compress(texts, got[2]))
         return got
 
-    return mock.patch.multiple(qcat.category, _digits=one, _read_digits=bulk)
+    return mock.patch.multiple(qcat.category, parse_value=one, _read_digits=in_bulk)
+
+
+DIGIT_STRING = re.compile(r"[0-9]+(/[0-9]+)?")
+
+
+def is_digit_string(raw: object) -> bool:
+    """Whether ``raw`` is written ``d`` or ``d/d`` in ASCII digits alone."""
+    return isinstance(raw, str) and DIGIT_STRING.fullmatch(raw) is not None
 
 
 @settings(max_examples=100, deadline=None)
 @given(category_files())
 def test_module_endpoints_share_one_memo(data):
-    # each distinct string of the file is read once: a digit string as two
-    # ints, which each matrix's column turns into a value of its own on
-    # first read, and any other string by parse_value, one object for all
+    # a digit string is read in bulk in each matrix that holds it, and each
+    # matrix's column turns it into a value of its own on first read; any
+    # other string is read once per file by parse_value, one object for all
     module = {"source": copy.deepcopy(data), "target": data, "mat": data.get("hom")}
     read = []
     try:
@@ -378,14 +394,74 @@ def test_module_endpoints_share_one_memo(data):
             m = module_from_json(module)
     except ValueError:
         return
-    assert len(read) == len(set(read))
     assert m.source == m.target
+    strings = {raw for row in data["hom"] for raw in row if isinstance(raw, str)}
+    assert set(read) <= strings
+    for raw in strings:
+        # the target, the source and the matrix each hold the file's hom
+        assert read.count(raw) <= 3 if is_digit_string(raw) else read.count(raw) == 1
     for rows in zip(data["hom"], m.source.hom, m.target.hom, m.mat):
         for raw, s, t, v in zip(*rows):
             if isinstance(raw, str):
                 assert s == t == v
-                if _digits(raw) is None:
+                if not is_digit_string(raw):
                     assert s is t is v
+
+
+CHAIN = {  # an rbot chain a -> b -> c -> d
+    "quantale": "rbot",
+    "objects": ["a", "b", "c", "d"],
+    "hom": [["0", "1/2", "4", "5"], ["bot", "0", "3", "7/2"], ["bot", "bot", "0", "2/4"], ["bot", "bot", "bot", "0"]],
+}
+PAIR = {
+    "quantale": ["rbot", "lawvere"],
+    "objects": ["a", "b"],
+    "hom": [["(0,0)", "(1,2)"], ["(bot,inf)", "(0,0)"]],
+}
+
+
+def padded(data: dict) -> dict:
+    """``data`` with every digit value written padded, ``" 3 "`` and
+    ``"\t1/2"`` in turn, a tuple's components too."""
+    pads = itertools.cycle((" {} ", "\t{}"))
+
+    def pad(text):
+        if text.startswith("("):
+            return "(" + ",".join(map(pad, text[1:-1].split(","))) + ")"
+        return next(pads).format(text) if is_digit_string(text) else text
+
+    return {**data, "hom": [list(map(pad, row)) for row in data["hom"]]}
+
+
+def test_padded_and_canonical_files_give_the_same_bytes(tmp_path, monkeypatch):
+    # a padded digit string is no digit string: parse_value reads it, once
+    # per file, to the value that the bulk reader gives its canonical twin
+    for k, data in enumerate((CHAIN, PAIR)):
+        assert padded(data)["hom"] != data["hom"]
+        assert category_from_json(padded(data)) == category_from_json(data)
+        outs = []
+        for name, file in (("canonical", data), ("padded", padded(data))):
+            (tmp_path / name / str(k)).mkdir(parents=True)
+            monkeypatch.chdir(tmp_path / name / str(k))
+            with open("c.json", "w") as f:
+                json.dump(file, f)
+            with open("m.json", "w") as f:
+                json.dump({"source": file, "target": file, "mat": file["hom"]}, f)
+            validated = run(["validate", "c.json"])
+            composed = run(["compose", "m.json", "m.json", "-o", "out.json"])
+            assert validated.exit_code == composed.exit_code == 0
+            with open("out.json", "rb") as f:
+                outs.append(("".join(_chunks(validated.payload)), "".join(_chunks(composed.payload)), f.read()))
+        assert outs[0] == outs[1]
+
+
+def test_a_sprinkle_leaves_only_bot_in_the_memo():
+    # 200 events, about 10,000 distinct p/q strings: each read in bulk,
+    # and none kept past its matrix
+    c, _ = minkowski_sample(200, 101)
+    memo = {}
+    assert qcat.category._category_from_json(category_to_json(c), "s", memo) == c
+    assert memo.keys() == {"bot"}
 
 
 def test_twins_equal_under_eq_are_read_apart():
@@ -622,14 +698,25 @@ def odd_matrices(draw):
     return rows
 
 
-def same_parse(rows, memo=None, memo_ref=None):
+def same_parse(rows, memo=None, memo_ref=None, read=None, bulk=None):
     """``_parse_rows(rows)`` against the per-key row loop it replaced: the
-    same error, or the same slots, tags, ints and positions, and the same
-    memo after."""
+    same error, or the same slots, tags, ints, positions and values.
+
+    The loop built no value for a string that ``_digits`` reads (padded
+    too), which ``_parse_rows`` builds unless it read the string in bulk.
+    The loop's memo kept every string; ``memo`` keeps the strings that
+    ``parse_value`` read, once each, and no string that only the bulk
+    reader read.  ``read`` and ``bulk`` log the strings that earlier
+    matrices of the file read one at a time and in bulk."""
     ncols = len(rows[0]) if rows and isinstance(rows[0], list) else 0
     memo = {} if memo is None else memo
     memo_ref = {} if memo_ref is None else memo_ref
-    got = outcome(lambda r: qcat.category._parse_rows(r, "m", memo, ncols), rows)
+    read = [] if read is None else read
+    bulk = [] if bulk is None else bulk
+    here = []  # the strings this matrix reads in bulk
+    with reads(read, here):
+        got = outcome(lambda r: qcat.category._parse_rows(r, "m", memo, ncols), rows)
+    bulk += here
     want = outcome(lambda r: oracles.parse_rows_per_key(r, "m", memo_ref, ncols), rows)
     if want[0] == "error":
         assert got == want
@@ -640,13 +727,20 @@ def same_parse(rows, memo=None, memo_ref=None):
         assert index is None and given == want_given
         return
     (column, positions), (values, want_positions) = index, want_index
-    assert positions.tolist() == want_positions.tolist()
+    slots = positions.tolist()
+    assert slots == want_positions.tolist()
     for a, b in ((column.tags, values.tags), (column.num, values.num), (column.den, values.den)):
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
-    assert sorted(column._built) == sorted(values._built)
+    per_key = {  # the slots of the digit strings read one at a time
+        slots[i][j] for i, row in enumerate(rows) for j, raw in enumerate(row)
+        if isinstance(raw, str) and _digits(raw) is not None and raw not in here
+    }
+    assert not per_key & values._built.keys()
+    assert sorted(column._built) == sorted(values._built.keys() | per_key)
     assert list(column) == list(values)
-    assert memo.keys() == memo_ref.keys()
-    assert all(memo[k] == memo_ref[k] for k in memo)
+    assert len(read) == len(set(read)) and memo.keys() == set(read)
+    assert memo.keys() == memo_ref.keys() - (set(bulk) - set(read))
+    assert all(type(v) is QVal and v == parse_value(k) for k, v in memo.items())
 
 
 @settings(max_examples=600, deadline=None)
@@ -658,14 +752,15 @@ def test_two_passes_match_the_per_key_loop(rows):
 @settings(max_examples=200, deadline=None)
 @given(odd_matrices(), odd_matrices())
 def test_a_later_matrix_reads_the_memo_as_the_per_key_loop_did(first, rows):
-    memo, memo_ref = {}, {}
+    memo, memo_ref, read, bulk = {}, {}, [], []
     ncols = len(first[0]) if first and isinstance(first[0], list) else 0
     try:
         oracles.parse_rows_per_key(first, "m", memo_ref, ncols)
-        qcat.category._parse_rows(first, "m", memo, ncols)
+        with reads(read, bulk):
+            qcat.category._parse_rows(first, "m", memo, ncols)
     except ValueError:
         return
-    same_parse(rows, memo, memo_ref)
+    same_parse(rows, memo, memo_ref, read, bulk)
 
 
 def test_parts_past_int64_and_bad_entries_before_a_row():
